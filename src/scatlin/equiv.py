@@ -117,6 +117,9 @@ def _scan_chunk(ctx: Field, consts, flat_lo: int, flat_hi: int):
     """Evaluate one chunk of flat (a, b) indices; returns (ok mask, c, d exps).
 
     consts = (gt, ck, fr, tprime, inv_fr_tp) with everything exponent-encoded.
+    Slot t of the left side g o (a id + b f^rho) is the v_lincomb of the
+    bases a^(q^t) (index t) and b^(q^k) (index 6 + k); each test below is
+    one v_lincomb that must vanish.
     """
     gt, ck, fr, tp, inv_fr_tp = consts
     N = ctx.N
@@ -128,39 +131,32 @@ def _scan_chunk(ctx: Field, consts, flat_lo: int, flat_hi: int):
     eb = np.where(b_idx == 0, N, b_idx - 1)
     valid = ~((a_idx == 0) & (b_idx == 0))
 
-    af = [ctx.v_frob(ea, t) for t in range(TOWER)]
-    bf = [ctx.v_frob(eb, k) for k in range(TOWER)]
+    bases = [ctx.v_frob(ea, t) for t in range(TOWER)]
+    bases += [ctx.v_frob(eb, k) for k in range(TOWER)]
+    D, C = 2 * TOWER, 2 * TOWER + 1  # base indices of d and c, once known
 
-    def lhs(t):
-        acc = None
-        if gt[t] != N:
-            acc = ctx.v_mul_const(gt[t], af[t])
-        for k in range(TOWER):
-            if ck[t][k] == N:
-                continue
-            term = ctx.v_mul_const(ck[t][k], bf[k])
-            acc = term if acc is None else ctx.v_add(acc, term)
-        if acc is None:
-            acc = np.full(flat.shape, N, dtype=np.int64)
-        return acc
+    def lhs(t, scale=0):
+        """Terms of g^scale times slot t of the left side."""
+        terms = [(gt[t], (t,))] + [(ck[t][k], (TOWER + k,)) for k in range(TOWER)]
+        return [((e + scale) % N, idx) for e, idx in terms if e != N]
 
-    d = ctx.v_mul_const(inv_fr_tp, lhs(tp))
+    def minus(c, idx):
+        """The term -g^c * prod(bases[idx]) (dropped when c is zero)."""
+        return [] if c == N else [((c + ctx._half) % N, idx)]
+
+    bases.append(ctx.v_lincomb(lhs(tp, inv_fr_tp), bases))  # d
     ok = valid
     for t in range(1, TOWER):
         if t == tp:
             continue
-        lt = lhs(t)
-        if fr[t] == N:
-            ok = ok & (lt == N)
-        else:
-            ok = ok & (lt == ctx.v_mul_const(fr[t], d))
+        # slot t holds iff lhs(t) - fr[t] d = 0
+        ok = ok & (ctx.v_lincomb(lhs(t) + minus(fr[t], (D,)), bases) == N)
         if not ok.any():
             return ok, None, None, flat
-    l0 = lhs(0)
-    c = l0 if fr[0] == N else ctx.v_sub(l0, ctx.v_mul_const(fr[0], d))
-    det = ctx.v_sub(ctx.v_mul(ea, d), ctx.v_mul(eb, c))
+    bases.append(ctx.v_lincomb(lhs(0) + minus(fr[0], (D,)), bases))  # c
+    det = ctx.v_lincomb([(0, (0, D))] + minus(0, (TOWER, C)), bases)  # ad - bc
     ok = ok & (det != N)
-    return ok, c, d, flat
+    return ok, bases[C], bases[D], flat
 
 
 def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
@@ -334,25 +330,15 @@ def check_system_L4(h: FieldElem, delta: FieldElem, variant: str,
     ctx._need_tables()
     N = ctx.N
 
+    eb = np.arange(N, dtype=np.int64)
+    bases = [ctx.v_frob(eb, 1), ctx.v_frob(eb, 3), ctx.v_frob(eb, 5)]
     for rho in range(ctx.deg):
         k = ctx.p_power(h, rho)
         eqs, back = _l4_coefficients(ctx, k, delta, variant)
-        eb = np.arange(N, dtype=np.int64)
-        b1 = ctx.v_frob(eb, 1)
-        b3 = ctx.v_frob(eb, 3)
-        b5 = ctx.v_frob(eb, 5)
         mask = np.ones(N, dtype=bool)
-        for (gam, alp, bet) in eqs:
-            acc = None
-            for coeff, powvec in ((gam, b1), (alp, b3), (bet, b5)):
-                ce = ctx.exp_of(coeff)
-                if ce == N:
-                    continue
-                term = ctx.v_mul_const(ce, powvec)
-                acc = term if acc is None else ctx.v_add(acc, term)
-            if acc is None:
-                continue
-            mask &= (acc == N)
+        for coeffs in eqs:
+            terms = [(ctx.exp_of(cf), (i,)) for i, cf in enumerate(coeffs)]
+            mask &= (ctx.v_lincomb(terms, bases) == N)
             if not mask.any():
                 break
         if not mask.any():

@@ -80,3 +80,11 @@ class UsageError(ScatlinError):
 
 class MathMismatch(ScatlinError):
     """A reproduction run disagreed with the expected value."""
+
+
+class InternalInvariant(ScatlinError):
+    """An internal consistency check failed; indicates a bug, not bad input.
+
+    Raised explicitly instead of by ``assert``, so the check also runs under
+    ``python -O``.
+    """

@@ -6,8 +6,11 @@ primitive element g, and one of two arithmetic backends:
 * ``zech``  -- every nonzero element is stored as its discrete log e (so the
   element is g^e) and zero as the sentinel exponent N = q^6 - 1.  Addition
   uses a Zech-logarithm table Z[k] = log(1 + g^k); multiplication is exponent
-  addition mod N.  The tables are numpy arrays, which also powers the
-  vectorised bulk kernels (v_add, v_mul, ...) used by the exhaustive scans.
+  addition mod N.  The power, log and Zech tables are uint32 numpy arrays
+  (every stored value is at most N < 2^24), and Z carries one padding entry
+  Z[N] = 0 = log(1 + 0), so the sentinel is a valid index.  The tables also
+  power the vectorised exponent kernels (v_lincomb and its thin wrappers
+  v_add, v_mul, ...) used by the exhaustive scans.
 * ``poly``  -- elements are stored as base-p packed coefficient vectors and
   multiplied by schoolbook convolution plus reduction.  This backend has no
   table-size limit and exists for fields above the Zech threshold; scans are
@@ -17,7 +20,8 @@ Determinism: the modulus is the first irreducible in ascending packed
 coefficient order (constant term is the least significant base-p digit), the
 generator is the smallest packed value of full multiplicative order, and
 enumeration always yields 0 first and then g^0, g^1, ...  Two constructions
-with the same (p, s) therefore agree bit for bit, independent of backend.
+with the same (p, s) therefore agree bit for bit, independent of backend, and
+make_field returns one shared context per (p, s, backend).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .errors import (
     BadSubfield,
     CtxMismatch,
     DivisionByZero,
+    InternalInvariant,
     NoIrreducibleFound,
     NotPrime,
     TooLarge,
@@ -41,6 +46,8 @@ from .errors import (
 TOWER = 6  # extension degree over F_q; the subfield lattice is {1, 2, 3, 6}
 
 DEFAULT_ZECH_LIMIT = 1 << 24  # largest field order for which tables are built
+EXP = np.uint32  # dtype of exponent arrays and of the Zech tables
+_ACC_ZERO = 1 << 31  # zero inside a v_lincomb accumulator; see v_lincomb
 MAX_DEGREE = 64  # guard: 6s <= 64
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -145,7 +152,8 @@ def _cyclotomic_value(d: int, p: int) -> int:
             num *= p**e - 1
         elif mu == -1:
             den *= p**e - 1
-    assert num % den == 0
+    if num % den:
+        raise InternalInvariant("Phi_%d(%d) is not an integer (bug)" % (d, p))
     return num // den
 
 
@@ -377,24 +385,48 @@ class Field:
                 C[m + lo:m + hi] = ((C[lo:hi].astype(np.int64) @ T) % p).astype(np.int8)
             m += b
         pvec = self.p ** np.arange(k, dtype=np.int64)
-        pow_packed = np.empty(N, dtype=np.int64)
+        pow_packed = np.empty(N, dtype=EXP)
         step = 1 << 20
         for lo in range(0, N, step):
             hi = min(lo + step, N)
             pow_packed[lo:hi] = C[lo:hi].astype(np.int64) @ pvec
         del C
-        log = np.full(order, -1, dtype=np.int64)
-        log[pow_packed] = np.arange(N, dtype=np.int64)
-        if log[0] != -1 or int((log >= 0).sum()) != N:
+        log = np.full(order, N, dtype=EXP)  # log[0] stays N: zero's exponent
+        log[pow_packed] = np.arange(N, dtype=EXP)
+        if np.count_nonzero(log == N) != 1:
             raise NoIrreducibleFound("generator orbit is degenerate (bug)")
+        # 1 + g^k adds 1 to the constant digit; Z[k] = N where 1 + g^k = 0
         c0 = pow_packed % p
         one_plus = pow_packed - c0 + (c0 + 1) % p
-        Z = log[one_plus]
-        self._Z = np.where(Z < 0, N, Z).astype(np.int64)
+        del c0
+        Z = np.empty(N + 1, dtype=EXP)
+        np.take(log, one_plus, out=Z[:N])
+        Z[N] = 0  # padding: log(1 + 0) = 0, so the sentinel is an index
+        self._Z = Z
         self._pow_packed = pow_packed
         self._log = log
-        if p != 2:
-            assert int(log[p - 1]) == self._half  # g^(N/2) = -1
+        self._check_tables()
+
+    def _check_tables(self) -> None:
+        """Sanity checks of the Zech-mode tables; raise InternalInvariant.
+
+        g^(N/2) = -1 for odd p, log and power tables are inverse bijections,
+        and every stored value is at most N (so the 32-bit storage is exact).
+        """
+        N, p = self.N, self.p
+        log, pow_packed, Z = self._log, self._pow_packed, self._Z
+        if max(int(log.max()), int(Z.max())) > N or int(pow_packed.max()) > N:
+            raise InternalInvariant("Zech table value above N = %d (bug)" % N)
+        if p != 2 and int(log[p - 1]) != self._half:
+            raise InternalInvariant("log(-1) != N/2 (bug)")
+        if int(log[0]) != N or int(Z[N]) != 0:
+            raise InternalInvariant("zero sentinel entries corrupted (bug)")
+        step = 1 << 20
+        for lo in range(0, N, step):
+            hi = min(lo + step, N)
+            if not np.array_equal(log[pow_packed[lo:hi]],
+                                  np.arange(lo, hi, dtype=EXP)):
+                raise InternalInvariant("log/power tables disagree (bug)")
 
     # -- identity / representation -------------------------------------------
 
@@ -668,7 +700,7 @@ class Field:
         out = self._one
         for j in range(TOWER // m):
             out = self.mul(out, self.frobenius(x, m * j))
-        assert self.frobenius(out, m) == out
+        self._check_in_subfield(out, m, "norm")
         return out
 
     def trace(self, x, m: int = 1):
@@ -677,8 +709,12 @@ class Field:
         out = self._zero
         for j in range(TOWER // m):
             out = self.add(out, self.frobenius(x, m * j))
-        assert self.frobenius(out, m) == out
+        self._check_in_subfield(out, m, "trace")
         return out
+
+    def _check_in_subfield(self, y, m: int, what: str):
+        if self.frobenius(y, m) != y:
+            raise InternalInvariant("%s does not lie in F_(q^%d) (bug)" % (what, m))
 
     def in_subfield(self, x, m: int) -> bool:
         self._check_subfield(m)
@@ -692,8 +728,19 @@ class Field:
 
     # -- vectorised exponent kernels (zech mode only) ---------------------------
     #
-    # Bulk scans work on int64 numpy arrays of exponents where the value N is
-    # the zero sentinel.  All kernels are total on that encoding.
+    # Bulk scans work on uint32 (EXP) numpy arrays of exponents: g^e is stored
+    # as e in [0, N) and zero as the sentinel N.  Every kernel is total on that
+    # encoding and returns a fresh EXP array unless it is given out=.
+    #
+    # Products in int64, sums in 32-bit.  A sum or difference of two reduced
+    # exponents lies in [0, 2N) (after adding N to a difference) and is reduced
+    # by one conditional subtraction, np.minimum(x, x - N): for x < N the
+    # uint32 subtraction wraps to a huge value and the minimum keeps x.  A
+    # product e * K (Frobenius, p-powers, inverses, the Dickson terms) can
+    # exceed 2^32; it is formed in int64, reduced mod N, then cast.
+    #
+    # All additive work goes through v_lincomb; v_add, v_sub, v_mul,
+    # v_mul_const and v_neg are thin uses of it.
 
     @property
     def exp_zero(self) -> int:
@@ -713,47 +760,117 @@ class Field:
     def elem_of_exp(self, e: int) -> "FieldElem":
         return self._zero if e == self.N else self.from_exp(int(e))
 
-    def v_mul(self, u, v):
-        N = self.N
-        return np.where((u == N) | (v == N), N, (u + v) % N)
+    def v_lincomb(self, terms, bases, out=None):
+        """Sum of g^c * prod(g^bases[i] for i in idx) over (c, idx) in terms.
 
-    def v_mul_const(self, c: int, v):
-        N = self.N
-        if c == N:
-            return np.full_like(v, N)
-        return np.where(v == N, N, (v + c) % N)
+        Exponent encoding in and out.  c is a scalar exponent (c = N drops the
+        term) and idx a tuple of indices into bases, a sequence of same-shape
+        exponent arrays that may hold the sentinel N; an empty idx is the
+        constant g^c.  The sum is written to out (an EXP array that shares no
+        memory with bases) when given, and returned.
 
-    def v_add(self, u, v):
+        Each term after the first costs one Zech gather, and no temporaries
+        unless a factor holds the sentinel.  Inside the loop the accumulator
+        encodes zero as _ACC_ZERO = 2^31 instead of N: the difference
+        acc - t (mod N) then lies above N exactly when acc is zero, and a
+        gather in clip mode reads the padding entry Z[N] = 0 there, so the
+        new sum is t with no fix-up.  A cancellation (Z entry N) is fixed up
+        with np.copyto(where=), and the final clamp turns _ACC_ZERO back
+        into N.
+        """
         self._need_tables()
+        N, Z = self.N, self._Z
+        xs = np.broadcast_arrays(*(np.asarray(x, dtype=EXP) for x in bases))
+        if out is None:
+            out = np.empty(xs[0].shape if xs else (), dtype=EXP)
+        has_zero = [x.size > 0 and int(x.max()) >= N for x in xs]
+        t, d, z = (np.empty(out.shape, dtype=EXP) for _ in range(3))
+        cancel = np.empty(out.shape, dtype=bool)
+        first = True
+        for c, idx in terms:
+            if c == N:
+                continue
+            te = self._term_exp(c, [xs[i] for i in idx], t, d)
+            zero = None  # where a factor of the term is the zero element
+            for i in idx:
+                if has_zero[i]:
+                    zero = (xs[i] == N) if zero is None else zero | (xs[i] == N)
+            if first:
+                np.copyto(out, te)
+                if zero is not None:
+                    np.copyto(out, _ACC_ZERO, where=zero)
+                first = False
+                continue
+            kept = None if zero is None else out[zero]
+            # d <- acc - t (mod N); where acc is zero d lies far above N and
+            # the clipped gather reads the padding entry Z[N] = 0
+            np.subtract(out, te, out=d)
+            np.add(d, N, out=z)
+            np.minimum(d, z, out=d)
+            # acc <- t + Z[d] (mod N), zero where the two summands cancel
+            np.take(Z, d, out=z, mode="clip")
+            np.equal(z, N, out=cancel)
+            np.add(z, te, out=out)
+            np.subtract(out, N, out=d)
+            np.minimum(out, d, out=out)
+            np.copyto(out, _ACC_ZERO, where=cancel)
+            if zero is not None:
+                out[zero] = kept
+        if first:
+            out.fill(N)
+        else:
+            np.minimum(out, N, out=out)
+        return out
+
+    def _term_exp(self, c: int, factors, t, tmp):
+        """Exponent of g^c * prod(g^x for x in factors), reduced into [0, N),
+        built in buffer t (a scalar or an input array when nothing is added).
+        Where a factor is the sentinel N the value is meaningless."""
+        if not factors:
+            return c
+        if c == 0 and len(factors) == 1:
+            return factors[0]
         N = self.N
-        d = (v - u) % N
-        z = self._Z[d]
-        res = np.where(z == N, N, (u + z) % N)
-        res = np.where(u == N, v, res)
-        return np.where(v == N, u, res)
+        src = factors[0]
+        for addend in list(factors[1:]) + ([c] if c else []):
+            np.add(src, addend, out=t)
+            np.subtract(t, N, out=tmp)
+            np.minimum(t, tmp, out=t)
+            src = t
+        return t
+
+    def v_add(self, u, v, out=None):
+        return self.v_lincomb([(0, (0,)), (0, (1,))], (u, v), out)
+
+    def v_sub(self, u, v, out=None):
+        return self.v_lincomb([(0, (0,)), (self._half, (1,))], (u, v), out)
 
     def v_neg(self, u):
-        if self.p == 2:
-            return u.copy() if isinstance(u, np.ndarray) else u
-        N = self.N
-        return np.where(u == N, N, (u + self._half) % N)
+        return self.v_lincomb([(self._half, (0,))], (u,))
 
-    def v_sub(self, u, v):
-        return self.v_add(u, self.v_neg(v))
+    def v_mul(self, u, v):
+        return self.v_lincomb([(0, (0, 1))], (u, v))
+
+    def v_mul_const(self, c: int, v):
+        return self.v_lincomb([(c, (0,))], (v,))
+
+    def v_pow(self, u, k: int):
+        """x -> x^k (k >= 1): exponents u * k mod N, the product in int64."""
+        u = np.asarray(u, dtype=np.int64)
+        out = (u * k % self.N).astype(EXP)
+        np.copyto(out, self.N, where=(u == self.N))
+        return out
 
     def v_inv(self, u):
-        N = self.N
-        if np.any(u == N):
+        if np.any(np.asarray(u) == self.N):
             raise DivisionByZero("vector inverse of zero")
-        return (N - u) % N
+        return self.v_pow(u, self.N - 1)  # -u mod N
 
     def v_frob(self, u, i: int):
-        N = self.N
-        return np.where(u == N, N, u * self._qpow[i % TOWER] % N)
+        return self.v_pow(u, self._qpow[i % TOWER])
 
     def v_p_power(self, u, e: int):
-        N = self.N
-        return np.where(u == N, N, u * self._ppow[e % self.deg] % N)
+        return self.v_pow(u, self._ppow[e % self.deg])
 
 
 class FieldElem:
@@ -807,13 +924,21 @@ class FieldElem:
         return self.ctx.format(self)
 
 
-@functools.lru_cache(maxsize=16)
 def make_field(p: int, s: int, mode: str | None = None) -> Field:
     """Build (or fetch the cached) F_{p^(6s)} context.
 
     Deterministic for fixed (p, s): same modulus, same generator, same
-    enumeration order on every run.
+    enumeration order on every run.  The cache key is normalised, so every
+    spelling of the same request (positional or keyword, mode omitted, None
+    or the backend it resolves to) returns the one shared context.
     """
+    if mode is None and 1 <= s and TOWER * s <= MAX_DEGREE:  # else Field raises
+        mode = "zech" if p ** (TOWER * s) <= DEFAULT_ZECH_LIMIT else "poly"
+    return _cached_field(p, s, mode)
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_field(p: int, s: int, mode: str) -> Field:
     return Field(p, s, mode=mode)
 
 

@@ -13,7 +13,17 @@ point of weight >= 2, namely <(1, a_0 - m0)>; no common root means scattered.
 Both deciders short-circuit on the first violation in enumeration order
 (m = 0 first, then g^0, g^1, ...) and offer an exhaustive mode that reports
 every violation, which the reproduction suite uses to match the known
-closed-form witnesses.  On Zech-mode contexts both scans run as chunked numpy kernels.
+closed-form witnesses.
+
+On Zech-mode contexts both scans walk their range in _CHUNK slices, and each
+slice is one call of the fused kernel Field.v_lincomb on uint32 exponent
+arrays.  The oracle sums a_j x^(q^j - 1) over the coset representatives; the
+criterion evaluates each determinant as its multilinear expansion in the six
+conjugates m^(q^v), whose exponents e * q^v mod N are formed once per slice
+(in int64) and then summed per term in 32-bit.  The truncated determinant is
+evaluated only at the roots of the full one.  A 2^16-element slice keeps the
+working set (six conjugate arrays and four kernel buffers) near L2 size; the
+Zech table gathers are the remaining cost.  Results do not depend on _CHUNK.
 """
 
 from __future__ import annotations
@@ -23,12 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLarge
-from .gf import Field, FieldElem
+from .gf import EXP, TOWER, Field, FieldElem
 from .qpoly import QPoly, multilinear_det_expansion
 from . import linalg
 
 DEFAULT_SCAN_LIMIT = 1 << 24
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16  # scan slice: a slice's working set stays in L2
 
 
 @dataclass
@@ -93,96 +103,91 @@ def _guard(ctx: Field, limit: int):
                        (ctx.order, limit))
 
 
-def _ilog(value: int, base: int) -> int:
-    w = 0
-    acc = 1
-    while acc < value:
-        acc *= base
-        w += 1
-    if acc != value:
-        raise AssertionError("bucket size %d is not a power of %d" % (value, base))
-    return w
-
-
 # ---------------------------------------------------------------------------
 # oracle route
 # ---------------------------------------------------------------------------
 
 def _coset_counts(f: QPoly):
-    """counts[key] = number of F_q*-cosets x with f(x)/x equal to the element
-    encoded by key (exponent, or N for the zero element).  Zech mode only."""
+    """(keys, cosets): every value of f(x)/x as its exponent key (N for the
+    zero element), ascending, with the number of F_q*-cosets x mapping to it.
+    Zech mode only.
+
+    At x = g^i the value is sum_j a_j g^(i (q^j - 1)), one v_lincomb over the
+    coset representatives i < (q^6 - 1)/(q - 1), taken in _CHUNK slices.
+    """
     ctx = f.ctx
-    N = ctx.N
-    T = N // (ctx.q - 1)
-    i = np.arange(T, dtype=np.int64)
-    acc = np.full(T, N, dtype=np.int64)
-    for j, a in enumerate(f.coeffs):
-        if a.is_zero():
-            continue
-        term = (ctx.exp_of(a) + i * ctx._qpow[j]) % N
-        acc = ctx.v_add(acc, term)
-    vals = np.where(acc == N, N, (acc - i) % N)
-    return np.bincount(vals, minlength=N + 1)
+    T = ctx.N // (ctx.q - 1)
+    terms = [(ctx.exp_of(a), (j - 1,) if j else ()) for j, a in enumerate(f.coeffs)]
+    vals = np.empty(T, dtype=EXP)
+    for lo in range(0, T, _CHUNK):
+        i = np.arange(lo, min(lo + _CHUNK, T), dtype=np.int64)
+        bases = [ctx.v_pow(i, ctx._qpow[j] - 1) for j in range(1, TOWER)]
+        ctx.v_lincomb(terms, bases, out=vals[lo:lo + i.size])
+    return np.unique(vals, return_counts=True)
+
+
+def _buckets(f: QPoly):
+    """(witness elements, coset counts) from one bucketing pass over f(x)/x.
+
+    The coset counts are one per point <(1, m)> of the graph; the witnesses
+    are the m receiving at least q + 1 cosets (weight >= 2), in enumeration
+    order.
+    """
+    ctx = f.ctx
+    bad_at = ctx.q + 1
+    if ctx.mode == "zech":
+        keys, cosets = _coset_counts(f)
+        bad = keys[cosets >= bad_at].tolist()
+        if bad and bad[-1] == ctx.N:  # the zero element comes first
+            bad.insert(0, bad.pop())
+        return [ctx.elem_of_exp(k) for k in bad], cosets
+    counts: dict[int, int] = {}
+    position: dict[int, int] = {}
+    for idx, x in enumerate(ctx.elements()):
+        position[x.val] = idx
+        if not x.is_zero():
+            m = f(x) / x
+            counts[m.val] = counts.get(m.val, 0) + 1
+    bad = sorted((v for v, c in counts.items() if c >= bad_at * (ctx.q - 1)),
+                 key=position.__getitem__)
+    return ([ctx.from_packed(v) for v in bad],
+            np.array(list(counts.values())) // (ctx.q - 1))
+
+
+def _spectrum(ctx: Field, cosets) -> WeightSpectrum:
+    q = ctx.q
+    cosets_to_w = {(q**w - 1) // (q - 1): w for w in range(1, 7)}
+    counts: dict[int, int] = {}
+    sizes, points = np.unique(cosets, return_counts=True)
+    for c, n in zip(sizes.tolist(), points.tolist()):
+        w = cosets_to_w.get(c)
+        if w is None:
+            raise AssertionError("impossible coset count %d" % c)
+        counts[w] = n
+    return WeightSpectrum(counts=counts, q=q, order=ctx.order)
 
 
 def weight_spectrum(f: QPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> WeightSpectrum:
-    ctx = f.ctx
-    _guard(ctx, scan_limit)
-    q = ctx.q
-    per_point = {w: (q**w - 1) // (q - 1) for w in range(1, 7)}
-    cosets_to_w = {v: k for k, v in per_point.items()}
-    counts: dict[int, int] = {}
-    if ctx.mode == "zech":
-        bucket = _coset_counts(f)
-        sizes, mult = np.unique(bucket[bucket > 0], return_counts=True)
-        for c, n in zip(sizes.tolist(), mult.tolist()):
-            w = cosets_to_w.get(c)
-            if w is None:
-                raise AssertionError("impossible coset count %d" % c)
-            counts[w] = counts.get(w, 0) + n
-    else:
-        buckets: dict[int, int] = {}
-        for x in ctx.elements():
-            if x.is_zero():
-                continue
-            m = f(x) / x
-            buckets[m.val] = buckets.get(m.val, 0) + 1
-        for c in buckets.values():
-            w = _ilog(c + 1, q)
-            counts[w] = counts.get(w, 0) + 1
-    return WeightSpectrum(counts=counts, q=q, order=ctx.order)
+    _guard(f.ctx, scan_limit)
+    return _spectrum(f.ctx, _buckets(f)[1])
 
 
 def is_scattered_oracle(f: QPoly, exhaustive: bool = False,
                         scan_limit: int = DEFAULT_SCAN_LIMIT) -> ScatterVerdict:
-    """True iff no point has weight >= 2; witness = smallest offending m."""
+    """True iff no point has weight >= 2; witness = smallest offending m.
+
+    The verdict, the witnesses and the spectrum come from one bucketing pass.
+    """
     ctx = f.ctx
     _guard(ctx, scan_limit)
-    spectrum = weight_spectrum(f, scan_limit)
-    if ctx.mode == "zech":
-        bucket = _coset_counts(f)
-        bad = np.nonzero(bucket >= ctx.q + 1)[0]
-        keys = bad.tolist()
-        if ctx.N in keys:  # zero element first in enumeration order
-            keys.remove(ctx.N)
-            keys.insert(0, ctx.N)
-        witnesses = [ctx.elem_of_exp(k) for k in keys]
-    else:
-        buckets: dict[int, int] = {}
-        for x in ctx.elements():
-            if x.is_zero():
-                continue
-            m = f(x) / x
-            buckets[m.val] = buckets.get(m.val, 0) + 1
-        bad_vals = {v for v, c in buckets.items() if c >= ctx.q**2 - 1}
-        witnesses = [m for m in ctx.elements() if m.val in bad_vals]
+    witnesses, cosets = _buckets(f)
     scattered = not witnesses
     return ScatterVerdict(
         scattered=scattered,
         method="oracle",
         witness=None if scattered else witnesses[0],
         witnesses=witnesses if exhaustive else None,
-        spectrum=spectrum,
+        spectrum=_spectrum(ctx, cosets),
     )
 
 
@@ -201,28 +206,20 @@ def dickson_dets_at(f: QPoly, m) -> tuple[FieldElem, FieldElem]:
 
 
 def _expansion_terms(f: QPoly, drop: int):
-    """Expansion of det(M(m)) as (value at m=0, [(log coeff, K)]) where each
-    term contributes coeff * g^(e*K) at m = g^e.  The constant term rides
-    along in the list with K = 0."""
+    """Expansion of det(M(m)) as v_lincomb terms [(log coeff, key)]: each
+    term contributes coeff * prod(m^(q^v) for v in key).  The constant term
+    has the empty key."""
     ctx = f.ctx
     n, entries = f.dickson_symbolic(drop)
     terms = multilinear_det_expansion(ctx, n, entries)
-    const = terms.get(frozenset(), ctx.zero())
-    rest = []
-    for key, coeff in terms.items():
-        K = sum(ctx._qpow[v] for v in key) % ctx.N
-        rest.append((ctx.exp_of(coeff), K))
-    return const, rest
+    return [(ctx.exp_of(coeff), tuple(sorted(key))) for key, coeff in terms.items()]
 
 
-def _eval_expansion(ctx: Field, rest, e):
-    """Vector of det values (exponent encoding) at m = g^e for exponent array e."""
-    N = ctx.N
-    acc = np.full(e.shape, N, dtype=np.int64)
-    for logc, K in rest:
-        term = (logc + e * K) % N
-        acc = ctx.v_add(acc, term)
-    return acc
+def _eval_expansion(ctx: Field, terms, e):
+    """Vector of det values (exponent encoding) at m = g^e for the int64
+    exponent array e (N for m = 0): the six conjugates m^(q^v) are the bases
+    of one v_lincomb."""
+    return ctx.v_lincomb(terms, [ctx.v_frob(e, v) for v in range(TOWER)])
 
 
 def is_scattered_dickson(f: QPoly, exhaustive: bool = False,
@@ -233,24 +230,20 @@ def is_scattered_dickson(f: QPoly, exhaustive: bool = False,
     witnesses: list[FieldElem] = []
 
     if ctx.mode == "zech":
-        const6, terms6 = _expansion_terms(f, 0)
-        const5, terms5 = _expansion_terms(f, 1)
-        if const6.is_zero() and const5.is_zero():
-            witnesses.append(ctx.zero())
-            if not exhaustive:
-                return ScatterVerdict(False, "dickson", witnesses[0])
+        terms6 = _expansion_terms(f, 0)
+        terms5 = _expansion_terms(f, 1)
         N = ctx.N
-        for lo in range(0, N, _CHUNK):
-            e = np.arange(lo, min(lo + _CHUNK, N), dtype=np.int64)
-            det6 = _eval_expansion(ctx, terms6, e)
-            cand = e[det6 == N]
+        # enumeration index k is m = 0 for k = 0 and m = g^(k-1) otherwise
+        for lo in range(0, ctx.order, _CHUNK):
+            e = np.arange(lo - 1, min(lo + _CHUNK, ctx.order) - 1, dtype=np.int64)
+            if lo == 0:
+                e[0] = N
+            cand = e[_eval_expansion(ctx, terms6, e) == N]
             if cand.size:
-                det5 = _eval_expansion(ctx, terms5, cand)
-                hits = cand[det5 == N]
-                if hits.size:
-                    witnesses.extend(ctx.from_exp(int(h)) for h in hits.tolist())
-                    if not exhaustive:
-                        break
+                hits = cand[_eval_expansion(ctx, terms5, cand) == N]
+                witnesses.extend(ctx.elem_of_exp(int(h)) for h in hits.tolist())
+                if witnesses and not exhaustive:
+                    break
     else:
         for m in ctx.elements():
             d6, d5 = dickson_dets_at(f, m)

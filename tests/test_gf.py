@@ -3,12 +3,13 @@ enumeration order, and agreement of the two backends."""
 
 import random
 
+import numpy as np
 import pytest
 
 from scatlin import make_field, parse_field_spec
-from scatlin.errors import (BadSubfield, CtxMismatch, DivisionByZero, NotPrime,
-                            TooLarge)
-from scatlin.gf import Field
+from scatlin.errors import (BadSubfield, CtxMismatch, DivisionByZero,
+                            InternalInvariant, NotPrime, TooLarge)
+from scatlin.gf import EXP, Field
 
 
 def test_make_field_sizes(f3, f5, f4):
@@ -24,6 +25,27 @@ def test_make_field_guards():
         make_field(1, 1)
     with pytest.raises(TooLarge):
         make_field(2, 11)  # 6s = 66 > 64
+
+
+def test_one_context_per_field():
+    a = make_field(3, 1)
+    assert make_field(3, 1, None) is a
+    assert make_field(p=3, s=1) is a
+    assert make_field(3, 1, "zech") is a
+    b = make_field(p=3, s=1)
+    assert a.one() + b.gen() == b.gen() + a.one()  # no CtxMismatch
+
+
+def test_check_tables_catches_corruption():
+    F = Field(3, 1)  # fresh: the cached context must stay intact
+    F._check_tables()
+    F._log[int(F._pow_packed[10])] = 11
+    with pytest.raises(InternalInvariant):
+        F._check_tables()
+    G = Field(3, 1)
+    G._Z[5] = G.N + 1  # would not survive a 32-bit exponent encoding
+    with pytest.raises(InternalInvariant):
+        G._check_tables()
 
 
 def test_construction_is_deterministic(f3):
@@ -206,3 +228,69 @@ def test_summary_schema(f3):
     info = f3.summary()
     for key in ("p", "s", "q", "order", "modulus", "generator", "fingerprint"):
         assert key in info
+
+
+# ---------------------------------------------------------------------------
+# vectorised exponent kernels against the scalar arithmetic
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def q3_tables(f3):
+    """Addition and multiplication tables of F_{3^6} from the scalar
+    Field.add / Field.mul, indexed by exponent (index N is zero)."""
+    els = [f3.elem_of_exp(e) for e in range(f3.N + 1)]
+    add = np.array([[f3.exp_of(x + y) for y in els] for x in els])
+    mul = np.array([[f3.exp_of(x * y) for y in els] for x in els])
+    return add, mul
+
+
+def _all_pairs(F):
+    """Every ordered pair of exponents, the zero sentinel N included."""
+    u, v = np.meshgrid(np.arange(F.N + 1), np.arange(F.N + 1), indexing="ij")
+    return u.ravel(), v.ravel()
+
+
+def test_v_add_v_sub_match_scalar_all_pairs(f3, q3_tables):
+    add, _ = q3_tables
+    N = f3.N
+    u, v = _all_pairs(f3)
+    neg = np.array([f3.exp_of(-f3.elem_of_exp(e)) for e in range(N + 1)])
+    s, d = f3.v_add(u, v), f3.v_sub(u, v)
+    assert s.dtype == EXP and d.dtype == EXP
+    assert np.array_equal(s, add[u, v])
+    assert np.array_equal(d, add[u, neg[v]])
+    assert (d[u == v] == N).all()  # x - x cancels, zero included
+    assert np.count_nonzero(s == N) == N + 1  # one cancelling v per u
+    buf = np.empty(u.shape, dtype=EXP)
+    assert f3.v_add(u, v, out=buf) is buf and np.array_equal(buf, s)
+
+
+def test_v_lincomb_matches_scalar_all_pairs(f3, q3_tables):
+    add, mul = q3_tables
+    N, half = f3.N, f3.N // 2
+    u, v = _all_pairs(f3)
+    c1, c2, c3, c4 = 5, 300, 17, 700
+    terms = [(c1, (0,)), (c2, (1,)), (N, (0,)), (c3, (0, 1)), (c4, ())]
+    ref = add[add[add[mul[c1, u], mul[c2, v]], mul[c3, mul[u, v]]], c4]
+    assert np.array_equal(f3.v_lincomb(terms, (u, v)), ref)
+    # the running sum hits zero, then continues from zero
+    terms = [(0, (0,)), (half, (0,)), (c2, (1,))]
+    assert np.array_equal(f3.v_lincomb(terms, (u, v)), mul[c2, v])
+    terms = [(0, (0,)), (0, (1,)), (half, (0,)), (half, (1,))]
+    assert (f3.v_lincomb(terms, (u, v)) == N).all()
+    assert (f3.v_lincomb([], (u, v)) == N).all()
+    assert np.array_equal(f3.v_mul(u, v), mul[u, v])
+    assert np.array_equal(f3.v_mul_const(c1, v), mul[c1, v])
+    assert np.array_equal(f3.v_neg(v), mul[half, v])
+
+
+def test_scaling_kernels_match_scalar(f3, f9):
+    for F in (f3, f9):
+        e = np.arange(F.N + 1)
+        els = [F.elem_of_exp(int(x)) for x in e]
+        assert F.v_frob(e, 1).tolist() == [F.exp_of(x.frob(1)) for x in els]
+        assert F.v_p_power(e, 1).tolist() == [F.exp_of(F.p_power(x, 1)) for x in els]
+        assert F.v_pow(e, 7).tolist() == [F.exp_of(x ** 7) for x in els]
+        assert F.v_inv(e[:-1]).tolist() == [F.exp_of(x.inv()) for x in els[:-1]]
+        with pytest.raises(DivisionByZero):
+            F.v_inv(e)

@@ -2,14 +2,22 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from scatlin import QPoly, make_field
+from scatlin import QPoly, make_field, scatter
 from scatlin.errors import TooLarge
 from scatlin.family import family_poly
 from scatlin.scatter import (dickson_dets_at, dickson_witness_point,
                              is_scattered_dickson, is_scattered_oracle,
                              is_scattered, point_weight, weight_spectrum)
+
+# exhaustive case1 answers: q -> (spectrum, oracle witnesses = Dickson witnesses)
+CASE1 = {
+    3: ({1: 338, 3: 2}, ["g^182", "g^546"]),
+    5: ({1: 3906}, []),
+    7: ({1: 19494, 3: 2}, ["g^9804", "g^68628"]),
+}
 
 
 def rand_poly(F, rng):
@@ -124,3 +132,70 @@ def test_scan_budget_guard(f3):
 def test_is_scattered_both(f3):
     res = is_scattered(family_poly(f3, "pseudoregulus"), method="both")
     assert res["oracle"].scattered and res["dickson"].scattered
+
+
+def test_oracle_buckets_once(monkeypatch):
+    calls = []
+    real = scatter._coset_counts
+    monkeypatch.setattr(scatter, "_coset_counts",
+                        lambda f: calls.append(f) or real(f))
+    for q, (spectrum, witnesses) in CASE1.items():
+        F = make_field(q, 1)
+        f = family_poly(F, "case1")
+        calls.clear()
+        v = is_scattered_oracle(f, exhaustive=True)
+        assert len(calls) == 1
+        assert v.scattered == (not witnesses)
+        assert v.spectrum.counts == spectrum
+        assert [F.format(w) for w in v.witnesses] == witnesses
+        assert weight_spectrum(f).counts == spectrum
+
+
+def test_poly_mode_oracle_enumerates_once(f3, monkeypatch):
+    fy = make_field(3, 1, mode="poly")
+    coeffs = [f3.from_int(-1), 0, 1]  # x^(q^2) - x: zero is a witness
+    vz = is_scattered_oracle(QPoly(f3, coeffs), exhaustive=True)
+    fp = QPoly(fy, [fy.elem_at(f3.enum_index(f3.element(c))) for c in coeffs])
+    calls = []
+    real = type(fy).elements
+    monkeypatch.setattr(type(fy), "elements",
+                        lambda self: calls.append(self) or real(self))
+    vy = is_scattered_oracle(fp, exhaustive=True)
+    assert len(calls) == 1
+    assert vy.spectrum.counts == vz.spectrum.counts == {2: 91}
+    assert vz.witnesses[0].is_zero()
+    assert [fy.packed(w) for w in vy.witnesses] == [f3.packed(w) for w in vz.witnesses]
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_dickson_expansion_matches_elimination(q):
+    F = make_field(q, 1)
+    rng = random.Random(q)
+    f = rand_poly(F, rng)
+    # 200 seeded m: zero, points where det M(m) vanishes, and random ones
+    ms = [F.zero()]
+    for _ in range(20):
+        x = F.elem_at(rng.randrange(1, F.order))
+        ms.append(f.coeffs[0] - f(x) / x)
+    ms += [F.elem_at(rng.randrange(1, F.order)) for _ in range(200 - len(ms))]
+    e = np.array([F.exp_of(m) for m in ms], dtype=np.int64)
+    ref = [dickson_dets_at(f, m) for m in ms]
+    for drop in (0, 1):
+        vals = scatter._eval_expansion(F, scatter._expansion_terms(f, drop), e)
+        assert vals.tolist() == [F.exp_of(r[drop]) for r in ref]
+    assert all(r[0].is_zero() for r in ref[1:21])
+
+
+@pytest.mark.parametrize("q", [3, 7])
+def test_exhaustive_witnesses_independent_of_chunk(q, monkeypatch):
+    F = make_field(q, 1)
+    f = family_poly(F, "case1")
+    runs = []
+    for chunk in (scatter._CHUNK, 1 << 9):
+        monkeypatch.setattr(scatter, "_CHUNK", chunk)
+        vo = is_scattered_oracle(f, exhaustive=True)
+        vd = is_scattered_dickson(f, exhaustive=True)
+        runs.append(([F.format(w) for w in vo.witnesses],
+                      [F.format(w) for w in vd.witnesses], vo.spectrum.counts))
+    assert runs[0] == runs[1]
+    assert runs[0] == (CASE1[q][1], CASE1[q][1], CASE1[q][0])
