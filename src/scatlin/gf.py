@@ -296,6 +296,14 @@ def _pack_digits(coeffs, p: int) -> int:
 # field context
 # ---------------------------------------------------------------------------
 
+def _default_mode(p: int, deg: int, zech_limit: int) -> str:
+    """Backend for F_{p^deg} when none is asked for: Zech tables if the
+    order is at most zech_limit, else polynomial arithmetic.  deg is clamped
+    so that an out-of-range request, which Field rejects, neither builds a
+    huge power nor fails here."""
+    return "zech" if p ** min(max(deg, 0), MAX_DEGREE + 1) <= zech_limit else "poly"
+
+
 class Field:
     """Immutable context for F_{p^(6s)}; construct through make_field()."""
 
@@ -313,7 +321,7 @@ class Field:
         self.order = p**self.deg
         self.N = self.order - 1
         if mode is None:
-            mode = "zech" if self.order <= zech_limit else "poly"
+            mode = _default_mode(p, self.deg, zech_limit)
         if mode not in ("zech", "poly"):
             raise ValueError("mode must be 'zech' or 'poly'")
         if mode == "zech" and self.order > zech_limit:
@@ -839,11 +847,11 @@ class Field:
             src = t
         return t
 
-    def v_add(self, u, v, out=None):
-        return self.v_lincomb([(0, (0,)), (0, (1,))], (u, v), out)
+    def v_add(self, u, v):
+        return self.v_lincomb([(0, (0,)), (0, (1,))], (u, v))
 
-    def v_sub(self, u, v, out=None):
-        return self.v_lincomb([(0, (0,)), (self._half, (1,))], (u, v), out)
+    def v_sub(self, u, v):
+        return self.v_lincomb([(0, (0,)), (self._half, (1,))], (u, v))
 
     def v_neg(self, u):
         return self.v_lincomb([(self._half, (0,))], (u,))
@@ -932,8 +940,8 @@ def make_field(p: int, s: int, mode: str | None = None) -> Field:
     spelling of the same request (positional or keyword, mode omitted, None
     or the backend it resolves to) returns the one shared context.
     """
-    if mode is None and 1 <= s and TOWER * s <= MAX_DEGREE:  # else Field raises
-        mode = "zech" if p ** (TOWER * s) <= DEFAULT_ZECH_LIMIT else "poly"
+    if mode is None:
+        mode = _default_mode(p, TOWER * s, DEFAULT_ZECH_LIMIT)
     return _cached_field(p, s, mode)
 
 

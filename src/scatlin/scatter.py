@@ -141,8 +141,10 @@ def _buckets(f: QPoly):
         if bad and bad[-1] == ctx.N:  # the zero element comes first
             bad.insert(0, bad.pop())
         return [ctx.elem_of_exp(k) for k in bad], cosets
+    # poly mode has no discrete log, so the enumeration records each
+    # element's position, indexed by packed value
     counts: dict[int, int] = {}
-    position: dict[int, int] = {}
+    position = np.empty(ctx.order, dtype=np.int64)
     for idx, x in enumerate(ctx.elements()):
         position[x.val] = idx
         if not x.is_zero():
