@@ -30,7 +30,7 @@ for a, b in ((0, 0), (0, 1), (1, 0), ("g^5", "g^100")):
 rep = mrd_report(C)
 dist = rep["distribution"]
 print(f"\nfull rank distribution over 3^12 = {rep['cardinality']} codewords"
-      f" (orbit-skipped scan):")
+      f" (one bucketing pass, cross-checked by elimination):")
 for r, c in sorted(dist.counts.items()):
     print(f"  rank {r}: {c}")
 print(f"minimum distance {rep['min_distance']};"

@@ -3,7 +3,8 @@
 Every command takes `--field p^s`, prints a JSON report (or an aligned table
 with `--table`) carrying the command echo, the field summary with its modulus
 fingerprint, the result payload, and timings.  Exit codes: 0 success, 1 a
-reproduction/math mismatch, 2 usage errors.
+reproduction/math mismatch, 2 usage errors, 3 an internal-invariant failure
+(a bug, never a property of the input).
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import time
 
 from . import __version__
 from .equiv import gl_equivalent, pgl_linear_sets_equivalent
-from .errors import ScatlinError, UsageError
+from .errors import InternalInvariant, ScatlinError, UsageError
 from .family import enumerate_h, family_poly, lemma1_checks, lemma_roots
 from .geom import gamma_of, intn
 from .gf import Field, make_field, parse_field_spec
-from .mrd import code_from, left_idealiser_field_check, mrd_report
+from .mrd import (CROSS_CHECKS, DEFAULT_DISTRIBUTION_LIMIT, code_from,
+                  left_idealiser_field_check, mrd_report)
 from .qpoly import QPoly
 from .reproduce import TAGS, run_tag
 from .scatter import is_scattered_dickson, is_scattered_oracle, weight_spectrum
@@ -129,7 +131,7 @@ def _cmd_check(args) -> tuple[int, dict]:
                 if m in payload]
     payload["scattered"] = all(verdicts)
     if len(verdicts) == 2 and verdicts[0] != verdicts[1]:
-        return 1, _report(args, ctx, payload, t0)
+        return 3, _report(args, ctx, payload, t0)  # decider disagreement: a bug
     return 0, _report(args, ctx, payload, t0)
 
 
@@ -250,7 +252,7 @@ def _cmd_mrd(args) -> tuple[int, dict]:
     f = _poly_from_args(ctx, args)
     t0 = time.time()
     C = code_from(f)
-    rep = mrd_report(C, budget=args.budget or 1000)
+    rep = mrd_report(C, budget=args.budget)
     payload = {
         "poly": f.to_json(),
         "min_distance": rep["min_distance"],
@@ -351,7 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_poly_flags(p)
     p.add_argument("--full-distribution", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_DISTRIBUTION_LIMIT,
+                   help="max eliminations for the rank distribution's "
+                        "elimination cross-check (it needs %d; default %%(default)s); "
+                        "the counts themselves come from one bucketing pass"
+                        % CROSS_CHECKS)
     p.set_defaults(fn=_cmd_mrd)
 
     p = sub.add_parser("lemmas", help="auxiliary-lemma checks for one h")
@@ -385,7 +391,7 @@ def main(argv=None) -> int:
     except ScatlinError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          indent=2))
-        return 1
+        return 3 if isinstance(exc, InternalInvariant) else 1
     _emit(args, report)
     return rc
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DegenerateInput, HypothesisViolated, InvalidParameter
+from .errors import (DegenerateInput, HypothesisViolated, InternalInvariant,
+                     InvalidParameter)
 from .gf import TOWER, Field, FieldElem
 from .qpoly import QPoly
 
@@ -208,6 +208,8 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
                 size = min(size, room)
             hi = flat + size
             if workers > 1 and size >= 4 * workers:
+                # imported here: its ~0.6 MB of modules serve workers > 1 only
+                from concurrent.futures import ThreadPoolExecutor
                 bounds = np.linspace(flat, hi, workers + 1, dtype=np.int64)
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     parts = list(pool.map(
@@ -231,7 +233,7 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
                     d=ctx.elem_of_exp(int(d[pos])),
                 )
                 if not verify_witness(f, g, w):
-                    raise AssertionError("scan produced a bad witness (bug)")
+                    raise InternalInvariant("scan produced a bad witness (bug)")
                 searched = tried - size + pos + 1 if len(parts) == 1 else tried
                 return EquivResult("equivalent", witness=w, searched=searched)
             flat = hi
@@ -353,7 +355,7 @@ def check_system_L4(h: FieldElem, delta: FieldElem, variant: str,
             fh = QPoly(ctx, [ctx.zero(), h ** (ctx.q - 1),
                              -(h ** (ctx.q**2 - 1)), ctx.zero(), one, one])
             if not verify_witness(fh, target, w):
-                raise AssertionError("L4 system produced a bad witness (bug)")
+                raise InternalInvariant("L4 system produced a bad witness (bug)")
             return {"solvable": True, "variant": variant, "rho": rho,
                     "k": k, "witness": w}
     return {"solvable": False, "variant": variant, "rho": None, "k": None,

@@ -2,7 +2,8 @@
 
 Every error raised by scatlin is a subclass of ScatlinError, so callers can
 catch the whole family with one except clause.  The CLI maps UsageError to
-exit code 2 and MathMismatch to exit code 1.
+exit code 2, InternalInvariant (a bug signal) to exit code 3, and every other
+ScatlinError, MathMismatch included, to exit code 1.
 """
 
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (ClassificationGap, HypothesisViolated, InvalidParameter,
-                     ParityMismatch)
+from .errors import (ClassificationGap, HypothesisViolated, InternalInvariant,
+                     InvalidParameter, ParityMismatch)
 from .gf import Field, FieldElem
 from .qpoly import QPoly
 
@@ -79,7 +79,8 @@ def enumerate_h(ctx: Field, variant: str | None = None) -> list[FieldElem]:
     out = []
     for t in range(q**3 + 1):
         h = ctx.from_exp(j0 + t * step)
-        assert h_is_valid(ctx, h, variant)
+        if not h_is_valid(ctx, h, variant):
+            raise InternalInvariant("enumerated h = %s is not admissible (bug)" % h)
         out.append(h)
     return out
 

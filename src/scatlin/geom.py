@@ -18,7 +18,7 @@ shift, golden-tested against the expected images of the projection vertex).
 
 from __future__ import annotations
 
-from .errors import CtxMismatch, PreconditionFailed, ZeroParameter
+from .errors import CtxMismatch, InternalInvariant, PreconditionFailed, ZeroParameter
 from .gf import TOWER, Field, FieldElem
 from .linalg import nullspace, rref
 
@@ -127,7 +127,8 @@ def gamma_of(h: FieldElem) -> ProjSubspace:
         [zero, c1, c2, zero, one, one],
     ]
     G = ProjSubspace.from_constraints(ctx, constraints)
-    assert G.pdim == 3
+    if G.pdim != 3:
+        raise InternalInvariant("the vertex has dimension %d, not 3 (bug)" % G.pdim)
     for vec in _sigma_points(ctx, limit=32):
         if G.contains_point(vec):
             raise PreconditionFailed("gamma meets the canonical subgeometry")

@@ -8,23 +8,24 @@ Ranks are computed through 6x6 Dickson matrices over F_{q^6} (constant-size
 exact elimination) and cross-checkable against an explicit 6x6 matrix over
 F_q built in a fixed basis with trace-dual coordinate extraction.
 
-The full rank distribution exploits the left-scaling orbits: ranks are
-constant on F_{q^6}*-orbits of (a, b), so one representative per orbit --
-(0, 0), (0, 1), and (1, b) for every b -- covers all q^12 codewords with
-about q^6 rank computations.
+The full rank distribution is read off the oracle's bucketing pass: ranks are
+constant on the F_{q^6}*-orbits (0, 0), (0, 1), (1, b), and f + b id has rank
+6 minus the weight of the point <(1, -b)>.  Elimination rank cross-checks a
+fixed sample of 32 codewords; the budget caps those eliminations, not q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, ZeroMap
+from .errors import BudgetExceeded, InternalInvariant, ZeroMap
 from .gf import TOWER, Field
 from .linalg import mat_inv, rank as mat_rank
 from .qpoly import QPoly
-from . import equiv as _equiv
+from . import equiv as _equiv, scatter as _scatter
 
-DEFAULT_DISTRIBUTION_LIMIT = 1000  # orbit scans allowed by default: q = 3 only
+DEFAULT_DISTRIBUTION_LIMIT = 1000  # eliminations allowed by default
+CROSS_CHECKS = 32  # eliminations in one distribution's cross-check
 
 
 @dataclass
@@ -103,28 +104,27 @@ def code_from(f: QPoly) -> RankCode:
 
 def rank_distribution(C: RankCode,
                       budget: int = DEFAULT_DISTRIBUTION_LIMIT) -> RankDistribution:
-    """Exact rank counts over all q^12 codewords, by orbit representatives.
-
-    Orbit skipping still needs q^6 + 2 eliminations; budget caps that count.
-    The default admits q = 3; larger fields must raise it explicitly
-    (q = 4 needs ~4100, q = 5 needs ~15700).
-    """
-    ctx = C.ctx
-    needed = ctx.order + 2
-    if needed > budget:
-        raise BudgetExceeded("distribution scan needs %d eliminations, "
-                             "budget is %d" % (needed, budget))
-    orbit = ctx.N  # each nonzero orbit has q^6 - 1 codewords
-    counts = {r: 0 for r in range(TOWER + 1)}
-    counts[0] = 1
-    counts[C.codeword_rank(0, 1)] += orbit
-    one = ctx.one()
-    for b in ctx.elements():
-        counts[C.codeword_rank(one, b)] += orbit
-    total = ctx.order**2
-    assert sum(counts.values()) == total
-    return RankDistribution(counts={r: c for r, c in counts.items() if c},
-                            q=ctx.q)
+    """Exact rank counts over all q^12 codewords, from one bucketing pass:
+    f + b id has rank 6 - w, w the bucket weight of <(1, -b)>.  budget caps the
+    CROSS_CHECKS eliminations, of (0, 1) and of scatter._bucket_sample, that
+    cross-check it; a mismatch or a wrong mass raises InternalInvariant."""
+    if CROSS_CHECKS > budget:
+        raise BudgetExceeded("distribution cross-check needs %d eliminations, "
+                             "budget is %d" % (CROSS_CHECKS, budget))
+    ctx, N = C.ctx, C.ctx.N
+    _, keys, cosets = _scatter._buckets(C.f)
+    spectrum = _scatter._spectrum(ctx, cosets)
+    if not spectrum.mass_ok():
+        raise InternalInvariant("bucket mass %d != q^6 - 1 (bug)" % spectrum.mass())
+    sample = _scatter._bucket_sample(ctx, keys, cosets, CROSS_CHECKS - 1)
+    for a, b, w in [(0, 1, 0)] + [(1, -m, w) for m, w in sample]:
+        if C.codeword_rank(a, b) != TOWER - w:
+            raise InternalInvariant("codeword (%s, %s): bucket rank %d disagrees with "
+                                    "elimination (bug)" % (a, b, TOWER - w))
+    counts = {0: 1, TOWER: N * (ctx.order - spectrum.size + 1)}
+    for w, points in spectrum.counts.items():
+        counts[TOWER - w] = counts.get(TOWER - w, 0) + N * points
+    return RankDistribution(counts=dict(sorted(counts.items())), q=ctx.q)
 
 
 def min_distance(C: RankCode, budget: int = DEFAULT_DISTRIBUTION_LIMIT) -> int:

@@ -215,15 +215,6 @@ class QPoly:
         return TOWER - self.rank()
 
 
-def det(ctx, mat):
-    """Exact determinant of a square FieldElem matrix."""
-    return linalg.det(ctx, mat)
-
-
-def rank(ctx, mat) -> int:
-    return linalg.rank(ctx, mat)
-
-
 def multilinear_det_expansion(ctx: Field, n: int, entries):
     """Leibniz expansion of a determinant whose entries are constants or
     distinct variables, as a map frozenset(var indices) -> coefficient.

@@ -28,17 +28,19 @@ Zech table gathers are the remaining cost.  Results do not depend on _CHUNK.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import InternalInvariant, TooLarge
 from .gf import EXP, TOWER, Field, FieldElem
 from .qpoly import QPoly, multilinear_det_expansion
 from . import linalg
 
 DEFAULT_SCAN_LIMIT = 1 << 24
 _CHUNK = 1 << 16  # scan slice: a slice's working set stays in L2
+_SAMPLE_SEED = 20191005  # fixed, so a cross-check sample repeats run to run
 
 
 @dataclass
@@ -126,21 +128,25 @@ def _coset_counts(f: QPoly):
     return np.unique(vals, return_counts=True)
 
 
-def _buckets(f: QPoly):
-    """(witness elements, coset counts) from one bucketing pass over f(x)/x.
+def _buckets(f: QPoly, scan_limit: int = DEFAULT_SCAN_LIMIT):
+    """(witness elements, keys, coset counts) from one bucketing pass over
+    f(x)/x, under the scan guard.
 
-    The coset counts are one per point <(1, m)> of the graph; the witnesses
-    are the m receiving at least q + 1 cosets (weight >= 2), in enumeration
-    order.
+    There is one bucket per point <(1, m)> of the graph.  Its key is m.val,
+    the element's own encoding: the exponent (N for zero) in Zech mode, the
+    packed value in poly mode.  Keys are ascending, and cosets[i] counts the
+    F_q*-cosets mapping to keys[i].  The witnesses are the m receiving at
+    least q + 1 cosets (weight >= 2), in enumeration order.
     """
     ctx = f.ctx
+    _guard(ctx, scan_limit)
     bad_at = ctx.q + 1
     if ctx.mode == "zech":
         keys, cosets = _coset_counts(f)
         bad = keys[cosets >= bad_at].tolist()
         if bad and bad[-1] == ctx.N:  # the zero element comes first
             bad.insert(0, bad.pop())
-        return [ctx.elem_of_exp(k) for k in bad], cosets
+        return [ctx.elem_of_exp(k) for k in bad], keys, cosets
     # poly mode has no discrete log, so the enumeration records each
     # element's position, indexed by packed value
     counts: dict[int, int] = {}
@@ -150,28 +156,55 @@ def _buckets(f: QPoly):
         if not x.is_zero():
             m = f(x) / x
             counts[m.val] = counts.get(m.val, 0) + 1
-    bad = sorted((v for v, c in counts.items() if c >= bad_at * (ctx.q - 1)),
-                 key=position.__getitem__)
-    return ([ctx.from_packed(v) for v in bad],
-            np.array(list(counts.values())) // (ctx.q - 1))
+    keys = np.array(sorted(counts), dtype=np.int64)
+    cosets = np.array([counts[k] for k in keys.tolist()]) // (ctx.q - 1)
+    bad = sorted(keys[cosets >= bad_at].tolist(), key=position.__getitem__)
+    return [ctx.from_packed(v) for v in bad], keys, cosets
+
+
+def _bucket_weight(ctx: Field, keys, cosets, key: int) -> int:
+    """Weight of the point <(1, m)> with m.val == key, read from the bucket
+    arrays: w where its coset count is (q^w - 1)/(q - 1), 0 if no x hits m."""
+    i = int(np.searchsorted(keys, key))
+    if i == keys.size or keys[i] != key:
+        return 0
+    return _weight_of(ctx, int(cosets[i]))
+
+
+def _bucket_sample(ctx: Field, keys, cosets, size: int):
+    """size distinct points (m, weight) to cross-check the buckets by
+    elimination, weights read from the bucket arrays.  They are the smallest
+    key of each weight class present, the smallest key that no x hits
+    (weight 0) if there is one, then keys drawn from a generator seeded with
+    _SAMPLE_SEED; keys run over range(order) in both modes."""
+    out = keys[np.unique(cosets, return_index=True)[1]].tolist()
+    if keys.size < ctx.order:
+        gaps = np.flatnonzero(keys != np.arange(keys.size))
+        out.append(int(gaps[0]) if gaps.size else keys.size)
+    rng = random.Random(_SAMPLE_SEED)
+    while len(out) < size:
+        key = rng.randrange(ctx.order)
+        if key not in out:
+            out.append(key)
+    return [(FieldElem(ctx, k), _bucket_weight(ctx, keys, cosets, k)) for k in out]
+
+
+def _weight_of(ctx: Field, cosets: int) -> int:
+    q = ctx.q
+    for w in range(1, TOWER + 1):
+        if cosets == (q**w - 1) // (q - 1):
+            return w
+    raise InternalInvariant("impossible coset count %d (bug)" % cosets)
 
 
 def _spectrum(ctx: Field, cosets) -> WeightSpectrum:
-    q = ctx.q
-    cosets_to_w = {(q**w - 1) // (q - 1): w for w in range(1, 7)}
-    counts: dict[int, int] = {}
     sizes, points = np.unique(cosets, return_counts=True)
-    for c, n in zip(sizes.tolist(), points.tolist()):
-        w = cosets_to_w.get(c)
-        if w is None:
-            raise AssertionError("impossible coset count %d" % c)
-        counts[w] = n
-    return WeightSpectrum(counts=counts, q=q, order=ctx.order)
+    counts = {_weight_of(ctx, c): n for c, n in zip(sizes.tolist(), points.tolist())}
+    return WeightSpectrum(counts=counts, q=ctx.q, order=ctx.order)
 
 
 def weight_spectrum(f: QPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> WeightSpectrum:
-    _guard(f.ctx, scan_limit)
-    return _spectrum(f.ctx, _buckets(f)[1])
+    return _spectrum(f.ctx, _buckets(f, scan_limit)[2])
 
 
 def is_scattered_oracle(f: QPoly, exhaustive: bool = False,
@@ -181,8 +214,7 @@ def is_scattered_oracle(f: QPoly, exhaustive: bool = False,
     The verdict, the witnesses and the spectrum come from one bucketing pass.
     """
     ctx = f.ctx
-    _guard(ctx, scan_limit)
-    witnesses, cosets = _buckets(f)
+    witnesses, _, cosets = _buckets(f, scan_limit)
     scattered = not witnesses
     return ScatterVerdict(
         scattered=scattered,
@@ -273,8 +305,8 @@ def is_scattered(f: QPoly, method: str = "both",
         out["dickson"] = is_scattered_dickson(f, scan_limit=scan_limit)
     if method == "both":
         if out["oracle"].scattered != out["dickson"].scattered:
-            raise AssertionError("decider disagreement: oracle=%s dickson=%s" %
-                                 (out["oracle"].scattered, out["dickson"].scattered))
+            raise InternalInvariant("decider disagreement: oracle=%s dickson=%s (bug)" %
+                                    (out["oracle"].scattered, out["dickson"].scattered))
     return out
 
 

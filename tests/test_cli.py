@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+from scatlin import cli
+from scatlin.mrd import RankCode
+
 
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "scatlin", *argv],
@@ -93,6 +96,53 @@ def test_mrd_cli():
     assert rep["result"]["mrd"] is True
     assert rep["result"]["min_distance"] == 5
     assert rep["result"]["distribution"]["0"] == 1
+
+
+def test_mrd_cli_q7_full_distribution():
+    """The default budget reaches q = 7: the counts come from the buckets."""
+    rep = run_json("mrd", "--field", "7^1", "--family", "new_fh", "--h", "g^171",
+                   "--full-distribution")
+    a5 = (7**6 - 1) ** 2 // 6
+    assert rep["result"]["distribution"] == {"0": 1, "5": a5, "6": 7**12 - 1 - a5}
+    assert rep["result"]["mrd"] is True
+
+
+def test_internal_invariant_exit_3(monkeypatch, capsys):
+    """A failed cross-check is a bug signal: exit 3, not 1 or 2."""
+    monkeypatch.setattr(RankCode, "codeword_rank", lambda C, a, b: 4)
+    assert cli.main(["mrd", "--field", "3^1", "--poly", "case1"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "InternalInvariant"
+    # so is a disagreement of the two scatteredness deciders
+    real = cli.is_scattered_dickson
+
+    def flipped(f, **kw):
+        v = real(f, **kw)
+        v.scattered = not v.scattered
+        return v
+    monkeypatch.setattr(cli, "is_scattered_dickson", flipped)
+    assert cli.main(["check", "--field", "3^1", "--poly", "case1"]) == 3
+
+
+def test_invariant_checks_fire_under_python_O():
+    """Invariant checks are explicit raises, so python -O keeps them."""
+    script = """
+import sys
+from scatlin import family_poly, make_field, scatter
+from scatlin.errors import InternalInvariant
+real = scatter.is_scattered_dickson
+def flipped(f, **kw):
+    v = real(f, **kw)
+    v.scattered = not v.scattered
+    return v
+scatter.is_scattered_dickson = flipped
+try:
+    scatter.is_scattered(family_poly(make_field(3, 1), "case1"))
+except InternalInvariant as exc:
+    print(sys.flags.optimize, type(exc).__name__)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.stdout.split() == ["1", "InternalInvariant"], proc.stderr
 
 
 def test_lemmas_cli():

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from scatlin import QPoly, make_field, scatter
+from scatlin import FieldElem, QPoly, make_field, scatter
 from scatlin.errors import TooLarge
 from scatlin.family import family_poly
 from scatlin.scatter import (dickson_dets_at, dickson_witness_point,
@@ -199,3 +199,22 @@ def test_exhaustive_witnesses_independent_of_chunk(q, monkeypatch):
                       [F.format(w) for w in vd.witnesses], vo.spectrum.counts))
     assert runs[0] == runs[1]
     assert runs[0] == (CASE1[q][1], CASE1[q][1], CASE1[q][0])
+
+
+@pytest.mark.parametrize("mode", ["zech", "poly"])
+def test_bucket_keys_give_point_weights(mode):
+    """_buckets keys are the elements' own encodings, ascending, in both
+    modes, so a weight read back from the buckets is the point's weight;
+    the cross-check sample covers every weight class of case1."""
+    F = make_field(3, 1, mode=mode)
+    f = family_poly(F, "case1")
+    _, keys, cosets = scatter._buckets(f)
+    assert keys.tolist() == sorted(set(keys.tolist()))
+    rng = random.Random(58)
+    for k in keys[cosets > 1].tolist() + [rng.randrange(F.order) for _ in range(20)]:
+        m = FieldElem(F, k)
+        assert scatter._bucket_weight(F, keys, cosets, k) == point_weight(f, m)
+    sample = scatter._bucket_sample(F, keys, cosets, 31)
+    assert len({m for m, _ in sample}) == 31
+    assert {w for _, w in sample} == {0, 1, 3}
+    assert all(w == point_weight(f, m) for m, w in sample)
