@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from .equiv import gl_equivalent, pgl_linear_sets_equivalent
-from .errors import InternalInvariant, ScatlinError, UsageError
+from .errors import InternalInvariant, InvalidParameter, ScatlinError, UsageError
 from .family import enumerate_h, family_poly, lemma1_checks, lemma_roots
 from .geom import gamma_of, intn
 from .gf import Field, make_field, parse_field_spec
@@ -178,6 +178,9 @@ def _cmd_equiv(args) -> tuple[int, dict]:
     ctx = _field_from_args(args)
     left = parse_poly_spec(ctx, args.left)
     t0 = time.time()
+    if (args.pgl or args.trinomial_search) and (args.resume or args.checkpoint_out):
+        raise UsageError("--resume and --checkpoint-out apply to a single "
+                         "gl search, not to --pgl or --trinomial-search")
     resume = None
     if args.resume:
         with open(args.resume) as fh:
@@ -193,16 +196,17 @@ def _cmd_equiv(args) -> tuple[int, dict]:
     if args.pgl:
         name, _, _ = args.right.partition(":")
         fam = _FAMILY_ALIASES.get(name.lower(), "")
-        res = pgl_linear_sets_equivalent(left, right, fam,
-                                         budget=args.budget, workers=args.workers)
+        res = pgl_linear_sets_equivalent(left, right, fam, budget=args.budget)
         payload = {"left": left.to_json(), "right": right.to_json(),
                    "verdict": "equivalent" if res["equivalent"] else "not_equivalent",
                    "branch": res["branch"], "searched": res["searched"]}
         if res["witness"] is not None:
             payload["witness"] = res["witness"].to_json()
     else:
-        res = gl_equivalent(left, right, budget=args.budget,
-                            resume=resume, workers=args.workers)
+        try:
+            res = gl_equivalent(left, right, budget=args.budget, resume=resume)
+        except InvalidParameter as exc:  # only a checkpoint that does not fit
+            raise UsageError("--resume %s: %s" % (args.resume, exc)) from exc
         payload = {"left": left.to_json(), "right": right.to_json()}
         payload.update(res.to_json())
         if res.status == "budget_exceeded" and args.checkpoint_out:
@@ -230,8 +234,7 @@ def _trinomial_search(ctx: Field, left: QPoly, args) -> dict:
         for e5 in range(ctx.N):
             tri = QPoly(ctx, [ctx.zero(), ctx.from_exp(e1), ctx.zero(),
                               ctx.one(), ctx.zero(), ctx.from_exp(e5)])
-            res = gl_equivalent(left, tri, budget=budget - spent,
-                                workers=args.workers)
+            res = gl_equivalent(left, tri, budget=budget - spent)
             spent += res.searched
             tried += 1
             if res.equivalent:
@@ -303,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", required=True, help="field spec p^s, e.g. 5^1")
         p.add_argument("--json", action="store_true", help="JSON output (default)")
         p.add_argument("--table", action="store_true", help="aligned table output")
-        p.add_argument("--workers", type=int, default=1)
 
     def add_poly_flags(p):
         p.add_argument("--poly", help="family spec or JSON coefficients")

@@ -8,20 +8,28 @@ and it carries U_f onto U_g exactly when, as q-polynomials,
 
     g o (a id + b f^rho) = c id + d f^rho      with  ad - bc != 0,
 
-where f^rho has coefficients a_i^rho.  The search is exhaustive over all 6s
-automorphisms and all (a, b) != (0, 0); for each triple the pair (c, d) is
-*solved*, not searched: the right side is linear in (c, d), so two coefficient
-slots determine them and the remaining four slots are verified exactly.  That
-collapses the search from q^24 to 6s * q^12 triples, and the triple scan runs
-as chunked numpy kernels on exponent arrays.
+where f^rho has coefficients a_i^rho.  For each triple (rho, a, b) the pair
+(c, d) is *solved*, not searched: two coefficient slots determine it and the
+other four slots are tests.  That leaves 6s * q^12 triples, in the flat
+order (rho, a, b) with a and b indexed 0 for zero and e + 1 for g^e.
 
-The first witness in lexicographic (rho, a, b) enumeration order wins, so
-reruns and worker counts cannot change the answer.  Budgets count triples
-tried, and an exhausted budget returns a checkpoint that can be resumed.
+g is F_q-linear, so with (a, b, c, d) every lambda (a, b, c, d), lambda in
+F_q^* = <g^R>, R = (q^6 - 1)/(q - 1), is a witness too.  The orbit member
+with the smallest index is a = g^e with e < R, or a = 0 and b = g^e with
+e < R; these representatives fill a prefix of each rho's range, less the
+tail of the a = 0 row.  Only they are evaluated, about 6s * q^12 / (q - 1)
+triples, and the first of them that is a witness is the first witness of
+the full order: the answer does not depend on the reduction or the chunks.
+
+Slot t of the left side is g_t a^(q^t) plus a q-polynomial in b, so a block
+of a rows times a b range is tested by comparing terms in the row bases
+a^(q^t) with terms in the column bases b^(q^k), broadcast.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import dataclass
 
@@ -81,13 +89,20 @@ def apply_witness(w: EquivWitness, x: FieldElem, y: FieldElem):
 
 def verify_witness(f: QPoly, g: QPoly, w: EquivWitness,
                    sample: int = 512, seed: int = 2024) -> bool:
-    """Does the witness map U_f into U_g with nonzero determinant?
+    """Does the witness map U_f onto U_g with nonzero determinant?
 
-    Checks every x when the field is small enough (then injectivity makes
-    "into" equal "onto"); otherwise a seeded sample.
+    Two independent routes must both hold.  First the exact 6-coefficient
+    identity g o (a id + b f^rho) = c id + d f^rho.  Then the map is applied
+    pointwise to (x, f(x)): every x when the field is small enough (then
+    injectivity makes "into" equal "onto"), otherwise a seeded sample.
     """
     ctx = f.ctx
     if w.determinant().is_zero():
+        return False
+    frho = f.automorphism_image(w.rho)
+    ident = QPoly.identity(ctx)
+    if (g.compose(ident.scale(w.a) + frho.scale(w.b))
+            != ident.scale(w.c) + frho.scale(w.d)):
         return False
     if ctx.order <= _FULL_VERIFY_LIMIT:
         xs = ctx.elements()
@@ -102,71 +117,84 @@ def verify_witness(f: QPoly, g: QPoly, w: EquivWitness,
 
 
 # ---------------------------------------------------------------------------
-# the exhaustive (rho, a, b) scan
+# the orbit-reduced (rho, a, b) scan
 # ---------------------------------------------------------------------------
 
-def _independence_slot(fr: QPoly) -> int:
-    """Smallest t >= 1 with coefficient t nonzero; DegenerateInput if none."""
-    for t in range(1, TOWER):
-        if not fr.coeffs[t].is_zero():
-            return t
-    raise DegenerateInput("{id, f} are dependent; subspace is a line")
+def _rho_plan(ctx: Field, f: QPoly, g: QPoly, rho: int):
+    """Exponent-encoded terms of d, c and the four tests for one rho.
 
-
-def _scan_chunk(ctx: Field, consts, flat_lo: int, flat_hi: int):
-    """Evaluate one chunk of flat (a, b) indices; returns (ok mask, c, d exps).
-
-    consts = (gt, ck, fr, tprime, inv_fr_tp) with everything exponent-encoded.
-    Slot t of the left side g o (a id + b f^rho) is the v_lincomb of the
-    bases a^(q^t) (index t) and b^(q^k) (index 6 + k); each test below is
-    one v_lincomb that must vanish.
+    Slot t of g o (a id + b f^rho) is a row over the bases a^(q^i) (index i)
+    and b^(q^k) (index 6 + k).  With tp >= 1 the first nonzero slot of f^rho,
+    d is slot_tp / f^rho_tp, and slot_t - f^rho_t d is c for t = 0 and must
+    vanish for the other t != tp: its a part must equal its negated b part.
     """
-    gt, ck, fr, tp, inv_fr_tp = consts
-    N = ctx.N
+    fr = f.automorphism_image(rho).coeffs
+    tp = next((t for t in range(1, TOWER) if not fr[t].is_zero()), None)
+    if tp is None:
+        raise DegenerateInput("{id, f} are dependent; subspace is a line")
+    slot = [[g.coeffs[t] if i == t else ctx.zero() for i in range(TOWER)]
+            + [g.coeffs[k] * ctx.frobenius(fr[(t - k) % TOWER], k)
+               for k in range(TOWER)] for t in range(TOWER)]
+    inv = fr[tp].inv()
+
+    def terms(row):
+        return [(ctx.exp_of(x), (i,)) for i, x in enumerate(row) if not x.is_zero()]
+
+    def reduced(t):  # slot_t - (f^rho_t / f^rho_tp) slot_tp
+        return [x - fr[t] * inv * y for x, y in zip(slot[t], slot[tp])]
+
+    tests = [(terms(reduced(t)[:TOWER]), terms([-x for x in reduced(t)[TOWER:]]))
+             for t in range(1, TOWER) if t != tp]
+    return terms([inv * y for y in slot[tp]]), terms(reduced(0)), tests
+
+
+def _scan_block(ctx: Field, plan, lo: int, hi: int, R: int):
+    """First witness (flat, c, d exponents) among the flats [lo, hi) of one
+    rho, or None.  The block is the rows [lo, hi) meets times the b range it
+    covers in one row, or every b; flats outside [lo, hi), (0, 0) and the
+    non-representatives a = 0, b = g^e with e >= R are dropped."""
+    d_terms, c_terms, tests = plan
     E = ctx.order
-    flat = np.arange(flat_lo, flat_hi, dtype=np.int64)
-    a_idx = flat // E
-    b_idx = flat % E
-    ea = np.where(a_idx == 0, N, a_idx - 1)
-    eb = np.where(b_idx == 0, N, b_idx - 1)
-    valid = ~((a_idx == 0) & (b_idx == 0))
-
-    bases = [ctx.v_frob(ea, t) for t in range(TOWER)]
-    bases += [ctx.v_frob(eb, k) for k in range(TOWER)]
-    D, C = 2 * TOWER, 2 * TOWER + 1  # base indices of d and c, once known
-
-    def lhs(t, scale=0):
-        """Terms of g^scale times slot t of the left side."""
-        terms = [(gt[t], (t,))] + [(ck[t][k], (TOWER + k,)) for k in range(TOWER)]
-        return [((e + scale) % N, idx) for e, idx in terms if e != N]
-
-    def minus(c, idx):
-        """The term -g^c * prod(bases[idx]) (dropped when c is zero)."""
-        return [] if c == N else [((c + ctx._half) % N, idx)]
-
-    bases.append(ctx.v_lincomb(lhs(tp, inv_fr_tp), bases))  # d
-    ok = valid
-    for t in range(1, TOWER):
-        if t == tp:
-            continue
-        # slot t holds iff lhs(t) - fr[t] d = 0
-        ok = ok & (ctx.v_lincomb(lhs(t) + minus(fr[t], (D,)), bases) == N)
+    r0, r1 = lo // E, (hi - 1) // E + 1
+    b0, b1 = (lo - r0 * E, hi - r0 * E) if r1 == r0 + 1 else (0, E)
+    # index 0 is zero (exponent N = E - 1) and index e + 1 is g^e
+    ea, eb = np.arange(r0 - 1, r1 - 1) % E, np.arange(b0 - 1, b1 - 1) % E
+    abases = [ctx.v_frob(ea[:, None], t) for t in range(TOWER)]
+    bbases = [ctx.v_frob(eb[None, :], k) for k in range(TOWER)]
+    ok = True
+    for a_terms, b_terms in tests:
+        ok = ok & (ctx.v_lincomb(a_terms, abases) == ctx.v_lincomb(b_terms, bbases))
         if not ok.any():
-            return ok, None, None, flat
-    bases.append(ctx.v_lincomb(lhs(0) + minus(fr[0], (D,)), bases))  # c
-    det = ctx.v_lincomb([(0, (0, D))] + minus(0, (TOWER, C)), bases)  # ad - bc
-    ok = ok & (det != N)
-    return ok, bases[C], bases[D], flat
+            return None
+    i, j = np.nonzero(ok)
+    flat = (r0 + i) * E + b0 + j
+    keep = (flat >= lo) & (flat < hi) & ((flat >= E) | ((flat > 0) & (flat <= R)))
+    i, j, flat = i[keep], j[keep], flat[keep]
+    bases = [x[i, 0] for x in abases] + [x[0, j] for x in bbases]
+    d, c = ctx.v_lincomb(d_terms, bases), ctx.v_lincomb(c_terms, bases)
+    det = ctx.v_lincomb([(0, (0, 12)), (ctx._half, (6, 13))], bases + [d, c])  # ad - bc
+    good = np.flatnonzero(det != ctx.N)
+    if good.size == 0:
+        return None
+    k = good[0]
+    return int(flat[k]), int(c[k]), int(d[k])
 
 
 def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
-                  resume: dict | None = None, workers: int = 1,
-                  chunk: int = 1 << 18) -> EquivResult:
+                  resume: dict | None = None, chunk: int = 1 << 18) -> EquivResult:
     """Exhaustive GammaL(2, q^6)-equivalence of U_f and U_g.
 
     Returns Equivalent with the first witness in (rho, a, b) order,
-    NotEquivalent only after exhausting all 6s * q^12 triples, or
-    BudgetExceeded with a resume checkpoint.
+    NotEquivalent only after deciding all 6s * q^12 triples, or
+    BudgetExceeded with a resume checkpoint.  Only F_q^*-orbit
+    representatives are evaluated, at most ``chunk`` per block, but
+    ``searched``, ``budget`` and the checkpoint's ``flat`` and ``tried``
+    count positions in the full space: a skipped triple counts as decided
+    by its representative, and skips stop at the budget.  ``searched`` is
+    the witness's position plus one, or the total decided.  A checkpoint
+    carries the field (p, s) and a sha256 of the coefficient exponents of f
+    and g; resuming one without them, against other inputs or at an
+    impossible position raises InvalidParameter.
     """
     ctx = f.ctx
     if g.ctx is not ctx:
@@ -174,75 +202,48 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
     if f.is_zero() or g.is_zero():
         raise DegenerateInput("zero map has no rank-6 graph")
     ctx._need_tables()
-    N = ctx.N
     E = ctx.order
-    total_per_rho = E * E
-    n_auts = ctx.deg
+    R = ctx.N // (ctx.q - 1)
+    reps_end = E * (R + 1)  # no orbit representative lies at or past this flat
+    exps = [[ctx.exp_of(cf) for cf in poly.coeffs] for poly in (f, g)]
+    binding = {"field": [ctx.p, ctx.s],
+               "inputs_sha256": hashlib.sha256(json.dumps(exps).encode()).hexdigest()}
 
     rho_start, flat_start, tried = 0, 0, 0
     if resume:
-        rho_start = int(resume["rho"])
-        flat_start = int(resume["flat"])
-        tried = int(resume.get("tried", 0))
+        pos = [resume.get(k) for k in ("rho", "flat", "tried")]
+        if (any(resume.get(k) != v for k, v in binding.items())
+                or not all(isinstance(x, int) for x in pos)
+                or not (0 <= pos[0] < ctx.deg and 0 <= pos[1] < E * E)):
+            raise InvalidParameter("checkpoint does not belong to this field, f and g")
+        rho_start, flat_start, tried = pos
 
-    for rho in range(rho_start, n_auts):
-        frho = f.automorphism_image(rho)
-        tp = _independence_slot(frho)
-        gt = [ctx.exp_of(cf) for cf in g.coeffs]
-        fr = [ctx.exp_of(cf) for cf in frho.coeffs]
-        inv_fr_tp = (N - fr[tp]) % N
-        ck = [[ctx.exp_of(g.coeffs[k] * ctx.frobenius(
-            frho.coeffs[(t - k) % TOWER], k)) for k in range(TOWER)]
-            for t in range(TOWER)]
-        consts = (gt, ck, fr, tp, inv_fr_tp)
-
+    for rho in range(rho_start, ctx.deg):
+        plan = _rho_plan(ctx, f, g, rho)
         flat = flat_start if rho == rho_start else 0
-        while flat < total_per_rho:
-            size = min(chunk, total_per_rho - flat)
+        while flat < E * E:
+            scan = flat < reps_end
+            hi = (min(flat + chunk, (flat // E + max(1, chunk // E)) * E, reps_end)
+                  if scan else E * E)
             if budget is not None:
-                room = budget - tried
-                if room <= 0:
-                    return EquivResult(
-                        "budget_exceeded", searched=tried,
-                        checkpoint={"rho": rho, "flat": flat, "tried": tried})
-                size = min(size, room)
-            hi = flat + size
-            if workers > 1 and size >= 4 * workers:
-                # imported here: its ~0.6 MB of modules serve workers > 1 only
-                from concurrent.futures import ThreadPoolExecutor
-                bounds = np.linspace(flat, hi, workers + 1, dtype=np.int64)
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    parts = list(pool.map(
-                        lambda i: _scan_chunk(ctx, consts, int(bounds[i]),
-                                              int(bounds[i + 1])),
-                        range(workers)))
-            else:
-                parts = [_scan_chunk(ctx, consts, flat, hi)]
-            tried += size
-            for ok, c, d, flats in parts:
-                if not ok.any():
-                    continue
-                pos = int(np.argmax(ok))
-                fl = int(flats[pos])
-                a_idx, b_idx = fl // E, fl % E
-                w = EquivWitness(
-                    rho=rho,
-                    a=ctx.elem_at(a_idx),
-                    b=ctx.elem_at(b_idx),
-                    c=ctx.elem_of_exp(int(c[pos])),
-                    d=ctx.elem_of_exp(int(d[pos])),
-                )
+                if tried >= budget:
+                    return EquivResult("budget_exceeded", searched=tried, checkpoint={
+                        "rho": rho, "flat": flat, "tried": tried, **binding})
+                hi = min(hi, flat + budget - tried)
+            if scan and (hit := _scan_block(ctx, plan, flat, hi, R)) is not None:
+                fl, c, d = hit
+                w = EquivWitness(rho=rho, a=ctx.elem_at(fl // E), b=ctx.elem_at(fl % E),
+                                 c=ctx.elem_of_exp(c), d=ctx.elem_of_exp(d))
                 if not verify_witness(f, g, w):
                     raise InternalInvariant("scan produced a bad witness (bug)")
-                searched = tried - size + pos + 1 if len(parts) == 1 else tried
-                return EquivResult("equivalent", witness=w, searched=searched)
+                return EquivResult("equivalent", witness=w, searched=tried + fl - flat + 1)
+            tried += hi - flat
             flat = hi
     return EquivResult("not_equivalent", searched=tried)
 
 
 def pgl_linear_sets_equivalent(f: QPoly, g: QPoly, g_family: str,
-                               budget: int | None = None,
-                               workers: int = 1) -> dict:
+                               budget: int | None = None) -> dict:
     """PGammaL-equivalence of the linear sets, via the reduction lemma:
     L_f ~ L_g iff U_f is GammaL-equivalent to U_g or (except for the
     csajbok_mp family, where only the direct branch applies) to the adjoint
@@ -253,7 +254,7 @@ def pgl_linear_sets_equivalent(f: QPoly, g: QPoly, g_family: str,
     results = {}
     searched = 0
     for name, target in branches:
-        res = gl_equivalent(f, target, budget=budget, workers=workers)
+        res = gl_equivalent(f, target, budget=budget)
         results[name] = res
         searched += res.searched
         if res.equivalent:
@@ -314,8 +315,7 @@ def l4_target(ctx: Field, delta: FieldElem, variant: str) -> QPoly:
     return QPoly(ctx, [zero, delta, zero, one, zero, one])
 
 
-def check_system_L4(h: FieldElem, delta: FieldElem, variant: str,
-                    workers: int = 1) -> dict:
+def check_system_L4(h: FieldElem, delta: FieldElem, variant: str) -> dict:
     """Solve one of the two reduced systems for U_h ~ U^4_delta.
 
     For each automorphism rho (k = h^rho) the three constraint equations are

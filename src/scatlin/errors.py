@@ -44,7 +44,8 @@ class ParityMismatch(ScatlinError):
 
 
 class InvalidParameter(ScatlinError):
-    """A family parameter violates the family's defining condition."""
+    """A parameter violates its defining condition: a family parameter, or a
+    resume checkpoint that was made for another field, f or g."""
 
 
 class HypothesisViolated(ScatlinError):

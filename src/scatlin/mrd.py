@@ -150,10 +150,10 @@ def mrd_report(C: RankCode, budget: int = DEFAULT_DISTRIBUTION_LIMIT) -> dict:
     }
 
 
-def codes_equivalent(Cf: RankCode, Cg: RankCode, budget: int | None = None,
-                     workers: int = 1) -> _equiv.EquivResult:
+def codes_equivalent(Cf: RankCode, Cg: RankCode,
+                     budget: int | None = None) -> _equiv.EquivResult:
     """Code equivalence delegates to subspace equivalence of U_f and U_g."""
-    return _equiv.gl_equivalent(Cf.f, Cg.f, budget=budget, workers=workers)
+    return _equiv.gl_equivalent(Cf.f, Cg.f, budget=budget)
 
 
 def left_idealiser_field_check(C: RankCode, full: bool | None = None,

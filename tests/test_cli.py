@@ -83,6 +83,21 @@ def test_equiv_cli_with_checkpoint(tmp_path):
     assert rep2["result"]["searched"] == 6 * 729**2
 
 
+def test_equiv_cli_checkpoint_misuse_exit_2(tmp_path, capsys):
+    """Resuming a checkpoint made for other inputs, and --resume or
+    --checkpoint-out where no single search runs, are usage errors."""
+    ck = tmp_path / "ck.json"
+    base = ["equiv", "--field", "3^1", "--left", "new_fh:h=g^13"]
+    assert cli.main(base + ["--right", "pseudoregulus", "--budget", "1000",
+                            "--checkpoint-out", str(ck)]) == 0
+    assert cli.main(base + ["--right", "case1", "--resume", str(ck)]) == 2
+    for flag in ("--resume", "--checkpoint-out"):
+        assert cli.main(base + ["--right", "pseudoregulus", "--pgl", flag, str(ck)]) == 2
+        assert cli.main(base + ["--trinomial-search", flag, str(ck)]) == 2
+    assert json.loads(ck.read_text())["tried"] == 1000
+    assert cli.main(base + ["--right", "pseudoregulus", "--workers", "2"]) == 2
+
+
 def test_equiv_cli_pgl():
     rep = run_json("equiv", "--field", "3^1", "--left", "new_fh:h=g^91",
                    "--right", "trinomial:h=g^91", "--pgl")
