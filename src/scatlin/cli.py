@@ -3,8 +3,9 @@
 Every command takes `--field p^s`, prints a JSON report (or an aligned table
 with `--table`) carrying the command echo, the field summary with its modulus
 fingerprint, the result payload, and timings.  Exit codes: 0 success, 1 a
-reproduction/math mismatch, 2 usage errors, 3 an internal-invariant failure
-(a bug, never a property of the input).
+reproduction/math mismatch or another library error (a ClassificationGap from
+`lemmas` included), 2 usage errors, 3 an internal-invariant failure (a bug,
+never a property of the input).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import time
 
 from . import __version__
 from .equiv import gl_equivalent, pgl_linear_sets_equivalent
-from .errors import InternalInvariant, InvalidParameter, ScatlinError, UsageError
+from .errors import (HypothesisViolated, InternalInvariant, InvalidParameter,
+                     ScatlinError, UsageError)
 from .family import enumerate_h, family_poly, lemma1_checks, lemma_roots
 from .geom import gamma_of, intn
 from .gf import Field, make_field, parse_field_spec
@@ -283,7 +285,7 @@ def _cmd_lemmas(args) -> tuple[int, dict]:
             roots = lemma_roots(h, name)
             payload[name] = {"roots": [{"sigma": ctx.format(t), "class": c}
                                        for t, c in roots]}
-        except ScatlinError as exc:
+        except HypothesisViolated as exc:  # the lemma does not apply to h
             payload[name] = {"skipped": str(exc)}
     return 0, _report(args, ctx, payload, t0)
 
@@ -304,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, field=True):
         if field:
             p.add_argument("--field", required=True, help="field spec p^s, e.g. 5^1")
-        p.add_argument("--json", action="store_true", help="JSON output (default)")
         p.add_argument("--table", action="store_true", help="aligned table output")
 
     def add_poly_flags(p):

@@ -41,6 +41,7 @@ from .gf import TOWER, Field, FieldElem
 from .qpoly import QPoly
 
 _FULL_VERIFY_LIMIT = 1 << 16
+_VERIFY_SEED = 2024  # fixed, so the pointwise sample repeats run to run
 
 
 @dataclass
@@ -87,8 +88,7 @@ def apply_witness(w: EquivWitness, x: FieldElem, y: FieldElem):
     return (w.a * xr + w.b * yr, w.c * xr + w.d * yr)
 
 
-def verify_witness(f: QPoly, g: QPoly, w: EquivWitness,
-                   sample: int = 512, seed: int = 2024) -> bool:
+def verify_witness(f: QPoly, g: QPoly, w: EquivWitness, sample: int = 512) -> bool:
     """Does the witness map U_f onto U_g with nonzero determinant?
 
     Two independent routes must both hold.  First the exact 6-coefficient
@@ -107,7 +107,7 @@ def verify_witness(f: QPoly, g: QPoly, w: EquivWitness,
     if ctx.order <= _FULL_VERIFY_LIMIT:
         xs = ctx.elements()
     else:
-        rng = random.Random(seed)
+        rng = random.Random(_VERIFY_SEED)
         xs = (ctx.elem_at(rng.randrange(ctx.order)) for _ in range(sample))
     for x in xs:
         u, v = apply_witness(w, x, f(x))
@@ -194,9 +194,11 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
     the witness's position plus one, or the total decided.  A checkpoint
     carries the field (p, s) and a sha256 of the coefficient exponents of f
     and g; resuming one without them, against other inputs or at an
-    impossible position raises InvalidParameter.
+    impossible position raises InvalidParameter, and so does chunk < 1.
     """
     ctx = f.ctx
+    if chunk < 1:
+        raise InvalidParameter("chunk must be at least 1, got %d" % chunk)
     if g.ctx is not ctx:
         raise DegenerateInput("polynomials over different contexts")
     if f.is_zero() or g.is_zero():

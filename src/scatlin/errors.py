@@ -3,7 +3,9 @@
 Every error raised by scatlin is a subclass of ScatlinError, so callers can
 catch the whole family with one except clause.  The CLI maps UsageError to
 exit code 2, InternalInvariant (a bug signal) to exit code 3, and every other
-ScatlinError, MathMismatch included, to exit code 1.
+ScatlinError, MathMismatch and ClassificationGap included, to exit code 1.
+Only HypothesisViolated, which says that a lemma does not apply to its
+input, is reported as "skipped" (by `scatlin lemmas`) instead of as an error.
 """
 
 
@@ -33,10 +35,6 @@ class CtxMismatch(ScatlinError):
 
 class BadSubfield(ScatlinError):
     """Subfield index m does not divide 6."""
-
-
-class BadDrop(ScatlinError):
-    """dickson_m drop parameter outside {0, 1}."""
 
 
 class ParityMismatch(ScatlinError):

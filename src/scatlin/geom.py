@@ -22,6 +22,8 @@ from .errors import CtxMismatch, InternalInvariant, PreconditionFailed, ZeroPara
 from .gf import TOWER, Field, FieldElem
 from .linalg import nullspace, rref
 
+_SIGMA_PREFIX = 256  # Sigma points checked when the enumeration is not full
+
 
 class ProjSubspace:
     """A projective subspace, canonicalised as an RREF basis."""
@@ -145,26 +147,27 @@ def _sigma_points(ctx: Field, limit: int | None = None):
 
 
 def disjoint_from_sigma(S: ProjSubspace, full: bool = True,
-                        sample: int = 256, use_certificate: bool = True) -> bool:
+                        use_certificate: bool = True) -> bool:
     """Does S avoid every point of Sigma?
 
     Fast certificate: Sigma points have every coordinate nonzero (they are
     the conjugates of some x != 0), so a subspace contained in a coordinate
     hyperplane cannot meet Sigma.  Otherwise enumerate: all
-    (q^6-1)/(q-1) points when full, else a deterministic prefix.
+    (q^6-1)/(q-1) points when full, else a deterministic prefix of
+    _SIGMA_PREFIX points.
     """
     if use_certificate:
         for j in range(TOWER):
             if all(r[j].is_zero() for r in S.rows):
                 return True
-    limit = None if full else sample
+    limit = None if full else _SIGMA_PREFIX
     for vec in _sigma_points(S.ctx, limit=limit):
         if S.contains_point(vec):
             return False
     return True
 
 
-def intn(S: ProjSubspace, power: int = 1, check_sigma: bool = True) -> tuple[int, list[int]]:
+def intn(S: ProjSubspace, power: int = 1) -> tuple[int, list[int]]:
     """Intersection number of S w.r.t. sigma = sigma_hat^power.
 
     Returns (r, dims) where dims[j] = projective dimension of the (j+1)-fold
@@ -179,10 +182,9 @@ def intn(S: ProjSubspace, power: int = 1, check_sigma: bool = True) -> tuple[int
     k = S.pdim
     if k < 0:
         raise PreconditionFailed("empty subspace")
-    if check_sigma:
-        full = (ctx.N // (ctx.q - 1)) <= 1 << 20
-        if not disjoint_from_sigma(S, full=full):
-            raise PreconditionFailed("S meets the canonical subgeometry")
+    full = (ctx.N // (ctx.q - 1)) <= 1 << 20
+    if not disjoint_from_sigma(S, full=full):
+        raise PreconditionFailed("S meets the canonical subgeometry")
     dims = [k]
     current = S
     image = S
@@ -200,15 +202,3 @@ def intn(S: ProjSubspace, power: int = 1, check_sigma: bool = True) -> tuple[int
         if r > TOWER:
             raise PreconditionFailed("no intersection number up to r = %d" % r)
 
-
-def gamma_polynomial_check(h: FieldElem, G: ProjSubspace) -> bool:
-    """Every basis vector of G satisfies the two defining equations exactly."""
-    ctx = h.ctx
-    c1 = h ** (ctx.q - 1)
-    c2 = -(h ** (ctx.q**2 - 1))
-    for row in G.rows:
-        if not row[0].is_zero():
-            return False
-        if not (c1 * row[1] + c2 * row[2] + row[4] + row[5]).is_zero():
-            return False
-    return True

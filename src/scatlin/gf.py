@@ -177,12 +177,6 @@ def _ptrim(c: list[int]) -> tuple[int, ...]:
     return tuple(c[:i])
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
 def _psub(a, b, p):
     n = max(len(a), len(b))
     return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
@@ -296,20 +290,19 @@ def _pack_digits(coeffs, p: int) -> int:
 # field context
 # ---------------------------------------------------------------------------
 
-def _default_mode(p: int, deg: int, zech_limit: int) -> str:
+def _default_mode(p: int, deg: int) -> str:
     """Backend for F_{p^deg} when none is asked for: Zech tables if the
-    order is at most zech_limit, else polynomial arithmetic.  deg is clamped
-    so that an out-of-range request, which Field rejects, neither builds a
-    huge power nor fails here."""
-    return "zech" if p ** min(max(deg, 0), MAX_DEGREE + 1) <= zech_limit else "poly"
+    order is at most DEFAULT_ZECH_LIMIT, else polynomial arithmetic.  deg is
+    clamped so that an out-of-range request, which Field rejects, neither
+    builds a huge power nor fails here."""
+    order = p ** min(max(deg, 0), MAX_DEGREE + 1)
+    return "zech" if order <= DEFAULT_ZECH_LIMIT else "poly"
 
 
 class Field:
     """Immutable context for F_{p^(6s)}; construct through make_field()."""
 
-    def __init__(self, p: int, s: int, mode: str | None = None,
-                 zech_limit: int = DEFAULT_ZECH_LIMIT,
-                 factor_budget: int = 2_000_000):
+    def __init__(self, p: int, s: int, mode: str | None = None):
         if not is_prime(p):
             raise NotPrime("p = %d is not prime" % p)
         if s < 1 or TOWER * s > MAX_DEGREE:
@@ -321,14 +314,15 @@ class Field:
         self.order = p**self.deg
         self.N = self.order - 1
         if mode is None:
-            mode = _default_mode(p, self.deg, zech_limit)
+            mode = _default_mode(p, self.deg)
         if mode not in ("zech", "poly"):
             raise ValueError("mode must be 'zech' or 'poly'")
-        if mode == "zech" and self.order > zech_limit:
-            raise TooLarge("order %d exceeds Zech table limit %d" % (self.order, zech_limit))
+        if mode == "zech" and self.order > DEFAULT_ZECH_LIMIT:
+            raise TooLarge("order %d exceeds Zech table limit %d" %
+                           (self.order, DEFAULT_ZECH_LIMIT))
         self.mode = mode
 
-        self.order_factors = factorize_field_order(p, self.deg, factor_budget)
+        self.order_factors = factorize_field_order(p, self.deg)
         self.modulus = self._find_modulus()
         self.gen_coeffs = self._find_generator()
         self.gen_packed = _pack_digits(self.gen_coeffs + (0,) * self.deg, p)
@@ -540,10 +534,6 @@ class Field:
                 yield cur
                 cur = cur * self.gen()
 
-    def subfield_order(self, m: int) -> int:
-        self._check_subfield(m)
-        return self.q**m
-
     def subfield_elements(self, m: int):
         """All q^m elements of F_{q^m}: 0 first, then powers of g^((q^6-1)/(q^m-1))."""
         self._check_subfield(m)
@@ -750,10 +740,6 @@ class Field:
     # All additive work goes through v_lincomb; v_add, v_sub, v_mul,
     # v_mul_const and v_neg are thin uses of it.
 
-    @property
-    def exp_zero(self) -> int:
-        return self.N
-
     def _need_tables(self):
         if self.mode != "zech":
             raise TooLarge("vectorised scan needs Zech tables (order %d too big)" %
@@ -941,7 +927,7 @@ def make_field(p: int, s: int, mode: str | None = None) -> Field:
     or the backend it resolves to) returns the one shared context.
     """
     if mode is None:
-        mode = _default_mode(p, TOWER * s, DEFAULT_ZECH_LIMIT)
+        mode = _default_mode(p, TOWER * s)
     return _cached_field(p, s, mode)
 
 

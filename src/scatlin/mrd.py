@@ -26,6 +26,7 @@ from . import equiv as _equiv, scatter as _scatter
 
 DEFAULT_DISTRIBUTION_LIMIT = 1000  # eliminations allowed by default
 CROSS_CHECKS = 32  # eliminations in one distribution's cross-check
+_IDEALISER_SAMPLES = 64  # scalars tried by a non-full idealiser check
 
 
 @dataclass
@@ -156,8 +157,7 @@ def codes_equivalent(Cf: RankCode, Cg: RankCode,
     return _equiv.gl_equivalent(Cf.f, Cg.f, budget=budget)
 
 
-def left_idealiser_field_check(C: RankCode, full: bool | None = None,
-                               samples: int = 64) -> bool:
+def left_idealiser_field_check(C: RankCode, full: bool | None = None) -> bool:
     """Left multiplications by F_{q^6}* stay inside the code.
 
     For c in F_{q^6}* and a sample of (a, b), the composed map
@@ -169,7 +169,7 @@ def left_idealiser_field_check(C: RankCode, full: bool | None = None,
     ctx = C.ctx
     if full is None:
         full = ctx.order <= 1 << 12
-    scalars = range(ctx.N) if full else range(min(samples, ctx.N))
+    scalars = range(ctx.N) if full else range(min(_IDEALISER_SAMPLES, ctx.N))
     pairs = [(ctx.one(), ctx.zero()), (ctx.zero(), ctx.one()),
              (ctx.gen(), ctx.from_exp(2))]
     seen = set()

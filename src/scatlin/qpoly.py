@@ -6,9 +6,14 @@ x^(q^i), vectors have length 6 (zero-padded), and the Dickson matrix has entry
     M(f)[i][j] = a_{(j - i) mod 6} ^ (q^i),
 
 so each row is the previous one shifted right with all entries raised to the
-q-th power.  Golden tests reproduce the two reference matrices of the family
-under study (constant pattern {1, -1, 0} and the h-power pattern) bit for
-bit, which pins the convention against its transpose.
+q-th power.  QPoly.dickson() is the only Dickson-matrix builder: the
+criterion matrices M(m) of scatter are dickson() of f with a_0 replaced by m.
+Golden tests reproduce the two reference matrices of the family under study
+(constant pattern {1, -1, 0} and the h-power pattern) bit for bit, which
+pins the convention against its transpose.
+
+multilinear_det_expansion writes det(A + diag(x_i)) as a sum over subsets of
+the variables, each coefficient a principal minor of A.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .errors import BadDrop, CtxMismatch
+from .errors import CtxMismatch
 from .gf import TOWER, Field, FieldElem
 
 
@@ -159,51 +164,6 @@ class QPoly:
         return [[ctx.frobenius(self.coeffs[(j - i) % TOWER], i) for j in range(TOWER)]
                 for i in range(TOWER)]
 
-    def dickson_m(self, m, drop: int = 0):
-        """The matrix M(m) with m^(q^i) in the diagonal slots, truncated.
-
-        drop = 0: the full 6x6 matrix (determinant is the criterion's M_0).
-        drop = 1: remove the first column and the last row (criterion's M_1).
-        """
-        if drop not in (0, 1):
-            raise BadDrop("drop must be 0 or 1")
-        ctx = self.ctx
-        m = ctx.element(m)
-        n = TOWER - drop
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                oj = j + drop
-                if oj == i:
-                    row.append(ctx.frobenius(m, i))
-                else:
-                    row.append(ctx.frobenius(self.coeffs[(oj - i) % TOWER], i))
-            out.append(row)
-        return out
-
-    def dickson_symbolic(self, drop: int = 0):
-        """Entries of dickson_m with the variable slots marked.
-
-        Returns (n, entries) where entries[i][j] is either a FieldElem or the
-        int index t meaning "m^(q^t) goes here".
-        """
-        if drop not in (0, 1):
-            raise BadDrop("drop must be 0 or 1")
-        ctx = self.ctx
-        n = TOWER - drop
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                oj = j + drop
-                if oj == i:
-                    row.append(i)
-                else:
-                    row.append(ctx.frobenius(self.coeffs[(oj - i) % TOWER], i))
-            out.append(row)
-        return n, out
-
     # -- rank and kernel --------------------------------------------------------------
 
     def rank(self) -> int:
@@ -215,38 +175,21 @@ class QPoly:
         return TOWER - self.rank()
 
 
-def multilinear_det_expansion(ctx: Field, n: int, entries):
-    """Leibniz expansion of a determinant whose entries are constants or
-    distinct variables, as a map frozenset(var indices) -> coefficient.
+def multilinear_det_expansion(ctx: Field, A, var):
+    """det(A + diag(x_i for i in var)) as a map frozenset(S) -> coefficient of
+    prod(x_i for i in S), over the subsets S of var; zero terms are left out.
 
-    Each variable occurs in exactly one entry, so the determinant is affine in
-    each of them; the expansion has at most 2^(#vars) terms.  Used to turn the
-    criterion determinants into fast per-m evaluations.
+    The determinant is affine in each diagonal variable, and the coefficient
+    of prod(x_i for i in S) is the principal minor of A on the rows and
+    columns outside S (the empty minor is 1).  Used to turn the criterion
+    determinants into fast per-m evaluations.
     """
+    n = len(A)
     terms: dict[frozenset, FieldElem] = {}
-    for perm in itertools.permutations(range(n)):
-        inv = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    inv += 1
-        coeff = ctx.one() if inv % 2 == 0 else -ctx.one()
-        vars_here = []
-        ok = True
-        for i in range(n):
-            e = entries[i][perm[i]]
-            if isinstance(e, int):
-                vars_here.append(e)
-            else:
-                if e.is_zero():
-                    ok = False
-                    break
-                coeff = coeff * e
-        if not ok:
-            continue
-        key = frozenset(vars_here)
-        if key in terms:
-            terms[key] = terms[key] + coeff
-        else:
-            terms[key] = coeff
-    return {k: v for k, v in terms.items() if not v.is_zero()}
+    for k in range(len(var) + 1):
+        for S in itertools.combinations(var, k):
+            keep = [i for i in range(n) if i not in S]
+            minor = linalg.det(ctx, [[A[i][j] for j in keep] for i in keep])
+            if not minor.is_zero():
+                terms[frozenset(S)] = minor
+    return terms

@@ -6,9 +6,10 @@ representatives recovers every point weight: a point <(1, m)> of PG(1, q^6)
 receives (q^w - 1)/(q - 1) cosets exactly when dim ker(f - m x) = w.
 
 Criterion route: scan m over F_{q^6} and test whether the determinants of the
-full matrix M(m) (diagonal slots m^(q^i)) and of its truncation (first column
-and last row removed) vanish simultaneously.  A common root at m0 certifies a
-point of weight >= 2, namely <(1, a_0 - m0)>; no common root means scattered.
+matrix M(m) and of its truncation (first column and last row removed) vanish
+simultaneously.  M(m) is QPoly.dickson() of f with a_0 replaced by m, so its
+diagonal slots hold m^(q^i).  A common root at m0 certifies a point of
+weight >= 2, namely <(1, a_0 - m0)>; no common root means scattered.
 
 Both deciders short-circuit on the first violation in enumeration order
 (m = 0 first, then g^0, g^1, ...) and offer an exhaustive mode that reports
@@ -19,11 +20,12 @@ On Zech-mode contexts both scans walk their range in _CHUNK slices, and each
 slice is one call of the fused kernel Field.v_lincomb on uint32 exponent
 arrays.  The oracle sums a_j x^(q^j - 1) over the coset representatives; the
 criterion evaluates each determinant as its multilinear expansion in the six
-conjugates m^(q^v), whose exponents e * q^v mod N are formed once per slice
-(in int64) and then summed per term in 32-bit.  The truncated determinant is
-evaluated only at the roots of the full one.  A 2^16-element slice keeps the
-working set (six conjugate arrays and four kernel buffers) near L2 size; the
-Zech table gathers are the remaining cost.  Results do not depend on _CHUNK.
+conjugates m^(q^v).  Its coefficients are principal minors of M(0); the
+exponents e * q^v mod N are formed once per slice (in int64) and then summed
+per term in 32-bit.  The truncated determinant is evaluated only at the
+roots of the full one.  A 2^16-element slice keeps the working set (six
+conjugate arrays and four kernel buffers) near L2 size; the Zech table
+gathers are the remaining cost.  Results do not depend on _CHUNK.
 """
 
 from __future__ import annotations
@@ -229,23 +231,38 @@ def is_scattered_oracle(f: QPoly, exhaustive: bool = False,
 # criterion route
 # ---------------------------------------------------------------------------
 
+def _criterion_matrices(f: QPoly, m):
+    """(M(m), M1(m)): the Dickson matrix of f with a_0 replaced by m, so
+    m^(q^i) sits at (i, i), and its truncation without the first column and
+    the last row, where m^(q^i) sits at (i, i - 1) for i = 1..4."""
+    M = QPoly(f.ctx, (m,) + f.coeffs[1:]).dickson()
+    return M, [row[1:] for row in M[:TOWER - 1]]
+
+
 def dickson_dets_at(f: QPoly, m) -> tuple[FieldElem, FieldElem]:
-    """(det M(m), det of the drop-1 truncation) by direct elimination.
+    """(det M(m), det of its truncation) by direct elimination.
 
     Deliberately independent of the expansion used by the bulk scan, so a
     reported witness can be re-certified along a second path.
     """
-    ctx = f.ctx
-    return (linalg.det(ctx, f.dickson_m(m, 0)), linalg.det(ctx, f.dickson_m(m, 1)))
+    M, M1 = _criterion_matrices(f, m)
+    return linalg.det(f.ctx, M), linalg.det(f.ctx, M1)
 
 
 def _expansion_terms(f: QPoly, drop: int):
-    """Expansion of det(M(m)) as v_lincomb terms [(log coeff, key)]: each
-    term contributes coeff * prod(m^(q^v) for v in key).  The constant term
-    has the empty key."""
+    """Expansion of det M(m) (drop = 0) or of its truncation (drop = 1) as
+    v_lincomb terms [(log coeff, key)]: each term contributes
+    coeff * prod(m^(q^v) for v in key).  The constant term has the empty key.
+
+    At m = 0 the variable slots hold zero, so each coefficient is a principal
+    minor.  In the truncation, moving the last column to the front (a
+    5-cycle, which keeps the determinant) puts m^(q^i) on the diagonal.
+    """
     ctx = f.ctx
-    n, entries = f.dickson_symbolic(drop)
-    terms = multilinear_det_expansion(ctx, n, entries)
+    A = _criterion_matrices(f, ctx.zero())[drop]
+    if drop:
+        A = [row[-1:] + row[:-1] for row in A]
+    terms = multilinear_det_expansion(ctx, A, range(drop, TOWER - drop))
     return [(ctx.exp_of(coeff), tuple(sorted(key))) for key, coeff in terms.items()]
 
 

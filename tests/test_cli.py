@@ -1,9 +1,12 @@
 """CLI smoke tests: schemas, exit codes, determinism, checkpointing."""
 
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
+import scatlin
 from scatlin import cli
 from scatlin.mrd import RankCode
 
@@ -160,10 +163,37 @@ except InternalInvariant as exc:
     assert proc.stdout.split() == ["1", "InternalInvariant"], proc.stderr
 
 
+def test_no_bare_assert_in_src():
+    """python -O strips assert statements, so the package has none: every
+    invariant check is an explicit raise."""
+    files = sorted(pathlib.Path(scatlin.__file__).parent.rglob("*.py"))
+    assert files
+    found = [(path.name, node.lineno) for path in files
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_lemmas_cli():
     rep = run_json("lemmas", "--field", "5^1", "--h", "2")
     assert rep["result"]["lemma1"]["item1_hq_ne_minus_h"] is True
     assert "roots" in rep["result"]["lemma3"]
+
+
+def test_lemmas_cli_gap_is_an_error():
+    """A ClassificationGap is a bug signal and exits 1; only a lemma whose
+    hypotheses h violates is reported as skipped."""
+    proc = run_cli("lemmas", "--field", "5^1", "--h", "g^62", "--which", "lemma2")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == "ClassificationGap"
+    rep = run_json("lemmas", "--field", "5^1", "--h", "g^62", "--which", "lemma3")
+    assert "skipped" in rep["result"]["lemma3"]
+
+
+def test_json_flag_removed():
+    # JSON is the only default output; the old no-op --json flag is unknown
+    proc = run_cli("linset", "--field", "3^1", "--poly", "case1", "--json")
+    assert proc.returncode == 2
 
 
 def test_reproduce_exit_codes():

@@ -3,6 +3,7 @@ csajbok_mz systems."""
 
 import json
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -114,6 +115,25 @@ def test_chunk_determinism(f3):
         runs.append((whole.to_json(), part.to_json(), later[0].to_json()))
     assert all(r == runs[0] for r in runs)
     assert runs[0][0]["searched"] == 1095 and runs[0][2]["searched"] == 92 * 729 + 457
+
+
+def test_chunk_below_one_raises(f3):
+    """A chunk below 1 never advanced the scan; it is rejected before any
+    work.  The alarm turns a hang into a failure."""
+    f = family_poly(f3, "pseudoregulus")
+
+    def hung(*_):
+        raise TimeoutError("gl_equivalent did not return")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        for chunk in (0, -5):
+            with pytest.raises(InvalidParameter):
+                gl_equivalent(f, f, chunk=chunk)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_checkpoint_bound_to_inputs(f3, f5):

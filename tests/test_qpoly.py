@@ -3,12 +3,10 @@ determinants, and kernel dimensions (all against enumeration oracles)."""
 
 import random
 
-import pytest
-
 from scatlin import QPoly
-from scatlin.errors import BadDrop
 from scatlin.linalg import det, mat_mul, rank
 from scatlin.family import family_poly
+from scatlin.scatter import _criterion_matrices
 
 
 def rand_poly(F, rng):
@@ -98,7 +96,7 @@ def test_dickson_golden_case1(f5):
     shift (constants are in F_q, so the q-powers fix them)."""
     f = family_poly(f5, "case1")
     m = f5.from_exp(7)
-    M = f.dickson_m(m, 0)
+    M, M5 = _criterion_matrices(f, m)
     one, zero = f5.one(), f5.zero()
     first = [None, one, -one, zero, one, one]
     for i in range(6):
@@ -107,7 +105,6 @@ def test_dickson_golden_case1(f5):
                 assert M[i][j] == m.frob(i)
             else:
                 assert M[i][j] == first[(j - i) % 6]
-    M5 = f.dickson_m(m, 1)
     assert M5[1][0] == m.frob(1) and M5[4][3] == m.frob(4)
     assert M5[0][0] == one and M5[0][1] == -one
 
@@ -119,7 +116,7 @@ def test_dickson_golden_case2(f3):
     h = f3.from_exp((q**3 - 1) // 2)
     f = family_poly(f3, "new_fh", h)
     m = f3.from_exp(11)
-    M = f.dickson_m(m, 0)
+    M, M5 = _criterion_matrices(f, m)
     expect = {
         (0, 1): h ** (q - 1), (0, 2): -(h ** (q**2 - 1)),
         (0, 3): f3.zero(), (0, 4): f3.one(), (0, 5): f3.one(),
@@ -134,12 +131,9 @@ def test_dickson_golden_case2(f3):
     for i in range(6):
         assert M[i][i] == m.frob(i)
     # the truncation is exactly rows 0..4 x columns 1..5
-    M5 = f.dickson_m(m, 1)
     for i in range(5):
         for j in range(5):
             assert M5[i][j] == M[i][j + 1]
-    with pytest.raises(BadDrop):
-        f.dickson_m(m, 2)
 
 
 def test_dickson_multiplicativity(f3):
@@ -156,9 +150,9 @@ def test_det_rank_basics(f3):
     M = [list(r) for r in I6]
     M[3] = list(M[2])
     assert det(f3, M).is_zero()
-    # x^q with m = 0: the 6-cycle permutation matrix, determinant -1
+    # x^q has a_0 = 0 = m: the 6-cycle permutation matrix, determinant -1
     xq = QPoly.monomial(f3, 1)
-    assert det(f3, xq.dickson_m(f3.zero(), 0)) == -one
+    assert det(f3, xq.dickson()) == -one
 
 
 def test_det_case1_witness_identity(f3, f7):
@@ -168,8 +162,9 @@ def test_det_case1_witness_identity(f3, f7):
         minus4 = F.from_int(-4)
         mbar = next(m for m in F.elements() if m * m == minus4)
         t = mbar * mbar + F.from_int(4)
-        assert det(F, f.dickson_m(mbar, 1)) == t * t
-        assert det(F, f.dickson_m(mbar, 0)) == -(t * t * t)
+        M, M5 = _criterion_matrices(f, mbar)
+        assert det(F, M5) == t * t
+        assert det(F, M) == -(t * t * t)
 
 
 def test_det_nonzero_iff_full_rank(f3):

@@ -1,5 +1,6 @@
 """The two scatteredness deciders, their witnesses, and the spectra."""
 
+import itertools
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from scatlin import FieldElem, QPoly, make_field, scatter
 from scatlin.errors import TooLarge
-from scatlin.family import family_poly
+from scatlin.family import enumerate_h, family_poly
 from scatlin.scatter import (dickson_dets_at, dickson_witness_point,
                              is_scattered_dickson, is_scattered_oracle,
                              is_scattered, point_weight, weight_spectrum)
@@ -184,6 +185,53 @@ def test_dickson_expansion_matches_elimination(q):
         vals = scatter._eval_expansion(F, scatter._expansion_terms(f, drop), e)
         assert vals.tolist() == [F.exp_of(r[drop]) for r in ref]
     assert all(r[0].is_zero() for r in ref[1:21])
+
+
+def leibniz_reference_terms(f, drop):
+    """The criterion expansion as it was computed before the principal-minor
+    route, kept here as an independent reference: the truncated Dickson
+    matrix with the int t marking the slot of m^(q^t), expanded over all
+    permutations with their inversion signs."""
+    F = f.ctx
+    n = 6 - drop
+    entries = [[i if j + drop == i else F.frobenius(f.coeffs[(j + drop - i) % 6], i)
+                for j in range(n)] for i in range(n)]
+    terms = {}
+    for perm in itertools.permutations(range(n)):
+        inv = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        coeff = F.one() if inv % 2 == 0 else -F.one()
+        key = []
+        for i in range(n):
+            e = entries[i][perm[i]]
+            if isinstance(e, int):
+                key.append(e)
+            else:
+                coeff = coeff * e
+        key = frozenset(key)
+        terms[key] = terms.get(key, F.zero()) + coeff
+    return sorted((F.exp_of(c), tuple(sorted(k)))
+                  for k, c in terms.items() if not c.is_zero())
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_expansion_matches_leibniz_reference(q):
+    """Principal minors of M(0) give the same terms as the Leibniz expansion:
+    every h at q = 3 and 20 seeded h at q = 5 and 7, case1, the
+    pseudoregulus, and 30 seeded random polynomials, half of them sparse."""
+    F = make_field(q, 1)
+    rng = random.Random(100 + q)
+    hs = enumerate_h(F)
+    if q > 3:
+        hs = rng.sample(hs, 20)
+    polys = [family_poly(F, "new_fh", h) for h in hs]
+    polys += [family_poly(F, "case1"), family_poly(F, "pseudoregulus")]
+    polys += [rand_poly(F, rng) for _ in range(15)]
+    polys += [QPoly(F, [F.elem_at(rng.randrange(F.order)) if rng.random() < 0.5
+                        else F.zero() for _ in range(6)]) for _ in range(15)]
+    for f in polys:
+        for drop in (0, 1):
+            assert sorted(scatter._expansion_terms(f, drop)) == \
+                leibniz_reference_terms(f, drop), (f, drop)
 
 
 @pytest.mark.parametrize("q", [3, 7])
