@@ -104,16 +104,35 @@ def verify_witness(f: QPoly, g: QPoly, w: EquivWitness, sample: int = 512) -> bo
     if (g.compose(ident.scale(w.a) + frho.scale(w.b))
             != ident.scale(w.c) + frho.scale(w.d)):
         return False
-    if ctx.order <= _FULL_VERIFY_LIMIT:
-        xs = ctx.elements()
-    else:
-        rng = random.Random(_VERIFY_SEED)
-        xs = (ctx.elem_at(rng.randrange(ctx.order)) for _ in range(sample))
-    for x in xs:
-        u, v = apply_witness(w, x, f(x))
-        if g(u) != v:
-            return False
-    return True
+    return _maps_graph(f, g, w, sample)
+
+
+def _maps_graph(f: QPoly, g: QPoly, w: EquivWitness, sample: int) -> bool:
+    """The pointwise route of verify_witness: (u, v) = w(x, f(x)) satisfies
+    g(u) = v for every x (fields up to _FULL_VERIFY_LIMIT) or for a sample
+    drawn with _VERIFY_SEED.  Zech contexts evaluate all points at once on
+    exponent arrays; poly contexts loop over the elements."""
+    ctx = f.ctx
+    rng = random.Random(_VERIFY_SEED)
+    full = ctx.order <= _FULL_VERIFY_LIMIT
+    if ctx.mode == "poly":
+        xs = ctx.elements() if full else \
+            (ctx.elem_at(rng.randrange(ctx.order)) for _ in range(sample))
+        for x in xs:
+            u, v = apply_witness(w, x, f(x))
+            if g(u) != v:
+                return False
+        return True
+    # enumeration index k is the exponent k - 1, and index 0 (zero) is N
+    k = np.arange(ctx.order) if full else \
+        np.array([rng.randrange(ctx.order) for _ in range(sample)], dtype=np.int64)
+    x = (k - 1) % ctx.order
+    xr = ctx.v_p_power(x, w.rho)
+    yr = ctx.v_p_power(f.v_evaluate(x), w.rho)
+    a, b, c, d = (ctx.exp_of(z) for z in (w.a, w.b, w.c, w.d))
+    u = ctx.v_lincomb([(a, (0,)), (b, (1,))], (xr, yr))
+    v = ctx.v_lincomb([(c, (0,)), (d, (1,))], (xr, yr))
+    return bool(np.array_equal(g.v_evaluate(u), v))
 
 
 # ---------------------------------------------------------------------------

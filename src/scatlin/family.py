@@ -25,10 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (ClassificationGap, HypothesisViolated, InternalInvariant,
                      InvalidParameter, ParityMismatch)
 from .gf import Field, FieldElem
 from .qpoly import QPoly
+
+_SLICE = 1 << 16  # elements per v_lincomb call in lemma_roots
 
 FAMILY_TAGS = ("new_fh", "case1", "pseudoregulus", "lp", "csajbok_mp",
                "csajbok_mz", "trinomial")
@@ -237,21 +241,46 @@ def lemma1_checks(h: FieldElem) -> dict:
     return out
 
 
-def _lemma2_value(h: FieldElem, t: FieldElem) -> FieldElem:
-    ctx = h.ctx
-    q = ctx.q
-    c3 = h ** (q + 1)
-    c2 = h ** (q**2 + q + 2) + h ** (2 * q**2 + 2)
-    c1 = h ** (2 * q**2 + 2) - h ** (q**2 + 1)
-    c0 = (h ** (q**2 + 2 * q + 1) + h ** (2 * q**2 + q + 1)
-          - h ** (2 * q) - h ** (q**2 + q))
-    return c3 * t ** (q + 1) + c2 * t.frob(1) + c1 * t + c0
+# The auxiliary T-polynomials as (t power, coefficient) rows.  A power is
+# written by its base-q digits, (a, b, c) for a + b q + c q^2, and a
+# coefficient is a signed sum of powers of h given the same way.  Lemma 2:
+#   c3 t^(q+1) + c2 t^q - c1 t - c0,  c3 = h^(q+1),
+#   c2 = h^(q^2+q+2) + h^(2q^2+2),  c1 = h^(2q^2+2) - h^(q^2+1),
+#   c0 = h^(q^2+2q+1) + h^(2q^2+q+1) - h^(2q) - h^(q^2+q).
+# Lemma 3: h^(q+1) t^(q^2+1) + (h^q + h)^(q+1), the last term expanded.
+LEMMA_POLYS = {
+    "lemma2": (
+        ((1, 1, 0), ((1, (1, 1, 0)),)),
+        ((0, 1, 0), ((1, (2, 1, 1)), (1, (2, 0, 2)))),
+        ((1, 0, 0), ((-1, (2, 0, 2)), (1, (1, 0, 1)))),
+        ((0, 0, 0), ((-1, (1, 2, 1)), (-1, (1, 1, 2)), (1, (0, 2, 0)), (1, (0, 1, 1)))),
+    ),
+    "lemma3": (
+        ((1, 0, 1), ((1, (1, 1, 0)),)),
+        ((0, 0, 0), ((1, (0, 1, 1)), (1, (0, 2, 0)), (1, (1, 0, 1)), (1, (1, 1, 0)))),
+    ),
+}
 
 
-def _lemma3_value(h: FieldElem, t: FieldElem) -> FieldElem:
+def _lemma_terms(h: FieldElem, which: str):
+    """LEMMA_POLYS[which] at h, as v_lincomb terms over the bases t^k for the
+    nonzero powers k: (terms, powers)."""
     ctx = h.ctx
     q = ctx.q
-    return h ** (q + 1) * t ** (q**2 + 1) + (h.frob(1) + h) ** (q + 1)
+
+    def power(digits):
+        return sum(d * q**i for i, d in enumerate(digits))
+
+    terms, powers = [], []
+    for tpow, monos in LEMMA_POLYS[which]:
+        c = ctx.zero()
+        for sign, digits in monos:
+            c = c + ctx.from_int(sign) * h ** power(digits)
+        k = power(tpow)
+        if k:
+            powers.append(k)
+        terms.append((ctx.exp_of(c), (len(powers) - 1,) if k else ()))
+    return terms, powers
 
 
 def lemma_roots(h: FieldElem, which: str) -> list[tuple[FieldElem, str]]:
@@ -261,16 +290,25 @@ def lemma_roots(h: FieldElem, which: str) -> list[tuple[FieldElem, str]]:
     'char2_exception' (p = 2, h^(q^2-q+1) = 1); 'sqrt_exception'
     (q an even power of 3, h^(q^2-q+1) = +-sqrt(-1)).  A root matching no
     class raises ClassificationGap: that would mean an implementation bug.
+    The polynomial is evaluated at every t as one v_lincomb per slice of
+    exponents, in enumeration order (Zech mode only).
     """
     ctx = h.ctx
     if which == "lemma2":
         _require_h(ctx, h, "ne1")
-        value = _lemma2_value
     elif which == "lemma3":
         _require_h(ctx, h, "eq1")
-        value = _lemma3_value
     else:
         raise HypothesisViolated("which must be 'lemma2' or 'lemma3'")
+    ctx._need_tables()
+    N = ctx.N
+    terms, powers = _lemma_terms(h, which)
+    roots = []
+    for lo in range(0, ctx.order, _SLICE):
+        # enumeration index k is the exponent k - 1, and index 0 (zero) is N
+        e = (np.arange(lo, min(lo + _SLICE, ctx.order), dtype=np.int64) - 1) % ctx.order
+        zero = ctx.v_lincomb(terms, [ctx.v_pow(e, k) for k in powers]) == N
+        roots += [ctx.elem_of_exp(x) for x in e[zero].tolist()]
 
     sigma0 = h.frob(2) + h.frob(1)
     q = ctx.q
@@ -279,9 +317,7 @@ def lemma_roots(h: FieldElem, which: str) -> list[tuple[FieldElem, str]]:
     i = ctx.sqrt_of_minus_one() if ctx.p != 2 else None
 
     out = []
-    for t in ctx.elements():
-        if not value(h, t).is_zero():
-            continue
+    for t in roots:
         if t == sigma0:
             cls = "plus"
         elif t == -sigma0:

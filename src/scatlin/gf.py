@@ -10,7 +10,9 @@ primitive element g, and one of two arithmetic backends:
   (every stored value is at most N < 2^24), and Z carries one padding entry
   Z[N] = 0 = log(1 + 0), so the sentinel is a valid index.  The tables also
   power the vectorised exponent kernels (v_lincomb and its thin wrappers
-  v_add, v_mul, ...) used by the exhaustive scans.
+  v_add, v_mul, ...) used by the exhaustive scans.  v_trace_lincomb sums
+  traces Tr_{q^6/q} instead; its uint8 trace table is built from the Zech
+  tables on first use, not with the field.
 * ``poly``  -- elements are stored as base-p packed coefficient vectors and
   multiplied by schoolbook convolution plus reduction.  This backend has no
   table-size limit and exists for fields above the Zech threshold; scans are
@@ -333,6 +335,7 @@ class Field:
         self._half = self.N // 2 if p != 2 else 0  # g^half = -1 for odd p
 
         self._frob_mats: dict[int, np.ndarray] = {}
+        self._fq_tables = None  # (trace, add), see _trace_tables
         if mode == "zech":
             self._build_tables()
         self._zero = FieldElem(self, self.N if mode == "zech" else 0)
@@ -718,6 +721,33 @@ class Field:
         self._check_subfield(m)
         return self.frobenius(x, m) == x
 
+    def unit_trace(self, m: int):
+        """An element z with Tr_{q^6 / q^m}(z) = 1: the first x in enumeration
+        order with a nonzero trace t, divided by t (the trace is
+        F_(q^m)-linear).  z = 1 only when p does not divide 6/m."""
+        for x in self.elements():
+            t = self.trace(x, m)
+            if not t.is_zero():
+                return x / t
+        raise InternalInvariant("Tr_{q^6/q^%d} vanishes identically (bug)" % m)
+
+    # F_q as indices (zech mode): k = 0 is zero and k = 1 + j is g^(R j), with
+    # R = N / (q - 1), so g^R generates F_q^*.  Every zech field has q <= 16,
+    # so an index and the flat index a * q + b of a pair fit in a uint8.
+
+    def fq_index(self, x) -> int:
+        """Index of x in F_q; raises BadSubfield when x lies outside F_q."""
+        e, R = self.exp_of(x), self.N // (self.q - 1)
+        if e == self.N:
+            return 0
+        if e % R:
+            raise BadSubfield("%s does not lie in F_q" % self.format(x))
+        return 1 + e // R
+
+    def fq_elem(self, k: int):
+        """The element of F_q with index k."""
+        return self._zero if k == 0 else self.from_exp(self.N // (self.q - 1) * (k - 1))
+
     def sqrt_of_minus_one(self):
         """An element i with i^2 = -1 (odd p only): g^(N/4)."""
         if self.p == 2:
@@ -832,6 +862,78 @@ class Field:
             np.minimum(t, tmp, out=t)
             src = t
         return t
+
+    def _trace_tables(self):
+        """(trace, add), built on first use and kept on the context.
+
+        trace[e] is the F_q index of Tr_{q^6/q}(g^e), with trace[N] = 0 for
+        the zero element; add[a * q + b] is the index of the sum of the
+        elements with indices a and b.  Write e = r + R i with r < R: g^e is
+        g^r times lambda = g^(R i) in F_q^*, and Tr(lambda x) = lambda Tr(x),
+        so one v_lincomb over the R coset representatives gives every entry.
+        """
+        if self._fq_tables is not None:
+            return self._fq_tables
+        self._need_tables()
+        N, q = self.N, self.q
+        R = N // (q - 1)
+        rep = np.empty(R, dtype=np.uint8)  # F_q index of Tr(g^r)
+        step = 1 << 16
+        for lo in range(0, R, step):
+            r = np.arange(lo, min(lo + step, R), dtype=np.int64)
+            tr = self.v_lincomb([(0, (v,)) for v in range(TOWER)],
+                                [self.v_frob(r, v) for v in range(TOWER)])
+            zero = tr == N
+            if np.any(tr[~zero] % R):
+                raise InternalInvariant("a trace lies outside F_q (bug)")
+            rep[lo:lo + r.size] = np.where(zero, 0, tr // R + 1)
+        trace = np.empty(N + 1, dtype=np.uint8)
+        trace[N] = 0
+        for i in range(q - 1):  # times g^(R i): index 1 + j -> 1 + (i + j) % (q - 1)
+            times = np.array([0] + [1 + (i + j) % (q - 1) for j in range(q - 1)],
+                             dtype=np.uint8)
+            np.take(times, rep, out=trace[i * R:(i + 1) * R])
+        for e in (0, 1, (R + 1) % N, N - 1):
+            if trace[e] != self.fq_index(self.trace(self.from_exp(e))):
+                raise InternalInvariant("trace table disagrees at g^%d (bug)" % e)
+        add = np.array([self.fq_index(self.fq_elem(a) + self.fq_elem(b))
+                        for a in range(q) for b in range(q)], dtype=np.uint8)
+        self._fq_tables = (trace, add)
+        return self._fq_tables
+
+    def v_trace_lincomb(self, terms, bases):
+        """F_q indices of the sum of Tr_{q^6/q}(g^c * prod(g^bases[i] for i in
+        idx)) over (c, idx) in terms, as a uint8 array.
+
+        Terms and bases are as in v_lincomb (the sentinel N is allowed).  The
+        constant terms are summed once, and every other term costs its
+        exponent sum, one gather from the trace table and one from the q x q
+        addition table; no Zech gather.
+        """
+        trace, add = self._trace_tables()
+        N, q = self.N, self.q
+        xs = np.broadcast_arrays(*(np.asarray(x, dtype=EXP) for x in bases))
+        shape = xs[0].shape if xs else ()
+        has_zero = [x.size > 0 and int(x.max()) >= N for x in xs]
+        const = 0
+        for c, idx in terms:
+            if not idx:
+                const = int(add[const * q + trace[c]])
+        acc = np.full(shape, const, dtype=np.uint8)
+        tr, pair = (np.empty(shape, dtype=np.uint8) for _ in range(2))
+        t, d = (np.empty(shape, dtype=EXP) for _ in range(2))
+        for c, idx in terms:
+            if c == N or not idx:
+                continue
+            te = self._term_exp(c, [xs[i] for i in idx], t, d)
+            zero = [xs[i] == N for i in idx if has_zero[i]]
+            if zero:
+                te = np.where(np.logical_or.reduce(zero), N, te)
+            np.take(trace, te, out=tr, mode="clip")
+            np.multiply(acc, q, out=pair)
+            np.add(pair, tr, out=pair)
+            np.take(add, pair, out=acc, mode="clip")
+        return acc
 
     def v_add(self, u, v):
         return self.v_lincomb([(0, (0,)), (0, (1,))], (u, v))

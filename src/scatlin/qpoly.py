@@ -116,6 +116,14 @@ class QPoly:
 
     __call__ = evaluate
 
+    def v_evaluate(self, e):
+        """f at g^e for an exponent array e (zero as the sentinel N), in the
+        exponent encoding: one v_lincomb over the conjugates x^(q^i)
+        (Zech mode only)."""
+        ctx = self.ctx
+        terms = [(ctx.exp_of(a), (i,)) for i, a in enumerate(self.coeffs)]
+        return ctx.v_lincomb(terms, [ctx.v_frob(e, i) for i in range(TOWER)])
+
     def compose(self, other: "QPoly") -> "QPoly":
         """f o g reduced mod x^(q^6) - x: c_k = sum_{i+j=k (6)} a_i * b_j^(q^i)."""
         self._check(other)

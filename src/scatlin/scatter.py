@@ -16,16 +16,21 @@ Both deciders short-circuit on the first violation in enumeration order
 every violation, which the reproduction suite uses to match the known
 closed-form witnesses.
 
-On Zech-mode contexts both scans walk their range in _CHUNK slices, and each
-slice is one call of the fused kernel Field.v_lincomb on uint32 exponent
-arrays.  The oracle sums a_j x^(q^j - 1) over the coset representatives; the
-criterion evaluates each determinant as its multilinear expansion in the six
-conjugates m^(q^v).  Its coefficients are principal minors of M(0); the
-exponents e * q^v mod N are formed once per slice (in int64) and then summed
-per term in 32-bit.  The truncated determinant is evaluated only at the
-roots of the full one.  A 2^16-element slice keeps the working set (six
-conjugate arrays and four kernel buffers) near L2 size; the Zech table
-gathers are the remaining cost.  Results do not depend on _CHUNK.
+On Zech-mode contexts both scans walk their range in _CHUNK slices of uint32
+exponent arrays.  The oracle sums a_j x^(q^j - 1) over the coset
+representatives with one call of the fused kernel Field.v_lincomb per slice.
+
+The criterion expands det M(m) in the six conjugates m^(q^v): the coefficient
+c_S of prod(m^(q^v) for v in S) is a principal minor of M(0), and
+c_{S+1} = c_S^q (indices mod 6), so each Frobenius orbit of keys S sums to
+one trace Tr_{q^6/q}(w m^(e_S)) with e_S = sum(q^v for v in S).  The
+determinant is then at most 14 values in F_q per m, each one gather from the
+field's trace table, summed through a q x q addition table
+(Field.v_trace_lincomb); no Zech gather is needed.  The conjugate exponents
+are formed once and advanced by one 32-bit add per slice.  The truncated
+determinant has no such symmetry; it stays a v_lincomb and is evaluated only
+at the roots of the full one, about 1/(q - 1) of the field.  m = 0 is decided
+by the constant terms alone.  Results do not depend on _CHUNK.
 """
 
 from __future__ import annotations
@@ -266,11 +271,54 @@ def _expansion_terms(f: QPoly, drop: int):
     return [(ctx.exp_of(coeff), tuple(sorted(key))) for key, coeff in terms.items()]
 
 
-def _eval_expansion(ctx: Field, terms, e):
-    """Vector of det values (exponent encoding) at m = g^e for the int64
-    exponent array e (N for m = 0): the six conjugates m^(q^v) are the bases
-    of one v_lincomb."""
-    return ctx.v_lincomb(terms, [ctx.v_frob(e, v) for v in range(TOWER)])
+def _orbit_terms(f: QPoly):
+    """det M(m) as v_trace_lincomb terms [(log w, key)], one per Frobenius
+    orbit of the expansion keys: det M(m) = sum Tr_{q^6/q}(w m^(e_key)) with
+    e_key = sum(q^v for v in key).
+
+    The expansion coefficients c_S satisfy c_{S+1} = c_S^q (indices mod 6),
+    so an orbit of length L sums to Tr_{q^L/q}(c_S m^(e_S)), which is
+    Tr_{q^6/q}(z_L c_S m^(e_S)) for any z_L with Tr_{q^6/q^L}(z_L) = 1.  A
+    coefficient that breaks the symmetry raises InternalInvariant.
+    """
+    ctx = f.ctx
+    N, q = ctx.N, ctx.q
+    coeff = {key: c for c, key in _expansion_terms(f, 0)}
+    terms, seen = [], set()
+    for key in sorted(coeff):
+        if key in seen:
+            continue
+        orbit = [key]
+        while True:
+            nxt = tuple(sorted((v + 1) % TOWER for v in orbit[-1]))
+            if coeff.get(nxt, N) != coeff[orbit[-1]] * q % N:
+                raise InternalInvariant("Dickson minors at %s and %s are not "
+                                        "Frobenius conjugates (bug)" % (orbit[-1], nxt))
+            if nxt == key:
+                break
+            orbit.append(nxt)
+        seen.update(orbit)
+        z = ctx.exp_of(ctx.unit_trace(len(orbit)))
+        terms.append(((z + coeff[key]) % N, key))
+    return terms
+
+
+def _conjugate_slices(ctx: Field):
+    """(lo, bases) for the slices [lo, lo + _CHUNK) of exponents e < N, where
+    bases[v] holds e q^v mod N, the exponent of m^(q^v) at m = g^e.  They are
+    formed in int64 for the first slice only; each later slice adds
+    _CHUNK q^v to the same arrays in 32-bit."""
+    N = ctx.N
+    n = min(_CHUNK, N)
+    bases = [ctx.v_frob(np.arange(n), v) for v in range(TOWER)]
+    steps = [n * ctx._qpow[v] % N for v in range(TOWER)]
+    tmp = np.empty(n, dtype=EXP)
+    for lo in range(0, N, n):
+        yield lo, [b[:N - lo] for b in bases]
+        for b, step in zip(bases, steps):
+            np.add(b, step, out=b)
+            np.subtract(b, N, out=tmp)
+            np.minimum(b, tmp, out=b)
 
 
 def is_scattered_dickson(f: QPoly, exhaustive: bool = False,
@@ -281,20 +329,18 @@ def is_scattered_dickson(f: QPoly, exhaustive: bool = False,
     witnesses: list[FieldElem] = []
 
     if ctx.mode == "zech":
-        terms6 = _expansion_terms(f, 0)
+        terms6 = _orbit_terms(f)
         terms5 = _expansion_terms(f, 1)
-        N = ctx.N
-        # enumeration index k is m = 0 for k = 0 and m = g^(k-1) otherwise
-        for lo in range(0, ctx.order, _CHUNK):
-            e = np.arange(lo - 1, min(lo + _CHUNK, ctx.order) - 1, dtype=np.int64)
-            if lo == 0:
-                e[0] = N
-            cand = e[_eval_expansion(ctx, terms6, e) == N]
+        # at m = 0 only the constant terms (empty key) survive
+        if not any(key == () for terms in (terms6, terms5) for _, key in terms):
+            witnesses.append(ctx.zero())
+        for lo, bases in _conjugate_slices(ctx):
+            if witnesses and not exhaustive:
+                break
+            cand = np.flatnonzero(ctx.v_trace_lincomb(terms6, bases) == 0)
             if cand.size:
-                hits = cand[_eval_expansion(ctx, terms5, cand) == N]
-                witnesses.extend(ctx.elem_of_exp(int(h)) for h in hits.tolist())
-                if witnesses and not exhaustive:
-                    break
+                roots = ctx.v_lincomb(terms5, [b[cand] for b in bases]) == ctx.N
+                witnesses.extend(ctx.from_exp(lo + int(k)) for k in cand[roots].tolist())
     else:
         for m in ctx.elements():
             d6, d5 = dickson_dets_at(f, m)

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import scatlin
-from scatlin import cli
+from scatlin import cli, family
 from scatlin.mrd import RankCode
 
 
@@ -180,13 +180,23 @@ def test_lemmas_cli():
     assert "roots" in rep["result"]["lemma3"]
 
 
-def test_lemmas_cli_gap_is_an_error():
+def test_lemmas_cli_gap_is_an_error(monkeypatch, capsys):
     """A ClassificationGap is a bug signal and exits 1; only a lemma whose
-    hypotheses h violates is reported as skipped."""
-    proc = run_cli("lemmas", "--field", "5^1", "--h", "g^62", "--which", "lemma2")
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"] == "ClassificationGap"
-    rep = run_json("lemmas", "--field", "5^1", "--h", "g^62", "--which", "lemma3")
+    hypotheses h violates is reported as skipped.  The correct Lemma 2
+    polynomial has no unclassified root, so the gap is provoked in process
+    by flipping the signs of its c1 and c0 rows, which gives 6 unclassified
+    roots at q = 5, h = g^62."""
+    argv = ["lemmas", "--field", "5^1", "--h", "g^62", "--which"]
+    rep = run_json(*argv, "lemma2")
+    assert [r["class"] for r in rep["result"]["lemma2"]["roots"]] == ["minus", "plus"]
+    rows = family.LEMMA_POLYS["lemma2"]
+    flipped = rows[:2] + tuple((tpow, tuple((-sign, d) for sign, d in monos))
+                               for tpow, monos in rows[2:])
+    monkeypatch.setitem(family.LEMMA_POLYS, "lemma2", flipped)
+    capsys.readouterr()
+    assert cli.main([*argv, "lemma2"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "ClassificationGap"
+    rep = run_json(*argv, "lemma3")
     assert "skipped" in rep["result"]["lemma3"]
 
 

@@ -8,6 +8,7 @@ import signal
 import numpy as np
 import pytest
 
+from scatlin import equiv, make_field
 from scatlin.equiv import (EquivResult, EquivWitness, apply_witness,
                            check_system_L4, gl_equivalent, l4_target,
                            _l4_coefficients, pgl_linear_sets_equivalent,
@@ -384,3 +385,27 @@ def test_l4_consistency_with_general_search(f3):
                 == gl_equivalent(fh, u4).equivalent)
         assert (check_system_L4(h, delta, "trin2")["solvable"]
                 == gl_equivalent(fh, adj_target).equivalent)
+
+
+@pytest.mark.parametrize("q, mode", [(3, "zech"), (3, "poly"), (7, "zech")])
+def test_pointwise_route_matches_scalar(q, mode):
+    """The pointwise half of verify_witness on its own, against a scalar
+    reference over the same points: every x at q = 3 (both backends), the
+    seeded sample at q = 7.  A corrupted c or d must fail it."""
+    F = make_field(q, 1, mode=mode)
+    rng = random.Random(q)
+    f = family_poly(F, "new_fh", enumerate_h(F)[1])
+    g = None
+    while g is None:
+        w = EquivWitness(rng.randrange(F.deg),
+                         *(F.elem_at(rng.randrange(1, F.order)) for _ in range(4)))
+        g = semilinear_image(f, w)
+    assert equiv._maps_graph(f, g, w, 512)
+    for bad in (EquivWitness(w.rho, w.a, w.b, w.c + F.one(), w.d),
+                EquivWitness(w.rho, w.a, w.b, w.c, w.d * F.gen())):
+        seed = random.Random(equiv._VERIFY_SEED)
+        xs = (F.elements() if F.order <= equiv._FULL_VERIFY_LIMIT else
+              [F.elem_at(seed.randrange(F.order)) for _ in range(64)])
+        ref = all(g(u) == v for u, v in (apply_witness(bad, x, f(x)) for x in xs))
+        assert not ref
+        assert equiv._maps_graph(f, g, bad, 64) is False

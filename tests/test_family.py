@@ -1,12 +1,14 @@
 """Family constructors, the h-enumeration, and the auxiliary-lemma checks."""
 
+import random
+
 import pytest
 
 from scatlin import make_field
 from scatlin.errors import HypothesisViolated, InvalidParameter, ParityMismatch
-from scatlin.family import (enumerate_h, family_poly, h_is_valid, lemma1_checks,
-                            lemma_roots, lp_delta_samples, u3_delta_samples,
-                            u4_deltas)
+from scatlin.family import (LEMMA_POLYS, enumerate_h, family_poly, h_is_valid,
+                            lemma1_checks, lemma_roots, lp_delta_samples,
+                            u3_delta_samples, u4_deltas)
 from scatlin.scatter import is_scattered_dickson, is_scattered_oracle
 
 
@@ -142,19 +144,75 @@ def test_lemma1_item4_classification_q9(f9):
     assert vanish > 0  # the exceptional class is nonempty at q = 9
 
 
-def test_lemma2_roots_classified(f3, f5):
-    # q = 5, h = 2 (h in F_q): roots exist and the F_q alternative fires
-    roots = lemma_roots(f5.from_int(2), "lemma2")
-    assert roots
-    sigma0 = f5.from_int(2).frob(2) + f5.from_int(2).frob(1)
-    for t, cls in roots:
-        assert cls in ("plus", "minus", "h_in_Fq")
-        if cls == "plus":
-            assert t == sigma0
-    # q = 3: every valid h classifies without a gap
-    for h in enumerate_h(f3):
-        for t, cls in lemma_roots(h, "lemma2"):
-            assert cls in ("plus", "minus")
+def test_lemma2_roots_classified(f3, f5, f7):
+    """The Lemma 2 polynomial has exactly the roots {sigma0, -sigma0}: for
+    every h at q = 3, and for seeded h at q = 5 (with h = 2 in F_q) and 7."""
+    rng = random.Random(2)
+    hs = [(f3, h) for h in enumerate_h(f3)]
+    hs += [(f5, f5.from_int(2))] + [(f5, h) for h in rng.sample(enumerate_h(f5), 8)]
+    hs += [(f7, h) for h in rng.sample(enumerate_h(f7), 3)]
+    for F, h in hs:
+        sigma0 = h.frob(2) + h.frob(1)
+        roots = lemma_roots(h, "lemma2")
+        assert {t for t, _ in roots} == {sigma0, -sigma0}
+        assert len(roots) == 2
+        assert dict((t, cls) for t, cls in roots) == {sigma0: "plus", -sigma0: "minus"}
+
+
+def _laurent(terms):
+    """A Laurent polynomial over Z in X, Y, Z as {(i, j, k): coefficient},
+    zero coefficients dropped."""
+    out = {}
+    for mono, c in terms:
+        out[mono] = out.get(mono, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _lmul(a, b):
+    return _laurent(((tuple(x + y for x, y in zip(m, n)), c * d)
+                     for m, c in a.items() for n, d in b.items()))
+
+
+def _lfrob(a):
+    """Frobenius on X = h, Y = h^q, Z = h^(q^2): X -> Y -> Z -> h^(q^3),
+    and h^(q^3) = -1/X because h^(q^3+1) = -1."""
+    return _laurent((((-k, i, j), c * (-1) ** k) for (i, j, k), c in a.items()))
+
+
+def _lpower(x, digits):
+    """x^(a + b q + c q^2) for digits (a, b, c)."""
+    out = {(0, 0, 0): 1}
+    for d in digits:
+        for _ in range(d):
+            out = _lmul(out, x)
+        x = _lfrob(x)
+    return out
+
+
+def _lemma_value(rows, t):
+    """sum of coefficient * t^power over the rows of a LEMMA_POLYS entry,
+    with h^(i + j q + k q^2) = X^i Y^j Z^k."""
+    total = {}
+    for tpow, monos in rows:
+        coeff = _laurent(((digits, sign) for sign, digits in monos))
+        total = _laurent(list(total.items()) +
+                         list(_lmul(coeff, _lpower(t, tpow)).items()))
+    return total
+
+
+def test_lemma2_polynomial_vanishes_at_plus_minus_sigma0_identically():
+    """Field-free: with sigma0 = Y + Z the Lemma 2 polynomial of
+    LEMMA_POLYS is the zero Laurent polynomial at t = sigma0 and at
+    t = -sigma0, so both are roots for every admissible h and every q.  With
+    the signs of c1 and c0 flipped (t -> +c1 t + c0) it is not."""
+    rows = LEMMA_POLYS["lemma2"]
+    sigma0 = {(0, 1, 0): 1, (0, 0, 1): 1}
+    assert _lfrob(_lfrob(_lfrob({(1, 0, 0): 1}))) == {(-1, 0, 0): -1}
+    for t in (sigma0, {m: -c for m, c in sigma0.items()}):
+        assert _lemma_value(rows, t) == {}
+    flipped = rows[:2] + tuple((tpow, tuple((-sign, d) for sign, d in monos))
+                               for tpow, monos in rows[2:])
+    assert len(_lemma_value(flipped, sigma0)) == 8
 
 
 def test_lemma3_roots(f5):

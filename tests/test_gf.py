@@ -298,3 +298,58 @@ def test_scaling_kernels_match_scalar(f3, f9):
         assert F.v_inv(e[:-1]).tolist() == [F.exp_of(x.inv()) for x in els[:-1]]
         with pytest.raises(DivisionByZero):
             F.v_inv(e)
+
+
+def test_trace_table_matches_scalar(f2, f3, f4, f9):
+    """The trace table, built from the coset representatives, equals the
+    scalar Tr_{q^6/q} at every element (zero included) for p = 2, 3 and
+    s = 1, 2, and at a seeded sample for q = 9; the addition table is F_q
+    addition."""
+    rng = random.Random(11)
+    for F in (f2, f3, f4, f9):
+        trace, add = F._trace_tables()
+        assert F._trace_tables()[0] is trace  # built once per context
+        es = range(F.N + 1) if F.order < 10**4 else \
+            [0, F.N] + [rng.randrange(F.N) for _ in range(3000)]
+        assert [int(trace[e]) for e in es] == \
+            [F.fq_index(F.trace(F.elem_of_exp(e))) for e in es]
+        fq = [F.fq_elem(k) for k in range(F.q)]
+        assert [F.fq_index(x) for x in fq] == list(range(F.q))
+        assert all(F.in_subfield(x, 1) for x in fq)
+        assert add.tolist() == [F.fq_index(a + b) for a in fq for b in fq]
+    with pytest.raises(BadSubfield):
+        f3.fq_index(f3.gen())
+
+
+def test_trace_table_is_lazy():
+    F = Field(3, 1)  # fresh: make_field leaves the table unbuilt
+    assert F._fq_tables is None
+    F.v_trace_lincomb([(1, (0,))], [np.arange(5)])
+    assert F._fq_tables is not None
+
+
+def test_unit_trace(f2, f3, f4, f9):
+    for F in (f2, f3, f4, f9):
+        for m in (1, 2, 3, 6):
+            assert F.trace(F.unit_trace(m), m) == F.one()
+
+
+def test_v_trace_lincomb_matches_scalar(f3, f4, q3_tables):
+    """Sum of traces of terms, against scalar arithmetic: over every pair of
+    exponents at q = 3 (the sentinel included), and at q = 4 on a sample."""
+    add, mul = q3_tables
+    u, v = _all_pairs(f3)
+    N = f3.N
+    terms = [(5, (0,)), (300, (1,)), (N, (0,)), (17, (0, 1)), (700, ()), (3, ())]
+    x = add[add[add[mul[5, u], mul[300, v]], mul[17, mul[u, v]]], add[700, 3]]
+    tr = [f3.fq_index(f3.trace(f3.elem_of_exp(e))) for e in range(N + 1)]
+    assert f3.v_trace_lincomb(terms, (u, v)).tolist() == [tr[e] for e in x.tolist()]
+    assert (f3.v_trace_lincomb([], (u, v)) == 0).all()
+    rng = random.Random(7)
+    e = np.array([rng.randrange(f4.N + 1) for _ in range(300)])
+    terms = [(9, (0,)), (40, (0, 0, 0)), (f4.N - 1, ())]
+    got = f4.v_trace_lincomb(terms, [e])
+    for k, x in zip(got.tolist(), e.tolist()):
+        m = f4.elem_of_exp(x)
+        s = f4.from_exp(9) * m + f4.from_exp(40) * m ** 3 + f4.from_exp(f4.N - 1)
+        assert f4.fq_elem(k) == f4.trace(s)

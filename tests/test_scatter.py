@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scatlin import FieldElem, QPoly, make_field, scatter
-from scatlin.errors import TooLarge
+from scatlin.errors import InternalInvariant, TooLarge
 from scatlin.family import enumerate_h, family_poly
 from scatlin.scatter import (dickson_dets_at, dickson_witness_point,
                              is_scattered_dickson, is_scattered_oracle,
@@ -181,10 +181,14 @@ def test_dickson_expansion_matches_elimination(q):
     ms += [F.elem_at(rng.randrange(1, F.order)) for _ in range(200 - len(ms))]
     e = np.array([F.exp_of(m) for m in ms], dtype=np.int64)
     ref = [dickson_dets_at(f, m) for m in ms]
-    for drop in (0, 1):
-        vals = scatter._eval_expansion(F, scatter._expansion_terms(f, drop), e)
-        assert vals.tolist() == [F.exp_of(r[drop]) for r in ref]
+    bases = [F.v_frob(e, v) for v in range(6)]
+    # det M(m) as orbit traces: the full F_q value, not only its zero-ness
+    full = F.v_trace_lincomb(scatter._orbit_terms(f), bases)
+    assert [F.fq_elem(k) for k in full.tolist()] == [r[0] for r in ref]
+    trunc = F.v_lincomb(scatter._expansion_terms(f, 1), bases)
+    assert trunc.tolist() == [F.exp_of(r[1]) for r in ref]
     assert all(r[0].is_zero() for r in ref[1:21])
+    assert len({r[0] for r in ref}) > 2  # the values are not all 0 and 1
 
 
 def leibniz_reference_terms(f, drop):
@@ -247,6 +251,80 @@ def test_exhaustive_witnesses_independent_of_chunk(q, monkeypatch):
                       [F.format(w) for w in vd.witnesses], vo.spectrum.counts))
     assert runs[0] == runs[1]
     assert runs[0] == (CASE1[q][1], CASE1[q][1], CASE1[q][0])
+
+
+def _certified_points(f, witnesses):
+    return sorted(f.ctx.enum_index(dickson_witness_point(f, w)) for w in witnesses)
+
+
+@pytest.mark.parametrize("field", ["f4", "f9"])
+def test_dickson_witnesses_match_oracle_p2_and_s2(field, request, monkeypatch):
+    """At q = 4 (p = 2) and q = 9 (s = 2) the exhaustive Dickson witnesses
+    certify exactly the oracle's points, under two slice sizes: case1, a
+    seeded new_fh, and sparse random polynomials."""
+    F = request.getfixturevalue(field)
+    rng = random.Random(F.order)
+    polys = [family_poly(F, "case1"),
+             family_poly(F, "new_fh", rng.choice(enumerate_h(F)))]
+    polys += [QPoly(F, [F.elem_at(rng.randrange(F.order)) if rng.random() < 0.5
+                        else F.zero() for _ in range(6)]) for _ in range(3)]
+    for f in polys:
+        vo = is_scattered_oracle(f, exhaustive=True)
+        points = sorted(F.enum_index(w) for w in vo.witnesses)
+        runs = []
+        for chunk in (scatter._CHUNK, 1 << 11):
+            monkeypatch.setattr(scatter, "_CHUNK", chunk)
+            vd = is_scattered_dickson(f, exhaustive=True)
+            runs.append([F.enum_index(w) for w in vd.witnesses])
+            assert _certified_points(f, vd.witnesses) == points
+        assert runs[0] == runs[1] == sorted(runs[0])
+
+
+def test_corrupted_minor_raises(f5, monkeypatch):
+    """A coefficient that is not the Frobenius image of its orbit neighbour
+    breaks the cyclic symmetry the orbit traces rely on."""
+    f = family_poly(f5, "case1")
+    real = scatter._expansion_terms
+
+    def corrupt(g, drop):
+        terms = real(g, drop)
+        if drop == 0:
+            i = next(i for i, (_, key) in enumerate(terms) if len(key) == 2)
+            c, key = terms[i]
+            terms[i] = ((c + 1) % f5.N, key)
+        return terms
+
+    monkeypatch.setattr(scatter, "_expansion_terms", corrupt)
+    with pytest.raises(InternalInvariant):
+        is_scattered_dickson(f)
+    # a minor dropped from a length-6 orbit (as if it were zero)
+    monkeypatch.setattr(scatter, "_expansion_terms",
+                        lambda g, drop: [t for t in real(g, drop) if t[1] != (0, 1)])
+    with pytest.raises(InternalInvariant):
+        is_scattered_dickson(f)
+
+
+def test_m_zero_decided_by_constant_terms(f3, f5):
+    """m = 0 is a witness exactly when both determinants vanish at 0, as
+    elimination finds them: c + x^q - x^(q^3) (weight 2 at <(1, c)>, for
+    c = g and c = 0) and x^(q^2) + x^(q^5) (weight 3) are witnesses; x^q
+    (det M(0) = 1) and x^q + x^(q^2) (det M(0) = 0, weight 1) are not."""
+    for F in (f3, f5):
+        one = F.one()
+        cases = [QPoly(F, [F.gen(), one, 0, -one]), QPoly(F, [0, one, 0, -one]),
+                 QPoly(F, [0, one]), QPoly(F, [0, one, one]),
+                 QPoly(F, [0, 0, one, 0, 0, one])]
+        for f in cases:
+            d6, d5 = dickson_dets_at(f, F.zero())
+            vd = is_scattered_dickson(f, exhaustive=True)
+            first_is_zero = bool(vd.witnesses) and vd.witnesses[0].is_zero()
+            assert first_is_zero == (d6.is_zero() and d5.is_zero())
+            assert (is_scattered_dickson(f).witness == F.zero()) == first_is_zero
+            if first_is_zero:
+                assert point_weight(f, dickson_witness_point(f, F.zero())) >= 2
+        assert [is_scattered_dickson(f).witness == F.zero() for f in cases] == \
+            [True, True, False, False, True]
+        assert dickson_dets_at(cases[3], F.zero())[0].is_zero()
 
 
 @pytest.mark.parametrize("mode", ["zech", "poly"])
