@@ -2,7 +2,8 @@
 
 Every command takes `--field p^s`, prints a JSON report (or an aligned table
 with `--table`) carrying the command echo, the field summary with its modulus
-fingerprint, the result payload, and timings.  Exit codes: 0 success, 1 a
+fingerprint, the result payload, and its timings under one "timing" key
+(field_s for make_field, elapsed_s for the rest).  Exit codes: 0 success, 1 a
 reproduction/math mismatch or another library error (a ClassificationGap from
 `lemmas` included), 2 usage errors, 3 an internal-invariant failure (a bug,
 never a property of the input).
@@ -61,9 +62,12 @@ def parse_poly_spec(ctx: Field, text: str) -> QPoly:
     return family_poly(ctx, name, param)
 
 
-def _field_from_args(args) -> Field:
+def _field_from_args(args) -> tuple[Field, float]:
+    """The --field context and the seconds its make_field call took."""
     p, s = parse_field_spec(args.field)
-    return make_field(p, s)
+    t0 = time.perf_counter()
+    ctx = make_field(p, s)
+    return ctx, time.perf_counter() - t0
 
 
 def _poly_from_args(ctx: Field, args) -> QPoly:
@@ -80,15 +84,20 @@ def _poly_from_args(ctx: Field, args) -> QPoly:
     return family_poly(ctx, name, ctx.element(param) if param else None)
 
 
-def _report(args, field: Field | None, payload: dict, t0: float) -> dict:
+def _report(args, field: Field | None, payload: dict, t0: float,
+            field_s: float | None = None) -> dict:
+    """The report of one command.  Every timing sits under "timing":
+    field_s is the make_field call and elapsed_s the rest, from t0."""
+    timing = {"elapsed_s": round(time.perf_counter() - t0, 3)}
     rep = {
         "command": " ".join(args._argv),
         "version": __version__,
         "result": payload,
-        "elapsed_s": round(time.time() - t0, 3),
+        "timing": timing,
     }
     if field is not None:
         rep["field"] = field.summary()
+        timing["field_s"] = round(field_s, 3)
     return rep
 
 
@@ -114,9 +123,9 @@ def _print_table(obj, prefix: str = "") -> None:
 
 
 def _cmd_check(args) -> tuple[int, dict]:
-    ctx = _field_from_args(args)
+    ctx, field_s = _field_from_args(args)
+    t0 = time.perf_counter()
     f = _poly_from_args(ctx, args)
-    t0 = time.time()
     payload: dict = {"poly": f.to_json()}
     if args.method in ("oracle", "both"):
         v = is_scattered_oracle(f, exhaustive=args.exhaustive)
@@ -133,14 +142,14 @@ def _cmd_check(args) -> tuple[int, dict]:
                 if m in payload]
     payload["scattered"] = all(verdicts)
     if len(verdicts) == 2 and verdicts[0] != verdicts[1]:
-        return 3, _report(args, ctx, payload, t0)  # decider disagreement: a bug
-    return 0, _report(args, ctx, payload, t0)
+        return 3, _report(args, ctx, payload, t0, field_s)  # decider disagreement: a bug
+    return 0, _report(args, ctx, payload, t0, field_s)
 
 
 def _cmd_linset(args) -> tuple[int, dict]:
-    ctx = _field_from_args(args)
+    ctx, field_s = _field_from_args(args)
+    t0 = time.perf_counter()
     f = _poly_from_args(ctx, args)
-    t0 = time.time()
     sp = weight_spectrum(f)
     payload = {
         "poly": f.to_json(),
@@ -150,36 +159,36 @@ def _cmd_linset(args) -> tuple[int, dict]:
         "mass_conserved": sp.mass_ok(),
         "infinity_point_weight": sp.infinity_weight,
     }
-    return 0, _report(args, ctx, payload, t0)
+    return 0, _report(args, ctx, payload, t0, field_s)
 
 
 def _cmd_enumerate_h(args) -> tuple[int, dict]:
-    ctx = _field_from_args(args)
-    t0 = time.time()
+    ctx, field_s = _field_from_args(args)
+    t0 = time.perf_counter()
     hs = enumerate_h(ctx, args.variant)
     payload = {
         "variant": args.variant or ("even" if ctx.p == 2 else "odd"),
         "count": len(hs),
         "h": [ctx.format(h) for h in hs],
     }
-    return 0, _report(args, ctx, payload, t0)
+    return 0, _report(args, ctx, payload, t0, field_s)
 
 
 def _cmd_intn(args) -> tuple[int, dict]:
-    ctx = _field_from_args(args)
-    t0 = time.time()
+    ctx, field_s = _field_from_args(args)
+    t0 = time.perf_counter()
     h = ctx.element(args.h)
     G = gamma_of(h)
     r, dims = intn(G, args.power)
     payload = {"h": ctx.format(h), "power": args.power,
                "dims_chain": dims, "intn": r}
-    return 0, _report(args, ctx, payload, t0)
+    return 0, _report(args, ctx, payload, t0, field_s)
 
 
 def _cmd_equiv(args) -> tuple[int, dict]:
-    ctx = _field_from_args(args)
+    ctx, field_s = _field_from_args(args)
+    t0 = time.perf_counter()
     left = parse_poly_spec(ctx, args.left)
-    t0 = time.time()
     if (args.pgl or args.trinomial_search) and (args.resume or args.checkpoint_out):
         raise UsageError("--resume and --checkpoint-out apply to a single "
                          "gl search, not to --pgl or --trinomial-search")
@@ -190,7 +199,7 @@ def _cmd_equiv(args) -> tuple[int, dict]:
 
     if args.trinomial_search:
         payload = _trinomial_search(ctx, left, args)
-        return 0, _report(args, ctx, payload, t0)
+        return 0, _report(args, ctx, payload, t0, field_s)
 
     if not args.right:
         raise UsageError("equiv needs --right (or --trinomial-search)")
@@ -215,7 +224,7 @@ def _cmd_equiv(args) -> tuple[int, dict]:
             with open(args.checkpoint_out, "w") as fh:
                 json.dump(res.checkpoint, fh)
             payload["checkpoint_file"] = args.checkpoint_out
-    return 0, _report(args, ctx, payload, t0)
+    return 0, _report(args, ctx, payload, t0, field_s)
 
 
 def _trinomial_search(ctx: Field, left: QPoly, args) -> dict:
@@ -253,9 +262,9 @@ def _trinomial_search(ctx: Field, left: QPoly, args) -> dict:
 
 
 def _cmd_mrd(args) -> tuple[int, dict]:
-    ctx = _field_from_args(args)
+    ctx, field_s = _field_from_args(args)
+    t0 = time.perf_counter()
     f = _poly_from_args(ctx, args)
-    t0 = time.time()
     C = code_from(f)
     rep = mrd_report(C, budget=args.budget)
     payload = {
@@ -268,13 +277,13 @@ def _cmd_mrd(args) -> tuple[int, dict]:
     }
     if args.full_distribution:
         payload["distribution"] = rep["distribution"].to_json()
-    return 0, _report(args, ctx, payload, t0)
+    return 0, _report(args, ctx, payload, t0, field_s)
 
 
 def _cmd_lemmas(args) -> tuple[int, dict]:
-    ctx = _field_from_args(args)
+    ctx, field_s = _field_from_args(args)
+    t0 = time.perf_counter()
     h = ctx.element(args.h)
-    t0 = time.time()
     payload: dict = {"h": ctx.format(h)}
     if args.which in ("lemma1", "all"):
         payload["lemma1"] = lemma1_checks(h)
@@ -287,11 +296,11 @@ def _cmd_lemmas(args) -> tuple[int, dict]:
                                        for t, c in roots]}
         except HypothesisViolated as exc:  # the lemma does not apply to h
             payload[name] = {"skipped": str(exc)}
-    return 0, _report(args, ctx, payload, t0)
+    return 0, _report(args, ctx, payload, t0, field_s)
 
 
 def _cmd_reproduce(args) -> tuple[int, dict]:
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = run_tag(args.tag)
     rc = 0 if report["ok"] else 1
     return rc, _report(args, None, report, t0)

@@ -167,11 +167,17 @@ def _rho_plan(ctx: Field, f: QPoly, g: QPoly, rho: int):
     return terms([inv * y for y in slot[tp]]), terms(reduced(0)), tests
 
 
-def _scan_block(ctx: Field, plan, lo: int, hi: int, R: int):
+def _scan_block(ctx: Field, plan, lo: int, hi: int, R: int, work):
     """First witness (flat, c, d exponents) among the flats [lo, hi) of one
     rho, or None.  The block is the rows [lo, hi) meets times the b range it
     covers in one row, or every b; flats outside [lo, hi), (0, 0) and the
-    non-representatives a = 0, b = g^e with e >= R are dropped."""
+    non-representatives a = 0, b = g^e with e >= R are dropped.
+
+    work holds two bool rows of at least the block's size, shared by all
+    blocks of a search: block-sized masks allocated afresh can be returned
+    to the system and faulted in again on every block (960 page faults per
+    q = 3 search when no earlier allocation has raised malloc's trim
+    threshold)."""
     d_terms, c_terms, tests = plan
     E = ctx.order
     r0, r1 = lo // E, (hi - 1) // E + 1
@@ -180,9 +186,11 @@ def _scan_block(ctx: Field, plan, lo: int, hi: int, R: int):
     ea, eb = np.arange(r0 - 1, r1 - 1) % E, np.arange(b0 - 1, b1 - 1) % E
     abases = [ctx.v_frob(ea[:, None], t) for t in range(TOWER)]
     bbases = [ctx.v_frob(eb[None, :], k) for k in range(TOWER)]
-    ok = True
+    ok, hit = (w[:ea.size * eb.size].reshape(ea.size, eb.size) for w in work)
+    ok.fill(True)
     for a_terms, b_terms in tests:
-        ok = ok & (ctx.v_lincomb(a_terms, abases) == ctx.v_lincomb(b_terms, bbases))
+        np.equal(ctx.v_lincomb(a_terms, abases), ctx.v_lincomb(b_terms, bbases), out=hit)
+        np.logical_and(ok, hit, out=ok)
         if not ok.any():
             return None
     i, j = np.nonzero(ok)
@@ -239,6 +247,7 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
             raise InvalidParameter("checkpoint does not belong to this field, f and g")
         rho_start, flat_start, tried = pos
 
+    work = np.empty((2, min(chunk, E * E)), dtype=bool)  # see _scan_block
     for rho in range(rho_start, ctx.deg):
         plan = _rho_plan(ctx, f, g, rho)
         flat = flat_start if rho == rho_start else 0
@@ -251,7 +260,7 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
                     return EquivResult("budget_exceeded", searched=tried, checkpoint={
                         "rho": rho, "flat": flat, "tried": tried, **binding})
                 hi = min(hi, flat + budget - tried)
-            if scan and (hit := _scan_block(ctx, plan, flat, hi, R)) is not None:
+            if scan and (hit := _scan_block(ctx, plan, flat, hi, R, work)) is not None:
                 fl, c, d = hit
                 w = EquivWitness(rho=rho, a=ctx.elem_at(fl // E), b=ctx.elem_at(fl % E),
                                  c=ctx.elem_of_exp(c), d=ctx.elem_of_exp(d))

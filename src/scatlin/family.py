@@ -286,10 +286,10 @@ def _lemma_terms(h: FieldElem, which: str):
 def lemma_roots(h: FieldElem, which: str) -> list[tuple[FieldElem, str]]:
     """All F_{q^6}-roots of the auxiliary T-polynomial, each classified.
 
-    Classes: 'plus' / 'minus' for sigma = +-(h^(q^2) + h^q); 'h_in_Fq';
-    'char2_exception' (p = 2, h^(q^2-q+1) = 1); 'sqrt_exception'
-    (q an even power of 3, h^(q^2-q+1) = +-sqrt(-1)).  A root matching no
-    class raises ClassificationGap: that would mean an implementation bug.
+    Classes: 'plus' / 'minus' for sigma = +-(h^(q^2) + h^q) ('plus' when the
+    two coincide, as at even q).  Any other root raises ClassificationGap:
+    sweeps of every admissible h at q = 2, 3, 4, 5, 7, 8, 9 and 11 found no
+    other root of either lemma, so one would mean an implementation bug.
     The polynomial is evaluated at every t as one v_lincomb per slice of
     exponents, in enumeration order (Zech mode only).
     """
@@ -311,24 +311,12 @@ def lemma_roots(h: FieldElem, which: str) -> list[tuple[FieldElem, str]]:
         roots += [ctx.elem_of_exp(x) for x in e[zero].tolist()]
 
     sigma0 = h.frob(2) + h.frob(1)
-    q = ctx.q
-    is_even_power_of_3 = (ctx.p == 3 and ctx.s % 2 == 0)
-    w = h ** (q**2 - q + 1)
-    i = ctx.sqrt_of_minus_one() if ctx.p != 2 else None
-
     out = []
     for t in roots:
         if t == sigma0:
             cls = "plus"
         elif t == -sigma0:
             cls = "minus"
-        elif which == "lemma2" and ctx.in_subfield(h, 1):
-            cls = "h_in_Fq"
-        elif which == "lemma2" and ctx.p == 2 and w == ctx.one():
-            cls = "char2_exception"
-        elif (which == "lemma2" and is_even_power_of_3
-              and (w == i or w == -i)):
-            cls = "sqrt_exception"
         else:
             raise ClassificationGap("root %s of %s matches no listed case" %
                                     (t, which))

@@ -12,7 +12,11 @@ primitive element g, and one of two arithmetic backends:
   power the vectorised exponent kernels (v_lincomb and its thin wrappers
   v_add, v_mul, ...) used by the exhaustive scans.  v_trace_lincomb sums
   traces Tr_{q^6/q} instead; its uint8 trace table is built from the Zech
-  tables on first use, not with the field.
+  tables on first use, not with the field.  The power table comes from
+  doubling the g-orbit on carry-free packed words: each F_p digit gets its
+  own B-bit field (2^(B-1) >= p), so multiplying a block of powers by g^m is
+  a sum of gathers from per-chunk tables of that F_p-linear map, reduced mod
+  p digit by digit with two bit operations after every add.
 * ``poly``  -- elements are stored as base-p packed coefficient vectors and
   multiplied by schoolbook convolution plus reduction.  This backend has no
   table-size limit and exists for fields above the Zech threshold; scans are
@@ -192,25 +196,23 @@ def _pmul(a, b, p):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+                out[i + j] += ai * bj
+    return _ptrim([c % p for c in out])
 
 
 def _pdivmod(a, b, p):
     """Polynomial division; b need not be monic."""
     a = list(a)
-    db, db_lead = len(b) - 1, b[-1]
-    inv_lead = pow(db_lead, p - 2, p)
+    db = len(b) - 1
+    inv_lead = pow(b[-1], p - 2, p)
     q = [0] * max(len(a) - db, 1)
-    while len(_ptrim(a)) - 1 >= db and _ptrim(a):
-        a = list(_ptrim(a))
-        da = len(a) - 1
-        if da < db:
-            break
-        coef = a[-1] * inv_lead % p
-        q[da - db] = coef
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - coef * b[i]) % p
+    for da in range(len(a) - 1, db - 1, -1):  # clear a[da], top down
+        coef = a[da] * inv_lead % p
+        a[da] = 0
+        if coef:
+            q[da - db] = coef
+            for i in range(db):
+                a[da - db + i] = (a[da - db + i] - coef * b[i]) % p
     return _ptrim(q), _ptrim(a)
 
 
@@ -286,6 +288,74 @@ def _pack_digits(coeffs, p: int) -> int:
     for c in reversed(coeffs):
         v = v * p + int(c)
     return v
+
+
+# ---------------------------------------------------------------------------
+# carry-free packed words (the orbit doubling of Field._build_tables)
+# ---------------------------------------------------------------------------
+
+_SLICE = 1 << 16  # words per _wide_map call in _build_tables
+
+
+def _wide_layout(p: int, k: int):
+    """Layout of k F_p digits in one word: (B, word dtype, chunks).
+
+    Digit j sits in bits [B j, B j + B), where B is the smallest width with
+    2^(B-1) >= p: the sum of two reduced digits (at most 2p - 2) then fits in
+    its field, so adding two words never carries from one digit into the
+    next.  The word is uint32 when B k <= 32 and uint64 otherwise (every
+    Zech field has B k <= 48).  chunks lists (first digit, count) for runs
+    of at most 16 // B digits, so no gather table has more than 2^16 entries.
+    """
+    B = (p - 1).bit_length() + 1
+    word = np.uint32 if B * k <= 32 else np.uint64
+    c = 16 // B
+    return B, word, [(lo, min(c, k - lo)) for lo in range(0, k, c)]
+
+
+def _chunk_tables(p: int, B: int, chunks, M, weights, dtype):
+    """Gather tables of the F_p-linear map d -> M d on packed words.
+
+    For the chunk (lo, n), the table maps the raw bits of digits lo .. lo+n-1
+    to sum_i weights[i] * (M[:, lo:lo+n] d mod p)_i, where d is the vector of
+    those n digits; entries whose bits hold a digit >= p stay 0 and are never
+    read.  Returns [(shift, mask, table)], one triple per chunk.
+    """
+    out = []
+    for lo, n in chunks:
+        d = np.indices((p,) * n).reshape(n, -1).T  # every digit vector
+        table = np.zeros(1 << B * n, dtype=dtype)
+        table[d @ (1 << B * np.arange(n))] = (d @ M[:, lo:lo + n].T) % p @ weights
+        out.append((B * lo, (1 << B * n) - 1, table))
+    return out
+
+
+def _wide_map(src, tables, out, reduce=None) -> None:
+    """out <- the sum over chunks of table[(src >> shift) & mask].
+
+    With reduce = (bias, high, B - 1, p), the sum is a packed word of digits
+    and each digit is reduced mod p after every add: t = acc + bias, where
+    bias holds 2^(B-1) - p in every digit, has the top bit of a digit set
+    exactly where that digit of acc is >= p, and
+    acc -= p * ((t & high) >> (B - 1)) subtracts p there.  out must share no
+    memory with src.
+    """
+    idx = np.empty(src.shape, dtype=np.intp)
+    part = np.empty_like(out)
+    for i, (shift, mask, table) in enumerate(tables):
+        np.right_shift(src, shift, out=idx)
+        np.bitwise_and(idx, mask, out=idx)
+        np.take(table, idx, out=out if i == 0 else part)
+        if i == 0:
+            continue
+        np.add(out, part, out=out)
+        if reduce is not None:
+            bias, high, shift_high, p = reduce
+            np.add(out, bias, out=part)
+            np.bitwise_and(part, high, out=part)
+            np.right_shift(part, shift_high, out=part)
+            np.multiply(part, p, out=part)
+            np.subtract(out, part, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -374,28 +444,41 @@ class Field:
         return M
 
     def _build_tables(self) -> None:
-        """Power, log and Zech tables by doubling the g-orbit with matmuls."""
+        """Power, log and Zech tables from the g-orbit, built by doubling.
+
+        The orbit g^0 .. g^(N-1) is held as carry-free packed words (see
+        _wide_layout): digit j of an element sits in its own B-bit field.  A
+        doubling step writes g^(m + i) = g^m * g^i for i < min(m, N - m);
+        multiplication by g^m is F_p-linear, so each word's image is a sum of
+        gathers from per-chunk tables (_chunk_tables), reduced digit by digit
+        mod p after every add (_wide_map).  One more gather per chunk, from
+        tables of base-p digit weights, turns the words into packed values
+        (two gathers at q = 13).  The log table inverts the power table, and
+        Z is log gathered at 1 + g^k.
+        """
         p, k, N, order = self.p, self.deg, self.N, self.order
-        C = np.zeros((N, k), dtype=np.int8)
-        C[0, 0] = 1
-        m = 1
+        B, word, chunks = _wide_layout(p, k)
+        ones = sum(1 << B * j for j in range(k))
+        reduce = (((1 << B - 1) - p) * ones, ones << B - 1, B - 1, p)
+        wide = 1 << B * np.arange(k, dtype=np.int64)  # packed digit weights
+        W = np.empty(N, dtype=word)
+        W[0] = 1
+        gm, m = self.gen_coeffs, 1  # gm = g^m
         while m < N:
             b = min(m, N - m)
-            gm = _pmulmod(tuple(int(c) for c in C[m - 1]), self.gen_coeffs,
-                          self.modulus, p)
-            T = self._mult_matrix(gm).T  # row-vector action
-            step = 1 << 19
-            for lo in range(0, b, step):
-                hi = min(lo + step, b)
-                C[m + lo:m + hi] = ((C[lo:hi].astype(np.int64) @ T) % p).astype(np.int8)
+            tables = _chunk_tables(p, B, chunks, self._mult_matrix(gm), wide, word)
+            for lo in range(0, b, _SLICE):
+                hi = min(lo + _SLICE, b)
+                _wide_map(W[lo:hi], tables, W[m + lo:m + hi], reduce)
             m += b
-        pvec = self.p ** np.arange(k, dtype=np.int64)
+            gm = _pmulmod(gm, gm, self.modulus, p)
+        tables = _chunk_tables(p, B, chunks, np.eye(k, dtype=np.int64),
+                               p ** np.arange(k, dtype=np.int64), EXP)
         pow_packed = np.empty(N, dtype=EXP)
-        step = 1 << 20
-        for lo in range(0, N, step):
-            hi = min(lo + step, N)
-            pow_packed[lo:hi] = C[lo:hi].astype(np.int64) @ pvec
-        del C
+        for lo in range(0, N, _SLICE):
+            hi = min(lo + _SLICE, N)
+            _wide_map(W[lo:hi], tables, pow_packed[lo:hi])
+        del W
         log = np.full(order, N, dtype=EXP)  # log[0] stays N: zero's exponent
         log[pow_packed] = np.arange(N, dtype=EXP)
         if np.count_nonzero(log == N) != 1:

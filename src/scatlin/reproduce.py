@@ -10,7 +10,8 @@ from __future__ import annotations
 import time
 
 from .equiv import EquivWitness, check_system_L4, gl_equivalent, verify_witness
-from .family import enumerate_h, family_poly, u4_deltas
+from .errors import HypothesisViolated
+from .family import enumerate_h, family_poly, lemma_roots, u4_deltas
 from .geom import gamma_of, intn
 from .gf import make_field
 from .mrd import code_from, left_idealiser_field_check, mrd_report
@@ -22,7 +23,7 @@ class Run:
     def __init__(self, tag: str):
         self.tag = tag
         self.checks: list[dict] = []
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
 
     def check(self, name: str, ok: bool, got=None, expected=None):
         rec = {"name": name, "ok": bool(ok)}
@@ -38,7 +39,7 @@ class Run:
             "tag": self.tag,
             "ok": all(c["ok"] for c in self.checks),
             "checks": self.checks,
-            "elapsed_s": round(time.time() - self.t0, 3),
+            "timing": {"elapsed_s": round(time.perf_counter() - self.t0, 3)},
         }
 
 
@@ -228,6 +229,37 @@ def mrd_q3() -> dict:
     return run.report()
 
 
+def lemma_sweep() -> dict:
+    """Both auxiliary lemmas at every admissible h for q = 3, 5, 7: the Lemma 2
+    roots are exactly {sigma0, -sigma0}, sigma0 = h^(q^2) + h^q, and the root
+    classes are counted per lemma (Lemma 3 applies only where h^4 = 1)."""
+    run = Run("lemma-sweep")
+    for q in (3, 5, 7):
+        ctx = make_field(q, 1)
+        hs = enumerate_h(ctx)
+        counts: dict = {"lemma2": {}, "lemma3": {}}
+        bad = []
+        for h in hs:
+            sigma0 = h.frob(2) + h.frob(1)
+            for which in counts:
+                try:
+                    roots = lemma_roots(h, which)
+                except HypothesisViolated:
+                    continue
+                for _, cls in roots:
+                    counts[which][cls] = counts[which].get(cls, 0) + 1
+                if which == "lemma2" and {t for t, _ in roots} != {sigma0, -sigma0}:
+                    bad.append(str(h))
+        n = len(hs)
+        run.check("q=%d: Lemma 2 roots are {sigma0, -sigma0} for all %d h" % (q, n),
+                  not bad, bad or "none", "none")
+        run.check("q=%d: root classes per lemma; Lemma 2 has plus and minus "
+                  "once per h" % q,
+                  counts["lemma2"] == {"plus": n, "minus": n}, counts,
+                  {"plus": n, "minus": n})
+    return run.report()
+
+
 TAGS = {
     "case1-q5": case1_q5,
     "case1-q13": case1_q13,
@@ -242,6 +274,7 @@ TAGS = {
     "trinomial-q3": trinomial_q3,
     "l4-q5-power5": l4_q5_power5,
     "mrd-q3": mrd_q3,
+    "lemma-sweep": lemma_sweep,
 }
 
 

@@ -17,6 +17,7 @@ from scatlin.family import (enumerate_h, family_poly, lp_delta_samples,
 from scatlin.geom import gamma_of, intn
 from scatlin.linalg import mat_mul
 from scatlin.mrd import code_from, left_idealiser_field_check, mrd_report
+from scatlin.reproduce import run_tag
 from scatlin.scatter import (dickson_dets_at, is_scattered_dickson,
                              is_scattered_oracle, point_weight, weight_spectrum)
 
@@ -231,3 +232,13 @@ def test_criterion_10_property_suites():
         k = f.kernel_dim()
         assert sum(1 for x in ctx.elements() if f(x).is_zero()) == 3**k
     _announce(10, "property suites (zero tolerance)", time.time() - t0)
+
+
+def test_criterion_11_lemma_sweep():
+    """The `lemma-sweep` tag: the Lemma 2 roots are exactly {sigma0, -sigma0}
+    for every admissible h at q = 3, 5 and 7."""
+    t0 = time.time()
+    rep = run_tag("lemma-sweep")
+    assert rep["ok"], [c for c in rep["checks"] if not c["ok"]]
+    assert len(rep["checks"]) == 6
+    _announce(11, "lemma sweep, every h at q=3, 5, 7", time.time() - t0)

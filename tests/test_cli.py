@@ -25,8 +25,7 @@ def run_json(*argv):
 
 def strip_timings(obj):
     if isinstance(obj, dict):
-        return {k: strip_timings(v) for k, v in obj.items()
-                if k not in ("elapsed_s",)}
+        return {k: strip_timings(v) for k, v in obj.items() if k != "timing"}
     if isinstance(obj, list):
         return [strip_timings(v) for v in obj]
     return obj
@@ -221,6 +220,17 @@ def test_reproduce_unknown_tag_is_usage_error():
 def test_usage_error_exit_2():
     proc = run_cli("equiv", "--field", "3^1", "--left", "case1")
     assert proc.returncode == 2
+
+
+def test_report_timings_under_one_key():
+    """make_field is timed as field_s, the rest as elapsed_s, both under
+    "timing"; a reproduce report has no field and one timing per tag."""
+    rep = run_json("linset", "--field", "3^1", "--poly", "case1")
+    assert set(rep["timing"]) == {"field_s", "elapsed_s"}
+    assert "elapsed_s" not in rep
+    rep = run_json("reproduce", "case1-q3-negative")
+    assert set(rep["timing"]) == {"elapsed_s"}
+    assert set(rep["result"]["timing"]) == {"elapsed_s"}
 
 
 def test_report_roundtrip_deterministic():

@@ -1,6 +1,7 @@
 """Field tower arithmetic: construction, axioms, Frobenius, norms, subfields,
 enumeration order, and agreement of the two backends."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scatlin import make_field, parse_field_spec
 from scatlin.errors import (BadSubfield, CtxMismatch, DivisionByZero,
                             InternalInvariant, NotPrime, TooLarge)
-from scatlin.gf import EXP, Field
+from scatlin.gf import EXP, Field, _pmulmod, _wide_layout
 
 
 def test_make_field_sizes(f3, f5, f4):
@@ -52,6 +53,78 @@ def test_check_tables_catches_corruption():
     G._Z[5] = G.N + 1  # would not survive a 32-bit exponent encoding
     with pytest.raises(InternalInvariant):
         G._check_tables()
+
+
+def _matmul_tables(F):
+    """Reference power, log and Zech tables: the g-orbit doubled as an int8
+    digit matrix by int64 matmuls, then packed with the base-p weights."""
+    p, k, N = F.p, F.deg, F.N
+    C = np.zeros((N, k), dtype=np.int8)
+    C[0, 0] = 1
+    m = 1
+    while m < N:
+        b = min(m, N - m)
+        gm = _pmulmod(tuple(int(c) for c in C[m - 1]), F.gen_coeffs, F.modulus, p)
+        T = F._mult_matrix(gm).T  # row-vector action
+        C[m:m + b] = (C[:b].astype(np.int64) @ T) % p
+        m += b
+    pow_packed = (C.astype(np.int64) @ p ** np.arange(k)).astype(EXP)
+    log = np.full(F.order, N, dtype=EXP)
+    log[pow_packed] = np.arange(N, dtype=EXP)
+    c0 = pow_packed % p
+    Z = np.append(log[pow_packed - c0 + (c0 + 1) % p], EXP(0))
+    return {"_pow_packed": pow_packed, "_log": log, "_Z": Z}
+
+
+ZECH_UP_TO_2_20 = [(p, s) for p in (2, 3, 5, 7) for s in (1, 2, 3)
+                   if p ** (6 * s) <= 1 << 20]
+
+
+@pytest.mark.parametrize("p,s", ZECH_UP_TO_2_20)
+def test_tables_match_matmul_doubling(p, s):
+    """Every Zech field of order at most 2^20: the wide-word doubling gives
+    the same three tables as the matmul doubling, bit for bit."""
+    F = make_field(p, s)
+    for name, ref in _matmul_tables(F).items():
+        got = getattr(F, name)
+        assert got.dtype == EXP and np.array_equal(got, ref), name
+
+
+# sha256 of the tables' bytes, and the summary fingerprint, as built by the
+# matmul doubling
+PINNED_TABLES = {
+    (13, 1): ("328a717da22e",
+              "04d39e6a04fd49065eb42593786e603f6a8438e688b59cc631d783aa69630f33",
+              "0279f7af0ba76e973229d1d94c642152ce1fbda4b8475404dd2d0c23d9e87f22",
+              "d5826abc27707bdfe8a872037bafa9525c0d8ea8fac2a9c68aa209d9db0678de"),
+    (2, 4): ("b0c0e928e9f0",
+             "f1fbb21fbdeb625646698cbe56ca570b0306014e543bd1a77413b7e171f266e6",
+             "2c90762d026efe965cd9415b2fae40f94295ce3795dfde0d425c4c2300c90f50",
+             "1608027e1b2fe8989433d024aba57672b488fadfba7f2bb7fac79341b9f066e1"),
+}
+
+
+@pytest.mark.parametrize("p,s", sorted(PINNED_TABLES))
+def test_tables_pinned_digests(p, s):
+    """The largest fields, q = 13 (uint32 words) and q = 16 (uint64)."""
+    F = make_field(p, s) if (p, s) == (13, 1) else Field(p, s)
+    got = tuple(hashlib.sha256(getattr(F, name).tobytes()).hexdigest()
+                for name in ("_pow_packed", "_log", "_Z"))
+    assert (F.summary()["fingerprint"],) + got == PINNED_TABLES[p, s]
+
+
+def test_wide_layout():
+    """Digit width B is the least with 2^(B-1) >= p; the word is uint64
+    exactly when the B deg bits overflow 32; no chunk table passes 2^16."""
+    width = {2: 2, 3: 3, 5: 4, 7: 4, 11: 5, 13: 5}
+    for p, B in width.items():
+        for k in range(6, 25, 6):
+            b, word, chunks = _wide_layout(p, k)
+            assert b == B and 1 << (B - 1) >= p > 1 << (B - 2)
+            assert word is (np.uint64 if B * k > 32 else np.uint32)
+            assert [lo for lo, _ in chunks] == list(range(0, k, 16 // B))
+            assert sum(n for _, n in chunks) == k and B * max(n for _, n in chunks) <= 16
+    assert _wide_layout(13, 6)[1] is np.uint32 and _wide_layout(2, 18)[1] is np.uint64
 
 
 def test_construction_is_deterministic(f3):
