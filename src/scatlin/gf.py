@@ -406,6 +406,7 @@ class Field:
 
         self._frob_mats: dict[int, np.ndarray] = {}
         self._fq_tables = None  # (trace, add), see _trace_tables
+        self._frob_exps = None  # see frob_exps
         if mode == "zech":
             self._build_tables()
         self._zero = FieldElem(self, self.N if mode == "zech" else 0)
@@ -983,6 +984,19 @@ class Field:
                         for a in range(q) for b in range(q)], dtype=np.uint8)
         self._fq_tables = (trace, add)
         return self._fq_tables
+
+    def frob_exps(self):
+        """Read-only (TOWER, N) EXP array whose row v holds e q^v mod N for
+        every e < N, the exponent of m^(q^v) at m = g^e.  Built on first use
+        and kept on the context; it takes 24 N bytes, so scans use it only on
+        small fields, where rebuilding it per call would cost more than the
+        scan (and, freed each time, be faulted in again on every call)."""
+        if self._frob_exps is None:
+            e = np.arange(self.N, dtype=np.int64)
+            rows = np.stack([self.v_frob(e, v) for v in range(TOWER)])
+            rows.flags.writeable = False
+            self._frob_exps = rows
+        return self._frob_exps
 
     def v_trace_lincomb(self, terms, bases):
         """F_q indices of the sum of Tr_{q^6/q}(g^c * prod(g^bases[i] for i in

@@ -27,7 +27,8 @@ one trace Tr_{q^6/q}(w m^(e_S)) with e_S = sum(q^v for v in S).  The
 determinant is then at most 14 values in F_q per m, each one gather from the
 field's trace table, summed through a q x q addition table
 (Field.v_trace_lincomb); no Zech gather is needed.  The conjugate exponents
-are formed once and advanced by one 32-bit add per slice.  The truncated
+are formed once and advanced by one 32-bit add per slice; a field that fits
+in one slice keeps them on the context (Field.frob_exps).  The truncated
 determinant has no such symmetry; it stays a v_lincomb and is evaluated only
 at the roots of the full one, about 1/(q - 1) of the field.  m = 0 is decided
 by the constant terms alone.  Results do not depend on _CHUNK.
@@ -305,11 +306,16 @@ def _orbit_terms(f: QPoly):
 
 def _conjugate_slices(ctx: Field):
     """(lo, bases) for the slices [lo, lo + _CHUNK) of exponents e < N, where
-    bases[v] holds e q^v mod N, the exponent of m^(q^v) at m = g^e.  They are
-    formed in int64 for the first slice only; each later slice adds
-    _CHUNK q^v to the same arrays in 32-bit."""
+    bases[v] holds e q^v mod N, the exponent of m^(q^v) at m = g^e.  A field
+    that fits in one slice reads them from Field.frob_exps, so repeated scans
+    of it allocate none.  Otherwise they are formed in int64 for the first
+    slice only, and each later slice adds _CHUNK q^v to the same arrays in
+    32-bit."""
     N = ctx.N
-    n = min(_CHUNK, N)
+    if N <= _CHUNK:
+        yield 0, list(ctx.frob_exps())
+        return
+    n = _CHUNK
     bases = [ctx.v_frob(np.arange(n), v) for v in range(TOWER)]
     steps = [n * ctx._qpow[v] % N for v in range(TOWER)]
     tmp = np.empty(n, dtype=EXP)

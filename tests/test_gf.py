@@ -401,6 +401,19 @@ def test_trace_table_is_lazy():
     assert F._fq_tables is not None
 
 
+def test_frob_exps(f2, f3, f4):
+    """Row v of frob_exps is e q^v mod N for every e < N; the array is built
+    once per context and cannot be written to."""
+    for F in (f2, f3, f4):
+        rows = F.frob_exps()
+        assert F.frob_exps() is rows
+        assert rows.shape == (6, F.N) and rows.dtype == EXP
+        assert not rows.flags.writeable
+        e = np.arange(F.N, dtype=np.int64)
+        for v in range(6):
+            assert np.array_equal(rows[v], e * F.q**v % F.N)
+
+
 def test_unit_trace(f2, f3, f4, f9):
     for F in (f2, f3, f4, f9):
         for m in (1, 2, 3, 6):
