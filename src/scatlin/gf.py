@@ -988,9 +988,10 @@ class Field:
     def frob_exps(self):
         """Read-only (TOWER, N) EXP array whose row v holds e q^v mod N for
         every e < N, the exponent of m^(q^v) at m = g^e.  Built on first use
-        and kept on the context; it takes 24 N bytes, so scans use it only on
-        small fields, where rebuilding it per call would cost more than the
-        scan (and, freed each time, be faulted in again on every call)."""
+        and kept on the context.  It takes 24 N bytes, so the scans read it
+        only on fields that fit in one scan slice; there it spares every call
+        the rebuild, and the page faults of memory that is freed to the
+        system after one call and taken back by the next."""
         if self._frob_exps is None:
             e = np.arange(self.N, dtype=np.int64)
             rows = np.stack([self.v_frob(e, v) for v in range(TOWER)])
