@@ -70,20 +70,6 @@ def _field_from_args(args) -> tuple[Field, float]:
     return ctx, time.perf_counter() - t0
 
 
-def _poly_from_args(ctx: Field, args) -> QPoly:
-    """--poly SPEC, or the flag form --family NAME [--h ELT | --delta ELT]."""
-    if getattr(args, "poly", None):
-        return parse_poly_spec(ctx, args.poly)
-    fam = getattr(args, "family", None)
-    if not fam:
-        raise UsageError("need --poly or --family")
-    name = _FAMILY_ALIASES.get(fam.lower())
-    if name is None:
-        raise UsageError("unknown family %r" % fam)
-    param = getattr(args, "h", None) or getattr(args, "delta", None)
-    return family_poly(ctx, name, ctx.element(param) if param else None)
-
-
 def _report(args, field: Field | None, payload: dict, t0: float,
             field_s: float | None = None) -> dict:
     """The report of one command.  Every timing sits under "timing":
@@ -125,7 +111,7 @@ def _print_table(obj, prefix: str = "") -> None:
 def _cmd_check(args) -> tuple[int, dict]:
     ctx, field_s = _field_from_args(args)
     t0 = time.perf_counter()
-    f = _poly_from_args(ctx, args)
+    f = parse_poly_spec(ctx, args.poly)
     payload: dict = {"poly": f.to_json()}
     if args.method in ("oracle", "both"):
         v = is_scattered_oracle(f, exhaustive=args.exhaustive)
@@ -149,7 +135,7 @@ def _cmd_check(args) -> tuple[int, dict]:
 def _cmd_linset(args) -> tuple[int, dict]:
     ctx, field_s = _field_from_args(args)
     t0 = time.perf_counter()
-    f = _poly_from_args(ctx, args)
+    f = parse_poly_spec(ctx, args.poly)
     sp = weight_spectrum(f)
     payload = {
         "poly": f.to_json(),
@@ -264,7 +250,7 @@ def _trinomial_search(ctx: Field, left: QPoly, args) -> dict:
 def _cmd_mrd(args) -> tuple[int, dict]:
     ctx, field_s = _field_from_args(args)
     t0 = time.perf_counter()
-    f = _poly_from_args(ctx, args)
+    f = parse_poly_spec(ctx, args.poly)
     C = code_from(f)
     rep = mrd_report(C, budget=args.budget)
     payload = {
@@ -317,15 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", required=True, help="field spec p^s, e.g. 5^1")
         p.add_argument("--table", action="store_true", help="aligned table output")
 
-    def add_poly_flags(p):
-        p.add_argument("--poly", help="family spec or JSON coefficients")
-        p.add_argument("--family", help="family tag (alternative to --poly)")
-        p.add_argument("--h", help="family parameter h")
-        p.add_argument("--delta", help="family parameter delta")
+    def add_poly(p):
+        p.add_argument("--poly", required=True,
+                       help="family spec (e.g. new_fh:h=g^13) or JSON coefficients")
 
     p = sub.add_parser("check", help="decide scatteredness")
     add_common(p)
-    add_poly_flags(p)
+    add_poly(p)
     p.add_argument("--method", choices=("oracle", "dickson", "both"), default="both")
     p.add_argument("--exhaustive", action="store_true",
                    help="report every witness, not just the first")
@@ -333,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linset", help="weight spectrum of the linear set")
     add_common(p)
-    add_poly_flags(p)
+    add_poly(p)
     p.set_defaults(fn=_cmd_linset)
 
     p = sub.add_parser("enumerate-h", help="all h with h^(q^3+1) = -1 (or 1)")
@@ -363,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mrd", help="rank-metric code checks")
     add_common(p)
-    add_poly_flags(p)
+    add_poly(p)
     p.add_argument("--full-distribution", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_DISTRIBUTION_LIMIT,
                    help="max eliminations for the rank distribution's "

@@ -349,9 +349,12 @@ def check_system_L4(h: FieldElem, delta: FieldElem, variant: str) -> dict:
     """Solve one of the two reduced systems for U_h ~ U^4_delta.
 
     For each automorphism rho (k = h^rho) the three constraint equations are
-    scanned over b in F_{q^6}^*; a surviving b yields (a, c, d) by
-    back-substitution and is accepted when ad - bc != 0.  Cost Theta(q^6) per
-    (rho, delta, variant) instead of the general Theta(q^12) search.
+    scanned over b = g^e in F_{q^6}^*, slice by slice on the conjugates
+    b^q, b^(q^3), b^(q^5) (Field.conjugate_slices); a surviving b yields
+    (a, c, d) by back-substitution and is accepted when ad - bc != 0.  The
+    first b accepted, in ascending e within the first rho that has one, is
+    the witness.  Cost Theta(q^6) per (rho, delta, variant) instead of the
+    general Theta(q^12) search.
     """
     ctx = h.ctx
     one = ctx.one()
@@ -362,31 +365,29 @@ def check_system_L4(h: FieldElem, delta: FieldElem, variant: str) -> dict:
     ctx._need_tables()
     N = ctx.N
 
-    eb = np.arange(N, dtype=np.int64)
-    bases = [ctx.v_frob(eb, 1), ctx.v_frob(eb, 3), ctx.v_frob(eb, 5)]
     for rho in range(ctx.deg):
         k = ctx.p_power(h, rho)
         eqs, back = _l4_coefficients(ctx, k, delta, variant)
-        mask = np.ones(N, dtype=bool)
-        for coeffs in eqs:
-            terms = [(ctx.exp_of(cf), (i,)) for i, cf in enumerate(coeffs)]
-            mask &= (ctx.v_lincomb(terms, bases) == N)
-            if not mask.any():
-                break
-        if not mask.any():
-            continue
-        for e in np.nonzero(mask)[0]:
-            b = ctx.from_exp(int(e))
-            a, c, d = back(b)
-            if (a * d - b * c).is_zero():
-                continue
-            w = EquivWitness(rho=rho, a=a, b=b, c=c, d=d)
-            target = l4_target(ctx, delta, variant)
-            fh = QPoly(ctx, [ctx.zero(), h ** (ctx.q - 1),
-                             -(h ** (ctx.q**2 - 1)), ctx.zero(), one, one])
-            if not verify_witness(fh, target, w):
-                raise InternalInvariant("L4 system produced a bad witness (bug)")
-            return {"solvable": True, "variant": variant, "rho": rho,
-                    "k": k, "witness": w}
+        eq_terms = [[(ctx.exp_of(cf), (v,)) for v, cf in zip((1, 3, 5), coeffs)]
+                    for coeffs in eqs]
+        for lo, bases in ctx.conjugate_slices(N):
+            mask = np.ones(bases[0].size, dtype=bool)
+            for terms in eq_terms:
+                mask &= ctx.v_lincomb(terms, bases) == N
+                if not mask.any():
+                    break
+            for e in np.flatnonzero(mask).tolist():
+                b = ctx.from_exp(lo + e)
+                a, c, d = back(b)
+                if (a * d - b * c).is_zero():
+                    continue
+                w = EquivWitness(rho=rho, a=a, b=b, c=c, d=d)
+                target = l4_target(ctx, delta, variant)
+                fh = QPoly(ctx, [ctx.zero(), h ** (ctx.q - 1),
+                                 -(h ** (ctx.q**2 - 1)), ctx.zero(), one, one])
+                if not verify_witness(fh, target, w):
+                    raise InternalInvariant("L4 system produced a bad witness (bug)")
+                return {"solvable": True, "variant": variant, "rho": rho,
+                        "k": k, "witness": w}
     return {"solvable": False, "variant": variant, "rho": None, "k": None,
             "witness": None}

@@ -19,6 +19,10 @@ Families (parameter conditions enforced at build time):
 * ``trinomial``     (h^-1 - 1) x^q + x^(q^3) + (h - 1) x^(q^5) for h in
                     F_{q^2} with h^(q+1) = -1 (such h automatically satisfy
                     h^(q^3+1) = -1, so they parametrise f_h too).
+
+The auxiliary-lemma checks evaluate each T-polynomial of LEMMA_POLYS at every
+t in F_{q^6}: a t power's base-q digits pick its factors among t, t^q and
+t^(q^2), which Field.conjugate_slices yields slice by slice (Zech mode only).
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from .errors import (ClassificationGap, HypothesisViolated, InternalInvariant,
                      InvalidParameter, ParityMismatch)
 from .gf import Field, FieldElem
 from .qpoly import QPoly
-
-_SLICE = 1 << 16  # elements per v_lincomb call in lemma_roots
 
 FAMILY_TAGS = ("new_fh", "case1", "pseudoregulus", "lp", "csajbok_mp",
                "csajbok_mz", "trinomial")
@@ -263,24 +265,19 @@ LEMMA_POLYS = {
 
 
 def _lemma_terms(h: FieldElem, which: str):
-    """LEMMA_POLYS[which] at h, as v_lincomb terms over the bases t^k for the
-    nonzero powers k: (terms, powers)."""
+    """LEMMA_POLYS[which] at h, as v_lincomb terms over the bases t, t^q and
+    t^(q^2): the base-q digits (a, b, c) of a t power become the index tuple
+    (0,) * a + (1,) * b + (2,) * c, and the constant term has the empty one."""
     ctx = h.ctx
     q = ctx.q
-
-    def power(digits):
-        return sum(d * q**i for i, d in enumerate(digits))
-
-    terms, powers = [], []
+    terms = []
     for tpow, monos in LEMMA_POLYS[which]:
         c = ctx.zero()
         for sign, digits in monos:
-            c = c + ctx.from_int(sign) * h ** power(digits)
-        k = power(tpow)
-        if k:
-            powers.append(k)
-        terms.append((ctx.exp_of(c), (len(powers) - 1,) if k else ()))
-    return terms, powers
+            c = c + ctx.from_int(sign) * h ** sum(d * q**i for i, d in enumerate(digits))
+        idx = sum(((v,) * d for v, d in enumerate(tpow)), ())
+        terms.append((ctx.exp_of(c), idx))
+    return terms
 
 
 def lemma_roots(h: FieldElem, which: str) -> list[tuple[FieldElem, str]]:
@@ -290,8 +287,10 @@ def lemma_roots(h: FieldElem, which: str) -> list[tuple[FieldElem, str]]:
     two coincide, as at even q).  Any other root raises ClassificationGap:
     sweeps of every admissible h at q = 2, 3, 4, 5, 7, 8, 9 and 11 found no
     other root of either lemma, so one would mean an implementation bug.
-    The polynomial is evaluated at every t as one v_lincomb per slice of
-    exponents, in enumeration order (Zech mode only).
+    t = 0 is decided by the constant term alone; every t = g^e is evaluated
+    as one v_lincomb per slice of the conjugate exponents
+    (Field.conjugate_slices), so the roots come in enumeration order (Zech
+    mode only).
     """
     ctx = h.ctx
     if which == "lemma2":
@@ -302,13 +301,11 @@ def lemma_roots(h: FieldElem, which: str) -> list[tuple[FieldElem, str]]:
         raise HypothesisViolated("which must be 'lemma2' or 'lemma3'")
     ctx._need_tables()
     N = ctx.N
-    terms, powers = _lemma_terms(h, which)
-    roots = []
-    for lo in range(0, ctx.order, _SLICE):
-        # enumeration index k is the exponent k - 1, and index 0 (zero) is N
-        e = (np.arange(lo, min(lo + _SLICE, ctx.order), dtype=np.int64) - 1) % ctx.order
-        zero = ctx.v_lincomb(terms, [ctx.v_pow(e, k) for k in powers]) == N
-        roots += [ctx.elem_of_exp(x) for x in e[zero].tolist()]
+    terms = _lemma_terms(h, which)
+    roots = [] if any(c != N for c, idx in terms if not idx) else [ctx.zero()]
+    for lo, bases in ctx.conjugate_slices(N):
+        zero = np.flatnonzero(ctx.v_lincomb(terms, bases[:3]) == N)
+        roots += [ctx.from_exp(lo + k) for k in zero.tolist()]
 
     sigma0 = h.frob(2) + h.frob(1)
     out = []

@@ -16,7 +16,12 @@ primitive element g, and one of two arithmetic backends:
   doubling the g-orbit on carry-free packed words: each F_p digit gets its
   own B-bit field (2^(B-1) >= p), so multiplying a block of powers by g^m is
   a sum of gathers from per-chunk tables of that F_p-linear map, reduced mod
-  p digit by digit with two bit operations after every add.
+  p digit by digit with two bit operations after every add.  Every
+  whole-field scan (the scatteredness deciders, the trace table, the lemma
+  roots, the L4 system) takes its exponent ranges from
+  Field.conjugate_slices: the conjugates e q^v mod N, slice by slice.  The
+  table build and the scans share one slice size, _CHUNK, so no pass
+  allocates N-element temporaries beyond the tables themselves.
 * ``poly``  -- elements are stored as base-p packed coefficient vectors and
   multiplied by schoolbook convolution plus reduction.  This backend has no
   table-size limit and exists for fields above the Zech threshold; scans are
@@ -55,8 +60,17 @@ DEFAULT_ZECH_LIMIT = 1 << 24  # largest field order for which tables are built
 EXP = np.uint32  # dtype of exponent arrays and of the Zech tables
 _ACC_ZERO = 1 << 31  # zero inside a v_lincomb accumulator; see v_lincomb
 MAX_DEGREE = 64  # guard: 6s <= 64
+_CHUNK = 1 << 16  # elements per slice of every whole-field pass; see _spans
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _spans(n: int):
+    """(lo, hi) for the _CHUNK slices of range(n).  Whole-field passes (the
+    table build and the scans through Field.conjugate_slices) work slice by
+    slice, so a slice's working set stays in L2 and no pass allocates
+    N-element temporaries."""
+    return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +308,6 @@ def _pack_digits(coeffs, p: int) -> int:
 # carry-free packed words (the orbit doubling of Field._build_tables)
 # ---------------------------------------------------------------------------
 
-_SLICE = 1 << 16  # words per _wide_map call in _build_tables
-
-
 def _wide_layout(p: int, k: int):
     """Layout of k F_p digits in one word: (B, word dtype, chunks).
 
@@ -455,7 +466,8 @@ class Field:
         mod p after every add (_wide_map).  One more gather per chunk, from
         tables of base-p digit weights, turns the words into packed values
         (two gathers at q = 13).  The log table inverts the power table, and
-        Z is log gathered at 1 + g^k.
+        Z is log gathered at 1 + g^k, both slice by slice (_spans), so the
+        build's peak memory stays close to the finished tables'.
         """
         p, k, N, order = self.p, self.deg, self.N, self.order
         B, word, chunks = _wide_layout(p, k)
@@ -468,29 +480,26 @@ class Field:
         while m < N:
             b = min(m, N - m)
             tables = _chunk_tables(p, B, chunks, self._mult_matrix(gm), wide, word)
-            for lo in range(0, b, _SLICE):
-                hi = min(lo + _SLICE, b)
+            for lo, hi in _spans(b):
                 _wide_map(W[lo:hi], tables, W[m + lo:m + hi], reduce)
             m += b
             gm = _pmulmod(gm, gm, self.modulus, p)
         tables = _chunk_tables(p, B, chunks, np.eye(k, dtype=np.int64),
                                p ** np.arange(k, dtype=np.int64), EXP)
         pow_packed = np.empty(N, dtype=EXP)
-        for lo in range(0, N, _SLICE):
-            hi = min(lo + _SLICE, N)
+        for lo, hi in _spans(N):
             _wide_map(W[lo:hi], tables, pow_packed[lo:hi])
         del W
         log = np.full(order, N, dtype=EXP)  # log[0] stays N: zero's exponent
-        log[pow_packed] = np.arange(N, dtype=EXP)
-        if np.count_nonzero(log == N) != 1:
-            raise NoIrreducibleFound("generator orbit is degenerate (bug)")
-        # 1 + g^k adds 1 to the constant digit; Z[k] = N where 1 + g^k = 0
-        c0 = pow_packed % p
-        one_plus = pow_packed - c0 + (c0 + 1) % p
-        del c0
         Z = np.empty(N + 1, dtype=EXP)
-        np.take(log, one_plus, out=Z[:N])
         Z[N] = 0  # padding: log(1 + 0) = 0, so the sentinel is an index
+        for lo, hi in _spans(N):
+            log[pow_packed[lo:hi]] = np.arange(lo, hi, dtype=EXP)
+        for lo, hi in _spans(N):
+            # 1 + g^k adds 1 to the constant digit; Z[k] = N where 1 + g^k = 0
+            pp = pow_packed[lo:hi]
+            c0 = pp % p
+            np.take(log, pp - c0 + (c0 + 1) % p, out=Z[lo:hi])
         self._Z = Z
         self._pow_packed = pow_packed
         self._log = log
@@ -510,9 +519,7 @@ class Field:
             raise InternalInvariant("log(-1) != N/2 (bug)")
         if int(log[0]) != N or int(Z[N]) != 0:
             raise InternalInvariant("zero sentinel entries corrupted (bug)")
-        step = 1 << 20
-        for lo in range(0, N, step):
-            hi = min(lo + step, N)
+        for lo, hi in _spans(N):
             if not np.array_equal(log[pow_packed[lo:hi]],
                                   np.arange(lo, hi, dtype=EXP)):
                 raise InternalInvariant("log/power tables disagree (bug)")
@@ -962,15 +969,13 @@ class Field:
         N, q = self.N, self.q
         R = N // (q - 1)
         rep = np.empty(R, dtype=np.uint8)  # F_q index of Tr(g^r)
-        step = 1 << 16
-        for lo in range(0, R, step):
-            r = np.arange(lo, min(lo + step, R), dtype=np.int64)
-            tr = self.v_lincomb([(0, (v,)) for v in range(TOWER)],
-                                [self.v_frob(r, v) for v in range(TOWER)])
+        terms = [(0, (v,)) for v in range(TOWER)]
+        for lo, bases in self.conjugate_slices(R):
+            tr = self.v_lincomb(terms, bases)
             zero = tr == N
             if np.any(tr[~zero] % R):
                 raise InternalInvariant("a trace lies outside F_q (bug)")
-            rep[lo:lo + r.size] = np.where(zero, 0, tr // R + 1)
+            rep[lo:lo + tr.size] = np.where(zero, 0, tr // R + 1)
         trace = np.empty(N + 1, dtype=np.uint8)
         trace[N] = 0
         for i in range(q - 1):  # times g^(R i): index 1 + j -> 1 + (i + j) % (q - 1)
@@ -988,9 +993,9 @@ class Field:
     def frob_exps(self):
         """Read-only (TOWER, N) EXP array whose row v holds e q^v mod N for
         every e < N, the exponent of m^(q^v) at m = g^e.  Built on first use
-        and kept on the context.  It takes 24 N bytes, so the scans read it
-        only on fields that fit in one scan slice; there it spares every call
-        the rebuild, and the page faults of memory that is freed to the
+        and kept on the context.  It takes 24 N bytes, so conjugate_slices
+        reads it only on fields that fit in one slice; there it spares every
+        scan the rebuild, and the page faults of memory that is freed to the
         system after one call and taken back by the next."""
         if self._frob_exps is None:
             e = np.arange(self.N, dtype=np.int64)
@@ -998,6 +1003,32 @@ class Field:
             rows.flags.writeable = False
             self._frob_exps = rows
         return self._frob_exps
+
+    def conjugate_slices(self, stop: int):
+        """Yield (lo, bases) for the _CHUNK slices [lo, hi) of the exponents
+        e < stop (stop <= N), where bases[v] holds e q^v mod N, the exponent
+        of m^(q^v) at m = g^e.  Every whole-field scan takes its exponent
+        ranges from here.
+
+        A field with N <= _CHUNK yields views of the rows of frob_exps, so
+        repeated scans of it allocate none.  Otherwise the six arrays are
+        formed in int64 for the first slice only, and each later slice adds
+        _CHUNK q^v to them in 32-bit; they are overwritten by the next
+        slice, so a caller copies what it keeps.
+        """
+        N, n = self.N, _CHUNK
+        if N <= n:
+            yield 0, [row[:stop] for row in self.frob_exps()]
+            return
+        bases = [self.v_frob(np.arange(min(n, stop)), v) for v in range(TOWER)]
+        steps = [n * self._qpow[v] % N for v in range(TOWER)]
+        tmp = np.empty(bases[0].size, dtype=EXP)
+        for lo, hi in _spans(stop):
+            yield lo, [b[:hi - lo] for b in bases]
+            for b, step in zip(bases, steps):
+                np.add(b, step, out=b)
+                np.subtract(b, N, out=tmp)
+                np.minimum(b, tmp, out=b)
 
     def v_trace_lincomb(self, terms, bases):
         """F_q indices of the sum of Tr_{q^6/q}(g^c * prod(g^bases[i] for i in

@@ -57,14 +57,6 @@ def _case1_positive(tag: str, q: int) -> dict:
     return run.report()
 
 
-def case1_q5() -> dict:
-    return _case1_positive("case1-q5", 5)
-
-
-def case1_q13() -> dict:
-    return _case1_positive("case1-q13", 13)
-
-
 def _case1_negative(tag: str, q: int) -> dict:
     run = Run(tag)
     ctx = make_field(q, 1)
@@ -82,34 +74,19 @@ def _case1_negative(tag: str, q: int) -> dict:
     return run.report()
 
 
-def case1_q3_negative() -> dict:
-    return _case1_negative("case1-q3-negative", 3)
-
-
-def case1_q7_negative() -> dict:
-    return _case1_negative("case1-q7-negative", 7)
-
-
-def case2_q3() -> dict:
-    run = Run("case2-q3")
-    ctx = make_field(3, 1)
+def _case2(tag: str, q: int, count: int, outside_fq: bool) -> dict:
+    """Every admissible h at q (only those outside F_q if outside_fq) gives
+    a scattered f_h under both deciders."""
+    run = Run(tag)
+    ctx = make_field(q, 1)
     hs = enumerate_h(ctx)
-    run.check("28 admissible h", len(hs) == 28, len(hs), 28)
-    run.check("none lie in F_q", not any(ctx.in_subfield(h, 1) for h in hs))
-    bad = []
-    for h in hs:
-        f = family_poly(ctx, "new_fh", h)
-        if not (is_scattered_oracle(f).scattered and is_scattered_dickson(f).scattered):
-            bad.append(str(h))
-    run.check("all h scattered by both deciders", not bad, bad or "none", "none")
-    return run.report()
-
-
-def case2_q5() -> dict:
-    run = Run("case2-q5")
-    ctx = make_field(5, 1)
-    hs = [h for h in enumerate_h(ctx) if not ctx.in_subfield(h, 1)]
-    run.check("124 admissible h outside F_q", len(hs) == 124, len(hs), 124)
+    if outside_fq:
+        hs = [h for h in hs if not ctx.in_subfield(h, 1)]
+        run.check("%d admissible h outside F_q" % count, len(hs) == count,
+                  len(hs), count)
+    else:
+        run.check("%d admissible h" % count, len(hs) == count, len(hs), count)
+        run.check("none lie in F_q", not any(ctx.in_subfield(h, 1) for h in hs))
     bad = []
     for h in hs:
         f = family_poly(ctx, "new_fh", h)
@@ -140,22 +117,6 @@ def _even_negative(tag: str, p: int, s: int) -> dict:
     return run.report()
 
 
-def even_q2_negative() -> dict:
-    return _even_negative("even-q2-negative", 2, 1)
-
-
-def even_q4_negative() -> dict:
-    return _even_negative("even-q4-negative", 2, 2)
-
-
-def intn_q3() -> dict:
-    return _intn_run("intn-q3", 3)
-
-
-def intn_q5() -> dict:
-    return _intn_run("intn-q5", 5)
-
-
 def _intn_run(tag: str, q: int) -> dict:
     run = Run(tag)
     ctx = make_field(q, 1)
@@ -171,8 +132,8 @@ def _intn_run(tag: str, q: int) -> dict:
     return run.report()
 
 
-def trinomial_q3() -> dict:
-    run = Run("trinomial-q3")
+def _trinomial_q3(tag: str) -> dict:
+    run = Run(tag)
     ctx = make_field(3, 1)
     one = ctx.one()
     hs = [h for h in enumerate_h(ctx) if ctx.in_subfield(h, 2)]
@@ -190,8 +151,8 @@ def trinomial_q3() -> dict:
     return run.report()
 
 
-def l4_q5_power5() -> dict:
-    run = Run("l4-q5-power5")
+def _l4_q5_power5(tag: str) -> dict:
+    run = Run(tag)
     ctx = make_field(5, 1)
     h = ctx.from_int(2)
     deltas = u4_deltas(ctx)
@@ -214,8 +175,8 @@ def l4_q5_power5() -> dict:
     return run.report()
 
 
-def mrd_q3() -> dict:
-    run = Run("mrd-q3")
+def _mrd_q3(tag: str) -> dict:
+    run = Run(tag)
     ctx = make_field(3, 1)
     h = enumerate_h(ctx)[0]
     C = code_from(family_poly(ctx, "new_fh", h))
@@ -229,13 +190,13 @@ def mrd_q3() -> dict:
     return run.report()
 
 
-def lemma_sweep() -> dict:
+def _lemma_sweep(tag: str) -> dict:
     """Both auxiliary lemmas at every admissible h for q = 3, 5, 7, with the
     root classes counted per lemma (Lemma 3 applies only where h^4 = 1).
     lemma_roots raises ClassificationGap on any root other than +-sigma0,
     sigma0 = h^(q^2) + h^q, so one plus and one minus root per h means the
     Lemma 2 roots are exactly {sigma0, -sigma0} for every h."""
-    run = Run("lemma-sweep")
+    run = Run(tag)
     for q in (3, 5, 7):
         ctx = make_field(q, 1)
         hs = enumerate_h(ctx)
@@ -256,30 +217,32 @@ def lemma_sweep() -> dict:
     return run.report()
 
 
+# tag -> (run function, its arguments after the tag)
 TAGS = {
-    "case1-q5": case1_q5,
-    "case1-q13": case1_q13,
-    "case1-q3-negative": case1_q3_negative,
-    "case1-q7-negative": case1_q7_negative,
-    "case2-q3": case2_q3,
-    "case2-q5": case2_q5,
-    "even-q2-negative": even_q2_negative,
-    "even-q4-negative": even_q4_negative,
-    "intn-q3": intn_q3,
-    "intn-q5": intn_q5,
-    "trinomial-q3": trinomial_q3,
-    "l4-q5-power5": l4_q5_power5,
-    "mrd-q3": mrd_q3,
-    "lemma-sweep": lemma_sweep,
+    "case1-q5": (_case1_positive, 5),
+    "case1-q13": (_case1_positive, 13),
+    "case1-q3-negative": (_case1_negative, 3),
+    "case1-q7-negative": (_case1_negative, 7),
+    "case2-q3": (_case2, 3, 28, False),
+    "case2-q5": (_case2, 5, 124, True),
+    "even-q2-negative": (_even_negative, 2, 1),
+    "even-q4-negative": (_even_negative, 2, 2),
+    "intn-q3": (_intn_run, 3),
+    "intn-q5": (_intn_run, 5),
+    "trinomial-q3": (_trinomial_q3,),
+    "l4-q5-power5": (_l4_q5_power5,),
+    "mrd-q3": (_mrd_q3,),
+    "lemma-sweep": (_lemma_sweep,),
 }
 
 
 def run_tag(tag: str) -> dict:
     if tag == "all":
-        reports = [fn() for fn in TAGS.values()]
+        reports = [run_tag(t) for t in TAGS]
         return {"tag": "all", "ok": all(r["ok"] for r in reports),
                 "reports": reports}
     if tag not in TAGS:
         raise KeyError("unknown reproduction tag %r (have: %s)" %
                        (tag, ", ".join(sorted(TAGS) + ["all"])))
-    return TAGS[tag]()
+    fn, *args = TAGS[tag]
+    return fn(tag, *args)

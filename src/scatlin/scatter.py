@@ -16,9 +16,10 @@ Both deciders short-circuit on the first violation in enumeration order
 every violation, which the reproduction suite uses to match the known
 closed-form witnesses.
 
-On Zech-mode contexts both scans walk their range in _CHUNK slices of uint32
-exponent arrays.  The oracle sums a_j x^(q^j - 1) over the coset
-representatives with one call of the fused kernel Field.v_lincomb per slice.
+On Zech-mode contexts both scans walk their range slice by slice on the
+uint32 conjugate exponents e q^v mod N that Field.conjugate_slices yields.
+The oracle sums a_j x^(q^j) over the coset representatives with one call of
+the fused kernel Field.v_lincomb per slice, then divides by x.
 
 The criterion expands det M(m) in the six conjugates m^(q^v): the coefficient
 c_S of prod(m^(q^v) for v in S) is a principal minor of M(0), and
@@ -26,12 +27,12 @@ c_{S+1} = c_S^q (indices mod 6), so each Frobenius orbit of keys S sums to
 one trace Tr_{q^6/q}(w m^(e_S)) with e_S = sum(q^v for v in S).  The
 determinant is then at most 14 values in F_q per m, each one gather from the
 field's trace table, summed through a q x q addition table
-(Field.v_trace_lincomb); no Zech gather is needed.  The conjugate exponents
-are formed once and advanced by one 32-bit add per slice; a field that fits
-in one slice keeps them on the context (Field.frob_exps).  The truncated
+(Field.v_trace_lincomb); no Zech gather is needed.  The truncated
 determinant has no such symmetry; it stays a v_lincomb and is evaluated only
 at the roots of the full one, about 1/(q - 1) of the field.  m = 0 is decided
-by the constant terms alone.  Results do not depend on _CHUNK.
+by the constant terms alone.  Results do not depend on the slice size.
+
+Both deciders refuse fields above DEFAULT_SCAN_LIMIT elements with TooLarge.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ from .gf import EXP, TOWER, Field, FieldElem
 from .qpoly import QPoly, multilinear_det_expansion
 from . import linalg
 
-DEFAULT_SCAN_LIMIT = 1 << 24
-_CHUNK = 1 << 16  # scan slice: a slice's working set stays in L2
+DEFAULT_SCAN_LIMIT = 1 << 24  # largest field order a decider scans
 _SAMPLE_SEED = 20191005  # fixed, so a cross-check sample repeats run to run
 
 
@@ -107,10 +107,10 @@ def point_weight(f: QPoly, m) -> int:
     return f.minus_m_x(m).kernel_dim()
 
 
-def _guard(ctx: Field, limit: int):
-    if ctx.order > limit:
-        raise TooLarge("scan over %d elements exceeds the budget %d" %
-                       (ctx.order, limit))
+def _guard(ctx: Field):
+    if ctx.order > DEFAULT_SCAN_LIMIT:
+        raise TooLarge("scan over %d elements exceeds the limit %d" %
+                       (ctx.order, DEFAULT_SCAN_LIMIT))
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +122,27 @@ def _coset_counts(f: QPoly):
     zero element), ascending, with the number of F_q*-cosets x mapping to it.
     Zech mode only.
 
-    At x = g^i the value is sum_j a_j g^(i (q^j - 1)), one v_lincomb over the
-    coset representatives i < (q^6 - 1)/(q - 1), taken in _CHUNK slices.
+    At x = g^e, f(x) = sum_j a_j g^(e q^j) is one v_lincomb over the
+    conjugates of the coset representatives e < (q^6 - 1)/(q - 1), slice by
+    slice (Field.conjugate_slices), and f(x)/x subtracts e from its
+    exponent; a zero value keeps the sentinel N.
     """
     ctx = f.ctx
-    T = ctx.N // (ctx.q - 1)
-    terms = [(ctx.exp_of(a), (j - 1,) if j else ()) for j, a in enumerate(f.coeffs)]
-    vals = np.empty(T, dtype=EXP)
-    for lo in range(0, T, _CHUNK):
-        i = np.arange(lo, min(lo + _CHUNK, T), dtype=np.int64)
-        bases = [ctx.v_pow(i, ctx._qpow[j] - 1) for j in range(1, TOWER)]
-        ctx.v_lincomb(terms, bases, out=vals[lo:lo + i.size])
+    N = ctx.N
+    terms = [(ctx.exp_of(a), (j,)) for j, a in enumerate(f.coeffs)]
+    vals = np.empty(N // (ctx.q - 1), dtype=EXP)
+    for lo, bases in ctx.conjugate_slices(vals.size):
+        out = vals[lo:lo + bases[0].size]
+        ctx.v_lincomb(terms, bases, out=out)
+        zero = out == N
+        np.add(out, N, out=out)  # out <= N, so out + N - e lies in (0, 2N)
+        np.subtract(out, bases[0], out=out)
+        np.minimum(out, out - N, out=out)
+        np.copyto(out, N, where=zero)
     return np.unique(vals, return_counts=True)
 
 
-def _buckets(f: QPoly, scan_limit: int = DEFAULT_SCAN_LIMIT):
+def _buckets(f: QPoly):
     """(witness elements, keys, coset counts) from one bucketing pass over
     f(x)/x, under the scan guard.
 
@@ -147,7 +153,7 @@ def _buckets(f: QPoly, scan_limit: int = DEFAULT_SCAN_LIMIT):
     least q + 1 cosets (weight >= 2), in enumeration order.
     """
     ctx = f.ctx
-    _guard(ctx, scan_limit)
+    _guard(ctx)
     bad_at = ctx.q + 1
     if ctx.mode == "zech":
         keys, cosets = _coset_counts(f)
@@ -211,18 +217,17 @@ def _spectrum(ctx: Field, cosets) -> WeightSpectrum:
     return WeightSpectrum(counts=counts, q=ctx.q, order=ctx.order)
 
 
-def weight_spectrum(f: QPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> WeightSpectrum:
-    return _spectrum(f.ctx, _buckets(f, scan_limit)[2])
+def weight_spectrum(f: QPoly) -> WeightSpectrum:
+    return _spectrum(f.ctx, _buckets(f)[2])
 
 
-def is_scattered_oracle(f: QPoly, exhaustive: bool = False,
-                        scan_limit: int = DEFAULT_SCAN_LIMIT) -> ScatterVerdict:
+def is_scattered_oracle(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
     """True iff no point has weight >= 2; witness = smallest offending m.
 
     The verdict, the witnesses and the spectrum come from one bucketing pass.
     """
     ctx = f.ctx
-    witnesses, _, cosets = _buckets(f, scan_limit)
+    witnesses, _, cosets = _buckets(f)
     scattered = not witnesses
     return ScatterVerdict(
         scattered=scattered,
@@ -304,34 +309,10 @@ def _orbit_terms(f: QPoly):
     return terms
 
 
-def _conjugate_slices(ctx: Field):
-    """(lo, bases) for the slices [lo, lo + _CHUNK) of exponents e < N, where
-    bases[v] holds e q^v mod N, the exponent of m^(q^v) at m = g^e.  A field
-    that fits in one slice reads them from Field.frob_exps, so repeated scans
-    of it allocate none.  Otherwise they are formed in int64 for the first
-    slice only, and each later slice adds _CHUNK q^v to the same arrays in
-    32-bit."""
-    N = ctx.N
-    if N <= _CHUNK:
-        yield 0, list(ctx.frob_exps())
-        return
-    n = _CHUNK
-    bases = [ctx.v_frob(np.arange(n), v) for v in range(TOWER)]
-    steps = [n * ctx._qpow[v] % N for v in range(TOWER)]
-    tmp = np.empty(n, dtype=EXP)
-    for lo in range(0, N, n):
-        yield lo, [b[:N - lo] for b in bases]
-        for b, step in zip(bases, steps):
-            np.add(b, step, out=b)
-            np.subtract(b, N, out=tmp)
-            np.minimum(b, tmp, out=b)
-
-
-def is_scattered_dickson(f: QPoly, exhaustive: bool = False,
-                         scan_limit: int = DEFAULT_SCAN_LIMIT) -> ScatterVerdict:
+def is_scattered_dickson(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
     """Scan all m in F_{q^6} for a common root of the two determinants."""
     ctx = f.ctx
-    _guard(ctx, scan_limit)
+    _guard(ctx)
     witnesses: list[FieldElem] = []
 
     if ctx.mode == "zech":
@@ -340,7 +321,7 @@ def is_scattered_dickson(f: QPoly, exhaustive: bool = False,
         # at m = 0 only the constant terms (empty key) survive
         if not any(key == () for terms in (terms6, terms5) for _, key in terms):
             witnesses.append(ctx.zero())
-        for lo, bases in _conjugate_slices(ctx):
+        for lo, bases in ctx.conjugate_slices(ctx.N):
             if witnesses and not exhaustive:
                 break
             cand = np.flatnonzero(ctx.v_trace_lincomb(terms6, bases) == 0)
@@ -364,14 +345,13 @@ def is_scattered_dickson(f: QPoly, exhaustive: bool = False,
     )
 
 
-def is_scattered(f: QPoly, method: str = "both",
-                 scan_limit: int = DEFAULT_SCAN_LIMIT) -> dict:
+def is_scattered(f: QPoly, method: str = "both") -> dict:
     """Run one or both deciders; raises if the two routes disagree."""
     out: dict = {}
     if method in ("oracle", "both"):
-        out["oracle"] = is_scattered_oracle(f, scan_limit=scan_limit)
+        out["oracle"] = is_scattered_oracle(f)
     if method in ("dickson", "both"):
-        out["dickson"] = is_scattered_dickson(f, scan_limit=scan_limit)
+        out["dickson"] = is_scattered_dickson(f)
     if method == "both":
         if out["oracle"].scattered != out["dickson"].scattered:
             raise InternalInvariant("decider disagreement: oracle=%s dickson=%s (bug)" %

@@ -117,7 +117,7 @@ def test_mrd_cli():
 
 def test_mrd_cli_q7_full_distribution():
     """The default budget reaches q = 7: the counts come from the buckets."""
-    rep = run_json("mrd", "--field", "7^1", "--family", "new_fh", "--h", "g^171",
+    rep = run_json("mrd", "--field", "7^1", "--poly", "new_fh:h=g^171",
                    "--full-distribution")
     a5 = (7**6 - 1) ** 2 // 6
     assert rep["result"]["distribution"] == {"0": 1, "5": a5, "6": 7**12 - 1 - a5}
@@ -202,6 +202,13 @@ def test_lemmas_cli_gap_is_an_error(monkeypatch, capsys):
 def test_json_flag_removed():
     # JSON is the only default output; the old no-op --json flag is unknown
     proc = run_cli("linset", "--field", "3^1", "--poly", "case1", "--json")
+    assert proc.returncode == 2
+
+
+def test_family_flag_removed():
+    # --poly NAME:h=ELT is the one polynomial grammar; the old --family,
+    # --h and --delta flags of check, linset and mrd are unknown
+    proc = run_cli("check", "--field", "3^1", "--family", "case1")
     assert proc.returncode == 2
 
 

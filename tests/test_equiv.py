@@ -350,6 +350,20 @@ def test_l4_system_q5_power_of_5(f5):
                           l4_target(f5, delta, hit["variant"]), hit["witness"])
 
 
+def test_l4_witness_independent_of_chunk(f5, with_chunk):
+    """The first valid b in ascending exponent order is the witness,
+    whatever the slice size."""
+    h, delta = f5.from_int(2), u4_deltas(f5)[0]
+    runs = []
+    for chunk in (None, 1 << 10):
+        with_chunk(f5, chunk)
+        res = [check_system_L4(h, delta, v) for v in ("trin", "trin2")]
+        runs.append([(r["solvable"], r["rho"], r["k"],
+                      r["witness"] and r["witness"].to_json()) for r in res])
+    assert runs[0] == runs[1]
+    assert any(solvable for solvable, *_ in runs[0])
+
+
 def test_l4_system_insolvable_off_fq2(f3):
     h = general_hs(f3)[0]
     for delta in u4_deltas(f3):

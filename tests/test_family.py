@@ -227,6 +227,20 @@ def test_lemma3_roots(f5):
         assert all(cls in ("plus", "minus") for _, cls in roots)
 
 
+def test_lemma_roots_independent_of_chunk(f3, f5, with_chunk):
+    """Both lemmas give the same roots, in the same order, under two slice
+    sizes; t = 0 is decided by the constant term, outside the slices."""
+    cases = [(h, "lemma2") for h in enumerate_h(f3)[:6] + enumerate_h(f5)[:6]]
+    cases += [(f5.from_int(hv), "lemma3") for hv in (2, 3)]
+    runs = []
+    for chunk in (None, 1 << 8):
+        for F in (f3, f5):
+            with_chunk(F, chunk)
+        runs.append([lemma_roots(h, which) for h, which in cases])
+    assert runs[0] == runs[1]
+    assert all(len(roots) == 2 for roots in runs[0])
+
+
 def test_lemma3_hypothesis_guard(f3):
     h = enumerate_h(f3)[0]
     if (h ** 4) != f3.one():

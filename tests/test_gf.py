@@ -3,11 +3,12 @@ enumeration order, and agreement of the two backends."""
 
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from scatlin import make_field, parse_field_spec
+from scatlin import gf, make_field, parse_field_spec
 from scatlin.errors import (BadSubfield, CtxMismatch, DivisionByZero,
                             InternalInvariant, NotPrime, TooLarge)
 from scatlin.gf import EXP, Field, _pmulmod, _wide_layout
@@ -412,6 +413,50 @@ def test_frob_exps(f2, f3, f4):
         e = np.arange(F.N, dtype=np.int64)
         for v in range(6):
             assert np.array_equal(rows[v], e * F.q**v % F.N)
+
+
+def test_conjugate_slices_match_v_frob(f3, f4, with_chunk):
+    """Slice by slice, bases[v] is v_frob of the slice's exponents: views of
+    frob_exps in one slice, or the 32-bit walk over several with a partial
+    last slice, up to N or to a shorter stop."""
+    for F in (f3, f4):
+        for chunk in (None, 100):
+            with_chunk(F, chunk)
+            for stop in (F.N, F.N // (F.q - 1), 250):
+                spans = []
+                for lo, bases in F.conjugate_slices(stop):
+                    e = np.arange(lo, min(lo + gf._CHUNK, stop))
+                    assert len(bases) == 6
+                    for v in range(6):
+                        assert bases[v].dtype == EXP
+                        assert np.array_equal(bases[v], F.v_frob(e, v))
+                    spans.append((lo, e.size))
+                assert spans[0][0] == 0 and sum(n for _, n in spans) == stop
+                assert [lo for lo, _ in spans] == list(range(0, stop, gf._CHUNK))
+                if chunk is not None and stop % chunk:
+                    assert spans[-1][1] == stop % chunk < chunk
+
+
+def test_trace_tables_independent_of_chunk(with_chunk):
+    tables = []
+    for chunk in (None, 1 << 6):
+        F = Field(3, 1)  # fresh: the tables are kept on the context
+        with_chunk(F, chunk)
+        tables.append(F._trace_tables())
+    assert all(np.array_equal(a, b) for a, b in zip(*tables))
+
+
+def test_build_peak_memory_near_table_size():
+    """Building the q = 13 tables allocates little beyond the tables
+    themselves: every whole-field step works in _CHUNK slices."""
+    tracemalloc.start()
+    try:
+        F = Field(13, 1)  # fresh, so the build is traced
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = F._pow_packed.nbytes + F._log.nbytes + F._Z.nbytes
+    assert peak < 1.5 * tables
 
 
 def test_unit_trace(f2, f3, f4, f9):

@@ -175,7 +175,7 @@ def test_distribution_mass_check(f3, monkeypatch):
         rank_distribution(C)
 
 
-def test_distribution_repeatable_one_pass_per_call(f3, monkeypatch):
+def test_distribution_repeatable_one_pass_per_call(f3, monkeypatch, with_chunk):
     """Each call buckets once (nothing is cached) and returns the same
     counts; the slice size does not change them."""
     C = code_from(family_poly(f3, "case1"))
@@ -186,7 +186,7 @@ def test_distribution_repeatable_one_pass_per_call(f3, monkeypatch):
     first = rank_distribution(C).counts
     assert rank_distribution(C).counts == first
     assert len(calls) == 2
-    monkeypatch.setattr(scatter, "_CHUNK", 1 << 7)
+    with_chunk(f3, 1 << 7)
     assert rank_distribution(C).counts == first
 
 

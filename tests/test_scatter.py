@@ -122,12 +122,15 @@ def test_poly_mode_fallback_agrees(f3):
         assert is_scattered_dickson(fz).scattered == is_scattered_dickson(fp).scattered
 
 
-def test_scan_budget_guard(f3):
-    f = family_poly(f3, "case1")
-    with pytest.raises(TooLarge):
-        weight_spectrum(f, scan_limit=100)
-    with pytest.raises(TooLarge):
-        is_scattered_dickson(f, scan_limit=100)
+def test_scan_budget_guard():
+    """q = 17 is above the scan limit (17^6 > 2^24): it gets a poly-mode
+    context, and every decider refuses to scan it."""
+    F = make_field(17, 1)
+    assert F.mode == "poly" and F.order > scatter.DEFAULT_SCAN_LIMIT
+    f = family_poly(F, "case1")
+    for decide in (weight_spectrum, is_scattered_oracle, is_scattered_dickson):
+        with pytest.raises(TooLarge):
+            decide(f)
 
 
 def test_is_scattered_both(f3):
@@ -239,12 +242,12 @@ def test_expansion_matches_leibniz_reference(q):
 
 
 @pytest.mark.parametrize("q", [3, 7])
-def test_exhaustive_witnesses_independent_of_chunk(q, monkeypatch):
+def test_exhaustive_witnesses_independent_of_chunk(q, with_chunk):
     F = make_field(q, 1)
     f = family_poly(F, "case1")
     runs = []
-    for chunk in (scatter._CHUNK, 1 << 9):
-        monkeypatch.setattr(scatter, "_CHUNK", chunk)
+    for chunk in (None, 1 << 7):
+        with_chunk(F, chunk)
         vo = is_scattered_oracle(f, exhaustive=True)
         vd = is_scattered_dickson(f, exhaustive=True)
         runs.append(([F.format(w) for w in vo.witnesses],
@@ -258,7 +261,7 @@ def _certified_points(f, witnesses):
 
 
 @pytest.mark.parametrize("field", ["f4", "f9"])
-def test_dickson_witnesses_match_oracle_p2_and_s2(field, request, monkeypatch):
+def test_dickson_witnesses_match_oracle_p2_and_s2(field, request, with_chunk):
     """At q = 4 (p = 2) and q = 9 (s = 2) the exhaustive Dickson witnesses
     certify exactly the oracle's points, under two slice sizes: case1, a
     seeded new_fh, and sparse random polynomials."""
@@ -272,8 +275,8 @@ def test_dickson_witnesses_match_oracle_p2_and_s2(field, request, monkeypatch):
         vo = is_scattered_oracle(f, exhaustive=True)
         points = sorted(F.enum_index(w) for w in vo.witnesses)
         runs = []
-        for chunk in (scatter._CHUNK, 1 << 11):
-            monkeypatch.setattr(scatter, "_CHUNK", chunk)
+        for chunk in (None, 1 << 9):
+            with_chunk(F, chunk)
             vd = is_scattered_dickson(f, exhaustive=True)
             runs.append([F.enum_index(w) for w in vd.witnesses])
             assert _certified_points(f, vd.witnesses) == points
