@@ -41,6 +41,7 @@ from .gf import TOWER, Field, FieldElem
 from .qpoly import QPoly
 
 _FULL_VERIFY_LIMIT = 1 << 16
+_BLOCK = 1 << 18  # most orbit representatives evaluated per block of the triple scan
 _VERIFY_SEED = 2024  # fixed, so the pointwise sample repeats run to run
 
 
@@ -208,24 +209,22 @@ def _scan_block(ctx: Field, plan, lo: int, hi: int, R: int, work):
 
 
 def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
-                  resume: dict | None = None, chunk: int = 1 << 18) -> EquivResult:
+                  resume: dict | None = None) -> EquivResult:
     """Exhaustive GammaL(2, q^6)-equivalence of U_f and U_g.
 
     Returns Equivalent with the first witness in (rho, a, b) order,
     NotEquivalent only after deciding all 6s * q^12 triples, or
     BudgetExceeded with a resume checkpoint.  Only F_q^*-orbit
-    representatives are evaluated, at most ``chunk`` per block, but
+    representatives are evaluated, at most _BLOCK per block, but
     ``searched``, ``budget`` and the checkpoint's ``flat`` and ``tried``
     count positions in the full space: a skipped triple counts as decided
     by its representative, and skips stop at the budget.  ``searched`` is
     the witness's position plus one, or the total decided.  A checkpoint
     carries the field (p, s) and a sha256 of the coefficient exponents of f
     and g; resuming one without them, against other inputs or at an
-    impossible position raises InvalidParameter, and so does chunk < 1.
+    impossible position raises InvalidParameter.
     """
     ctx = f.ctx
-    if chunk < 1:
-        raise InvalidParameter("chunk must be at least 1, got %d" % chunk)
     if g.ctx is not ctx:
         raise DegenerateInput("polynomials over different contexts")
     if f.is_zero() or g.is_zero():
@@ -247,13 +246,13 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
             raise InvalidParameter("checkpoint does not belong to this field, f and g")
         rho_start, flat_start, tried = pos
 
-    work = np.empty((2, min(chunk, E * E)), dtype=bool)  # see _scan_block
+    work = np.empty((2, min(_BLOCK, E * E)), dtype=bool)  # see _scan_block
     for rho in range(rho_start, ctx.deg):
         plan = _rho_plan(ctx, f, g, rho)
         flat = flat_start if rho == rho_start else 0
         while flat < E * E:
             scan = flat < reps_end
-            hi = (min(flat + chunk, (flat // E + max(1, chunk // E)) * E, reps_end)
+            hi = (min(flat + _BLOCK, (flat // E + max(1, _BLOCK // E)) * E, reps_end)
                   if scan else E * E)
             if budget is not None:
                 if tried >= budget:

@@ -131,9 +131,9 @@ def gamma_of(h: FieldElem) -> ProjSubspace:
     G = ProjSubspace.from_constraints(ctx, constraints)
     if G.pdim != 3:
         raise InternalInvariant("the vertex has dimension %d, not 3 (bug)" % G.pdim)
-    for vec in _sigma_points(ctx, limit=32):
-        if G.contains_point(vec):
-            raise PreconditionFailed("gamma meets the canonical subgeometry")
+    # x_0 = 0 on G, so the coordinate-hyperplane certificate proves this
+    if not disjoint_from_sigma(G, full=False):
+        raise PreconditionFailed("gamma meets the canonical subgeometry")
     return G
 
 

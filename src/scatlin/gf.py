@@ -73,6 +73,20 @@ def _spans(n: int):
     return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
 
 
+def _exp_arrays(bases) -> list:
+    """bases as EXP arrays of one shape; broadcast only when shapes differ,
+    since a call on equal shapes is the common case of every scan."""
+    xs = [np.asarray(x, dtype=EXP) for x in bases]
+    return np.broadcast_arrays(*xs) if len({x.shape for x in xs}) > 1 else xs
+
+
+def _sentinel_bases(xs, terms, N: int) -> set:
+    """Indices of the exponent arrays in xs that a live term (c != N) of
+    terms reads and that hold the zero sentinel N somewhere."""
+    used = {i for c, idx in terms if c != N for i in idx}
+    return {i for i in used if xs[i].size and int(xs[i].max()) >= N}
+
+
 # ---------------------------------------------------------------------------
 # integer number theory
 # ---------------------------------------------------------------------------
@@ -895,10 +909,10 @@ class Field:
         """
         self._need_tables()
         N, Z = self.N, self._Z
-        xs = np.broadcast_arrays(*(np.asarray(x, dtype=EXP) for x in bases))
+        xs = _exp_arrays(bases)
         if out is None:
             out = np.empty(xs[0].shape if xs else (), dtype=EXP)
-        has_zero = [x.size > 0 and int(x.max()) >= N for x in xs]
+        has_zero = _sentinel_bases(xs, terms, N)
         t, d, z = (np.empty(out.shape, dtype=EXP) for _ in range(3))
         cancel = np.empty(out.shape, dtype=bool)
         first = True
@@ -908,7 +922,7 @@ class Field:
             te = self._term_exp(c, [xs[i] for i in idx], t, d)
             zero = None  # where a factor of the term is the zero element
             for i in idx:
-                if has_zero[i]:
+                if i in has_zero:
                     zero = (xs[i] == N) if zero is None else zero | (xs[i] == N)
             if first:
                 np.copyto(out, te)
@@ -923,7 +937,7 @@ class Field:
             np.add(d, N, out=z)
             np.minimum(d, z, out=d)
             # acc <- t + Z[d] (mod N), zero where the two summands cancel
-            np.take(Z, d, out=z, mode="clip")
+            Z.take(d, out=z, mode="clip")
             np.equal(z, N, out=cancel)
             np.add(z, te, out=out)
             np.subtract(out, N, out=d)
@@ -1041,9 +1055,9 @@ class Field:
         """
         trace, add = self._trace_tables()
         N, q = self.N, self.q
-        xs = np.broadcast_arrays(*(np.asarray(x, dtype=EXP) for x in bases))
+        xs = _exp_arrays(bases)
         shape = xs[0].shape if xs else ()
-        has_zero = [x.size > 0 and int(x.max()) >= N for x in xs]
+        has_zero = _sentinel_bases(xs, terms, N)
         const = 0
         for c, idx in terms:
             if not idx:
@@ -1055,13 +1069,13 @@ class Field:
             if c == N or not idx:
                 continue
             te = self._term_exp(c, [xs[i] for i in idx], t, d)
-            zero = [xs[i] == N for i in idx if has_zero[i]]
+            zero = [xs[i] == N for i in idx if i in has_zero]
             if zero:
                 te = np.where(np.logical_or.reduce(zero), N, te)
-            np.take(trace, te, out=tr, mode="clip")
+            trace.take(te, out=tr, mode="clip")
             np.multiply(acc, q, out=pair)
             np.add(pair, tr, out=pair)
-            np.take(add, pair, out=acc, mode="clip")
+            add.take(pair, out=acc, mode="clip")
         return acc
 
     def v_add(self, u, v):

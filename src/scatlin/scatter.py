@@ -16,27 +16,40 @@ Both deciders short-circuit on the first violation in enumeration order
 every violation, which the reproduction suite uses to match the known
 closed-form witnesses.
 
-On Zech-mode contexts both scans walk their range slice by slice on the
-uint32 conjugate exponents e q^v mod N that Field.conjugate_slices yields.
-The oracle sums a_j x^(q^j) over the coset representatives with one call of
-the fused kernel Field.v_lincomb per slice, then divides by x.
+On Zech-mode contexts both scans walk the R = (q^6-1)/(q-1) coset
+representatives g^r, slice by slice, on the uint32 conjugate exponents
+r q^v mod N that Field.conjugate_slices yields.  The oracle sums a_j x^(q^j)
+over them with one call of the fused kernel Field.v_lincomb per slice, then
+divides by x.
 
 The criterion expands det M(m) in the six conjugates m^(q^v): the coefficient
 c_S of prod(m^(q^v) for v in S) is a principal minor of M(0), and
 c_{S+1} = c_S^q (indices mod 6), so each Frobenius orbit of keys S sums to
-one trace Tr_{q^6/q}(w m^(e_S)) with e_S = sum(q^v for v in S).  The
-determinant is then at most 14 values in F_q per m, each one gather from the
-field's trace table, summed through a q x q addition table
-(Field.v_trace_lincomb); no Zech gather is needed.  The truncated
-determinant has no such symmetry; it stays a v_lincomb and is evaluated only
-at the roots of the full one, about 1/(q - 1) of the field.  m = 0 is decided
-by the constant terms alone.  Results do not depend on the slice size.
+one trace Tr_{q^6/q}(w m^(e_S)) with e_S = sum(q^v for v in S).  For lambda
+in F_q^*, (lambda m)^(q^v) = lambda m^(q^v), so an orbit trace with |S| = k
+scales by lambda^k:
+
+    det M(lambda m) = c_0 + sum(lambda^k T_k(m) for k in 1..6),  T_k(m) in F_q.
+
+Each T_k(g^r) is one Field.v_trace_lincomb over the orbit terms of size k:
+one gather from the field's trace table and one from a q x q addition table
+per term, no Zech gather.  Two (q - 1) x q^3 tables of F_q indices, one for
+k = 1..3 and one for c_0 and k = 4..6, then give the roots lambda = g^(R i)
+of that polynomial with one equality test per i.  The truncated determinant
+has no such symmetry; it stays a v_lincomb and is evaluated only at the
+roots g^(r + R i) of the full one, about 1/(q - 1) of the field, whose
+conjugate exponents are r q^v + R i mod N.  Within a slice the roots are
+taken i-major, which is enumeration order; the witnesses of several slices
+are merged by exponent, and once a witness is known a short-circuiting scan
+tests only smaller i in later slices.  m = 0 is decided by the constant
+terms alone.  Results do not depend on the slice size.
 
 Both deciders refuse fields above DEFAULT_SCAN_LIMIT elements with TooLarge.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -309,6 +322,42 @@ def _orbit_terms(f: QPoly):
     return terms
 
 
+@functools.lru_cache(maxsize=None)
+def _fq_root_tables(ctx: Field, const: int):
+    """(low, high): uint8 arrays of shape (q - 1, q^3) that find the roots
+    lambda in F_q^* of c0 + sum(lambda^k t_k for k in 1..6), a polynomial
+    over F_q in F_q indices, where c0 = Tr_{q^6/q}(g^const) (const = N for
+    zero).
+
+    For lambda = g^(R i) and indices (a, b, c) at flat position
+    (a q + b) q + c, low[i] holds the index of lambda a + lambda^2 b +
+    lambda^3 c and high[i] that of -(c0 + lambda^4 a + lambda^5 b +
+    lambda^6 c), so lambda is a root iff
+    low[i][(t_1 q + t_2) q + t_3] == high[i][(t_4 q + t_5) q + t_6].
+    Kept per (field, const), at most q pairs per field, and read-only.
+    """
+    q = ctx.q
+    trace, add = ctx._trace_tables()
+    c0 = int(trace[const])
+    add = add.reshape(q, q)
+    a = np.arange(q)
+    i = np.arange(q - 1)[:, None]
+
+    def times(j):  # index of a times g^(R j)
+        return np.where(a == 0, 0, 1 + (a - 1 + j) % (q - 1))
+
+    def sum3(k):  # index of lambda^k a + lambda^(k+1) b + lambda^(k+2) c
+        s = [times(i * (k + j)) for j in range(3)]
+        ab = add[s[0][:, :, None], s[1][:, None, :]]
+        return add[ab[:, :, :, None], s[2][:, None, None, :]].reshape(q - 1, -1)
+
+    minus = ctx.fq_index(-ctx.one()) - 1
+    tables = sum3(1).astype(np.uint8), times(minus)[add[c0, sum3(4)]].astype(np.uint8)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def is_scattered_dickson(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
     """Scan all m in F_{q^6} for a common root of the two determinants."""
     ctx = f.ctx
@@ -316,18 +365,56 @@ def is_scattered_dickson(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
     witnesses: list[FieldElem] = []
 
     if ctx.mode == "zech":
+        N, q = ctx.N, ctx.q
+        R = N // (q - 1)
         terms6 = _orbit_terms(f)
         terms5 = _expansion_terms(f, 1)
+        used5 = sorted({v for _, key in terms5 for v in key})
         # at m = 0 only the constant terms (empty key) survive
         if not any(key == () for terms in (terms6, terms5) for _, key in terms):
             witnesses.append(ctx.zero())
-        for lo, bases in ctx.conjugate_slices(ctx.N):
-            if witnesses and not exhaustive:
+        # det M(g^(r + R i)) = c0 + sum(lambda^k T_k(g^r)) with lambda = g^(R i);
+        # c0 is the trace of the one constant orbit term
+        by_size = [[t for t in terms6 if len(t[1]) == k] for k in range(TOWER + 1)]
+        low, high = _fq_root_tables(ctx, by_size[0][0][0] if by_size[0] else N)
+        shift = R * np.arange(q - 1, dtype=EXP)  # exponent of lambda, row i
+        rows = 0 if witnesses and not exhaustive else q - 1
+        found = []  # witness exponents, ascending within each slice
+        for lo, bases in ctx.conjugate_slices(R):
+            if not rows:
                 break
-            cand = np.flatnonzero(ctx.v_trace_lincomb(terms6, bases) == 0)
-            if cand.size:
-                roots = ctx.v_lincomb(terms5, [b[cand] for b in bases]) == ctx.N
-                witnesses.extend(ctx.from_exp(lo + int(k)) for k in cand[roots].tolist())
+            # T_k(g^r) as F_q indices, three to a key; a degree without
+            # terms adds nothing
+            key_low, key_high = np.zeros((2, bases[0].size), dtype=np.uint16)
+            for k in range(1, TOWER + 1):
+                key = key_low if k <= 3 else key_high
+                key *= q
+                if by_size[k]:
+                    key += ctx.v_trace_lincomb(by_size[k], bases)
+            # candidates (i, r), i-major: the roots of det M among the g^(r + R i)
+            hit = np.flatnonzero(low[:rows].take(key_low, axis=1) ==
+                                 high[:rows].take(key_high, axis=1))
+            if not hit.size:
+                continue
+            i = hit // key_low.size
+            r = hit - key_low.size * i
+            # (r + R i) q^v = r q^v + R i (mod N), for the conjugates that the
+            # truncated terms read; the other slots keep a placeholder
+            conj = [shift[i]] * TOWER
+            for v in used5:
+                c = bases[v][r]
+                c += conj[v]
+                conj[v] = np.minimum(c, c - N)
+            roots = ctx.v_lincomb(terms5, conj) == N
+            if np.any(roots):
+                i, r = i[roots], r[roots]
+                if not exhaustive:  # a later slice can only win with a smaller i
+                    i, r, rows = i[:1], r[:1], int(i[0])
+                    found.clear()
+                found.append(lo + r + R * i)
+        if found:
+            e = np.sort(np.concatenate(found))
+            witnesses.extend(ctx.from_exp(k) for k in e.tolist())
     else:
         for m in ctx.elements():
             d6, d5 = dickson_dets_at(f, m)

@@ -3,7 +3,6 @@ csajbok_mz systems."""
 
 import json
 import random
-import signal
 
 import numpy as np
 import pytest
@@ -92,49 +91,31 @@ def test_budget_and_resume(f3):
     assert second.searched == f3.deg * f3.order**2
 
 
-def test_chunk_determinism(f3):
-    """The chunk size sets the block layout (many rows, one row, a row and a
-    part, a slice of one row) but not the witness, searched or a budget
-    checkpoint, nor what a resumed run finds.  Two resumes start mid-row
-    past the first witness (flat 1094): one just after it, one late in the
-    row before the next witness's row; a block must neither rescan the flats
-    before its start nor skip the columns of its later rows."""
+def test_chunk_determinism(f3, monkeypatch):
+    """The block size equiv._BLOCK sets the block layout (many rows, one
+    row, a row and a part, a slice of one row) but not the witness,
+    searched or a budget checkpoint, nor what a resumed run finds.  Two
+    resumes start mid-row past the first witness (flat 1094): one just after
+    it, one late in the row before the next witness's row; a block must
+    neither rescan the flats before its start nor skip the columns of its
+    later rows."""
     h = trinomial_hs(f3)[0]
     fh = family_poly(f3, "new_fh", h)
     tri = family_poly(f3, "trinomial", h)
     runs = []
-    for chunk in (1 << 18, 729, 1000, 37):
-        whole = gl_equivalent(fh, tri, chunk=chunk)
-        part = gl_equivalent(fh, tri, budget=1000, chunk=chunk)
+    for block in (1 << 18, 729, 1000, 37):
+        monkeypatch.setattr(equiv, "_BLOCK", block)
+        whole = gl_equivalent(fh, tri)
+        part = gl_equivalent(fh, tri, budget=1000)
         assert part.status == "budget_exceeded" and part.checkpoint["tried"] == 1000
-        rest = gl_equivalent(fh, tri, resume=part.checkpoint, chunk=chunk)
+        rest = gl_equivalent(fh, tri, resume=part.checkpoint)
         assert rest.to_json() == whole.to_json()
-        later = [gl_equivalent(fh, tri, chunk=chunk,
-                               resume=dict(part.checkpoint, flat=flat, tried=flat))
+        later = [gl_equivalent(fh, tri, resume=dict(part.checkpoint, flat=flat, tried=flat))
                  for flat in (whole.searched, 91 * 729 + 700)]
         assert later[0].to_json() == later[1].to_json()
         runs.append((whole.to_json(), part.to_json(), later[0].to_json()))
     assert all(r == runs[0] for r in runs)
     assert runs[0][0]["searched"] == 1095 and runs[0][2]["searched"] == 92 * 729 + 457
-
-
-def test_chunk_below_one_raises(f3):
-    """A chunk below 1 never advanced the scan; it is rejected before any
-    work.  The alarm turns a hang into a failure."""
-    f = family_poly(f3, "pseudoregulus")
-
-    def hung(*_):
-        raise TimeoutError("gl_equivalent did not return")
-
-    old = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(10)
-    try:
-        for chunk in (0, -5):
-            with pytest.raises(InvalidParameter):
-                gl_equivalent(f, f, chunk=chunk)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def test_checkpoint_bound_to_inputs(f3, f5):

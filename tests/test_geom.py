@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from scatlin import geom
 from scatlin.errors import PreconditionFailed, ZeroParameter
 from scatlin.family import enumerate_h
 from scatlin.geom import (ProjSubspace, _sigma_points, disjoint_from_sigma,
@@ -39,6 +40,19 @@ def test_gamma_disjoint_from_sigma_full_enumeration(f3):
         G = gamma_of(h)
         assert disjoint_from_sigma(G, full=True, use_certificate=False)
         assert disjoint_from_sigma(G)  # certificate path agrees
+
+
+def test_gamma_meeting_sigma_raises(f3, monkeypatch):
+    """A vertex basis that meets Sigma fails the hyperplane certificate, and
+    the fallback prefix finds the point <(1, ..., 1)> of Sigma on it."""
+    one, zero = f3.one(), f3.zero()
+    rows = [[one] * 6] + [[one if j == i else zero for j in range(6)] for i in (1, 2, 3)]
+    meets = ProjSubspace.from_basis(f3, rows)
+    assert meets.pdim == 3 and meets.contains_point([one] * 6)
+    monkeypatch.setattr(geom.ProjSubspace, "from_constraints",
+                        classmethod(lambda cls, ctx, constraints: meets))
+    with pytest.raises(PreconditionFailed):
+        gamma_of(enumerate_h(f3)[0])
 
 
 def test_sigma_hat_fixes_subgeometry(f3):

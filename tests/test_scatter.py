@@ -25,6 +25,11 @@ def rand_poly(F, rng):
     return QPoly(F, [F.elem_at(rng.randrange(F.order + 1)) for _ in range(6)])
 
 
+def sparse_poly(F, rng):
+    return QPoly(F, [F.elem_at(rng.randrange(F.order)) if rng.random() < 0.5
+                     else F.zero() for _ in range(6)])
+
+
 def test_pseudoregulus_spectrum(f3):
     f = family_poly(f3, "pseudoregulus")
     sp = weight_spectrum(f)
@@ -233,8 +238,7 @@ def test_expansion_matches_leibniz_reference(q):
     polys = [family_poly(F, "new_fh", h) for h in hs]
     polys += [family_poly(F, "case1"), family_poly(F, "pseudoregulus")]
     polys += [rand_poly(F, rng) for _ in range(15)]
-    polys += [QPoly(F, [F.elem_at(rng.randrange(F.order)) if rng.random() < 0.5
-                        else F.zero() for _ in range(6)]) for _ in range(15)]
+    polys += [sparse_poly(F, rng) for _ in range(15)]
     for f in polys:
         for drop in (0, 1):
             assert sorted(scatter._expansion_terms(f, drop)) == \
@@ -269,8 +273,7 @@ def test_dickson_witnesses_match_oracle_p2_and_s2(field, request, with_chunk):
     rng = random.Random(F.order)
     polys = [family_poly(F, "case1"),
              family_poly(F, "new_fh", rng.choice(enumerate_h(F)))]
-    polys += [QPoly(F, [F.elem_at(rng.randrange(F.order)) if rng.random() < 0.5
-                        else F.zero() for _ in range(6)]) for _ in range(3)]
+    polys += [sparse_poly(F, rng) for _ in range(3)]
     for f in polys:
         vo = is_scattered_oracle(f, exhaustive=True)
         points = sorted(F.enum_index(w) for w in vo.witnesses)
@@ -347,3 +350,49 @@ def test_bucket_keys_give_point_weights(mode):
     assert len({m for m, _ in sample}) == 31
     assert {w for _, w in sample} == {0, 1, 3}
     assert all(w == point_weight(f, m) for m, w in sample)
+
+
+def whole_field_dickson_reference(f, exhaustive):
+    """Dickson witnesses as the criterion found them before the coset scan,
+    kept here as an independent reference: det M(m) as orbit traces over
+    every exponent e < N, slice by slice, then the truncated determinant at
+    its roots; m = 0 from the constant terms."""
+    F = f.ctx
+    terms6 = scatter._orbit_terms(f)
+    terms5 = scatter._expansion_terms(f, 1)
+    witnesses = []
+    if not any(key == () for terms in (terms6, terms5) for _, key in terms):
+        witnesses.append(F.zero())
+    for lo, bases in F.conjugate_slices(F.N):
+        if witnesses and not exhaustive:
+            break
+        cand = np.flatnonzero(F.v_trace_lincomb(terms6, bases) == 0)
+        if cand.size:
+            roots = F.v_lincomb(terms5, [b[cand] for b in bases]) == F.N
+            witnesses.extend(F.from_exp(lo + int(k)) for k in cand[roots].tolist())
+    return witnesses if exhaustive else witnesses[:1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_coset_scan_matches_whole_field_reference(q, with_chunk):
+    """The scan over the coset representatives finds the same exhaustive
+    witnesses and the same first witness as the whole-field scan: case1, a
+    seeded new_fh, the pseudoregulus and seeded sparse random polynomials
+    (most of them not scattered), under the default slice size and under
+    one that splits the representatives into several slices."""
+    p = {4: 2, 9: 3}.get(q, q)
+    F = make_field(p, 1 if p == q else 2)
+    rng = random.Random(200 + q)
+    polys = [family_poly(F, "case1"), family_poly(F, "pseudoregulus"),
+             family_poly(F, "new_fh", rng.choice(enumerate_h(F)))]
+    polys += [sparse_poly(F, rng) for _ in range(30 if q < 7 else 4)]
+    chunks = [None, 1 << 5] if q == 2 else [None, 1 << 7]
+    refs = [(whole_field_dickson_reference(f, True),
+             whole_field_dickson_reference(f, False)) for f in polys]
+    assert sum(bool(full) for full, _ in refs) > len(polys) // 2
+    for chunk in chunks:
+        with_chunk(F, chunk)
+        for f, (full, first) in zip(polys, refs):
+            assert is_scattered_dickson(f, exhaustive=True).witnesses == full, f
+            v = is_scattered_dickson(f)
+            assert ([] if v.witness is None else [v.witness]) == first, f
