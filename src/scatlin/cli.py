@@ -5,8 +5,10 @@ with `--table`) carrying the command echo, the field summary with its modulus
 fingerprint, the result payload, and its timings under one "timing" key
 (field_s for make_field, elapsed_s for the rest).  Exit codes: 0 success, 1 a
 reproduction/math mismatch or another library error (a ClassificationGap from
-`lemmas` included), 2 usage errors, 3 an internal-invariant failure (a bug,
-never a property of the input).
+`lemmas` and TooLarge for a field above 2^24 elements included), 2 usage
+errors (an unknown flag, or a malformed field, element, polynomial or
+checkpoint file), 3 an internal-invariant failure (a bug, never a property
+of the input).
 """
 
 from __future__ import annotations
@@ -48,7 +50,10 @@ def parse_poly_spec(ctx: Field, text: str) -> QPoly:
     if text.startswith("adjoint(") and text.endswith(")"):
         return parse_poly_spec(ctx, text[8:-1]).adjoint()
     if text.startswith("{") or text.startswith("["):
-        return QPoly.from_json(ctx, json.loads(text))
+        try:
+            return QPoly.from_json(ctx, json.loads(text))
+        except ValueError as exc:  # malformed JSON or element literal
+            raise UsageError("bad polynomial %r: %s" % (text, exc)) from exc
     name, _, arg = text.partition(":")
     name = _FAMILY_ALIASES.get(name.lower())
     if name is None:
@@ -58,13 +63,24 @@ def parse_poly_spec(ctx: Field, text: str) -> QPoly:
         key, _, val = arg.partition("=")
         if key not in ("h", "delta"):
             raise UsageError("family parameter must be h=... or delta=...")
-        param = ctx.element(val)
+        param = _element(ctx, val)
     return family_poly(ctx, name, param)
+
+
+def _element(ctx: Field, text: str):
+    """ctx.element(text); a malformed literal is a usage error."""
+    try:
+        return ctx.element(text)
+    except ValueError as exc:
+        raise UsageError("bad element %r: %s" % (text, exc)) from exc
 
 
 def _field_from_args(args) -> tuple[Field, float]:
     """The --field context and the seconds its make_field call took."""
-    p, s = parse_field_spec(args.field)
+    try:
+        p, s = parse_field_spec(args.field)
+    except ValueError as exc:
+        raise UsageError("bad --field %r: %s" % (args.field, exc)) from exc
     t0 = time.perf_counter()
     ctx = make_field(p, s)
     return ctx, time.perf_counter() - t0
@@ -163,7 +179,7 @@ def _cmd_enumerate_h(args) -> tuple[int, dict]:
 def _cmd_intn(args) -> tuple[int, dict]:
     ctx, field_s = _field_from_args(args)
     t0 = time.perf_counter()
-    h = ctx.element(args.h)
+    h = _element(ctx, args.h)
     G = gamma_of(h)
     r, dims = intn(G, args.power)
     payload = {"h": ctx.format(h), "power": args.power,
@@ -180,8 +196,13 @@ def _cmd_equiv(args) -> tuple[int, dict]:
                          "gl search, not to --pgl or --trinomial-search")
     resume = None
     if args.resume:
-        with open(args.resume) as fh:
-            resume = json.load(fh)
+        try:
+            with open(args.resume) as fh:
+                resume = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON
+            raise UsageError("--resume %s: %s" % (args.resume, exc)) from exc
+        if not isinstance(resume, dict):
+            raise UsageError("--resume %s: not a checkpoint object" % args.resume)
 
     if args.trinomial_search:
         payload = _trinomial_search(ctx, left, args)
@@ -269,7 +290,7 @@ def _cmd_mrd(args) -> tuple[int, dict]:
 def _cmd_lemmas(args) -> tuple[int, dict]:
     ctx, field_s = _field_from_args(args)
     t0 = time.perf_counter()
-    h = ctx.element(args.h)
+    h = _element(ctx, args.h)
     payload: dict = {"h": ctx.format(h)}
     if args.which in ("lemma1", "all"):
         payload["lemma1"] = lemma1_checks(h)

@@ -24,6 +24,10 @@ the full order: the answer does not depend on the reduction or the chunks.
 Slot t of the left side is g_t a^(q^t) plus a q-polynomial in b, so a block
 of a rows times a b range is tested by comparing terms in the row bases
 a^(q^t) with terms in the column bases b^(q^k), broadcast.
+
+The triple scan, the U^4 system scan and the pointwise half of
+verify_witness all run on exponent arrays through the field's Zech-table
+kernels (Field.v_lincomb); make_field builds no field too large for them.
 """
 
 from __future__ import annotations
@@ -111,21 +115,11 @@ def verify_witness(f: QPoly, g: QPoly, w: EquivWitness, sample: int = 512) -> bo
 def _maps_graph(f: QPoly, g: QPoly, w: EquivWitness, sample: int) -> bool:
     """The pointwise route of verify_witness: (u, v) = w(x, f(x)) satisfies
     g(u) = v for every x (fields up to _FULL_VERIFY_LIMIT) or for a sample
-    drawn with _VERIFY_SEED.  Zech contexts evaluate all points at once on
-    exponent arrays; poly contexts loop over the elements."""
+    drawn with _VERIFY_SEED, all points at once on exponent arrays."""
     ctx = f.ctx
     rng = random.Random(_VERIFY_SEED)
-    full = ctx.order <= _FULL_VERIFY_LIMIT
-    if ctx.mode == "poly":
-        xs = ctx.elements() if full else \
-            (ctx.elem_at(rng.randrange(ctx.order)) for _ in range(sample))
-        for x in xs:
-            u, v = apply_witness(w, x, f(x))
-            if g(u) != v:
-                return False
-        return True
     # enumeration index k is the exponent k - 1, and index 0 (zero) is N
-    k = np.arange(ctx.order) if full else \
+    k = np.arange(ctx.order) if ctx.order <= _FULL_VERIFY_LIMIT else \
         np.array([rng.randrange(ctx.order) for _ in range(sample)], dtype=np.int64)
     x = (k - 1) % ctx.order
     xr = ctx.v_p_power(x, w.rho)
@@ -229,7 +223,6 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
         raise DegenerateInput("polynomials over different contexts")
     if f.is_zero() or g.is_zero():
         raise DegenerateInput("zero map has no rank-6 graph")
-    ctx._need_tables()
     E = ctx.order
     R = ctx.N // (ctx.q - 1)
     reps_end = E * (R + 1)  # no orbit representative lies at or past this flat
@@ -361,7 +354,6 @@ def check_system_L4(h: FieldElem, delta: FieldElem, variant: str) -> dict:
         raise HypothesisViolated("need delta^2 + delta = 1")
     if ctx.norm(h, 3) != -one:
         raise HypothesisViolated("need h^(q^3+1) = -1")
-    ctx._need_tables()
     N = ctx.N
 
     for rho in range(ctx.deg):

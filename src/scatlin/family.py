@@ -22,7 +22,7 @@ Families (parameter conditions enforced at build time):
 
 The auxiliary-lemma checks evaluate each T-polynomial of LEMMA_POLYS at every
 t in F_{q^6}: a t power's base-q digits pick its factors among t, t^q and
-t^(q^2), which Field.conjugate_slices yields slice by slice (Zech mode only).
+t^(q^2), which Field.conjugate_slices yields slice by slice.
 """
 
 from __future__ import annotations
@@ -289,8 +289,7 @@ def lemma_roots(h: FieldElem, which: str) -> list[tuple[FieldElem, str]]:
     other root of either lemma, so one would mean an implementation bug.
     t = 0 is decided by the constant term alone; every t = g^e is evaluated
     as one v_lincomb per slice of the conjugate exponents
-    (Field.conjugate_slices), so the roots come in enumeration order (Zech
-    mode only).
+    (Field.conjugate_slices), so the roots come in enumeration order.
     """
     ctx = h.ctx
     if which == "lemma2":
@@ -299,7 +298,6 @@ def lemma_roots(h: FieldElem, which: str) -> list[tuple[FieldElem, str]]:
         _require_h(ctx, h, "eq1")
     else:
         raise HypothesisViolated("which must be 'lemma2' or 'lemma3'")
-    ctx._need_tables()
     N = ctx.N
     terms = _lemma_terms(h, which)
     roots = [] if any(c != N for c, idx in terms if not idx) else [ctx.zero()]

@@ -1,38 +1,35 @@
 """Exact arithmetic in F_{p^(6s)} = F_{q^6}, q = p^s, with its subfield tower.
 
 A Field carries a monic irreducible modulus of degree 6s over F_p, a verified
-primitive element g, and one of two arithmetic backends:
+primitive element g, and Zech-logarithm tables.  Every nonzero element is
+stored as its discrete log e (so the element is g^e) and zero as the sentinel
+exponent N = q^6 - 1.  Addition uses the Zech table Z[k] = log(1 + g^k);
+multiplication is exponent addition mod N.  The power, log and Zech tables
+are uint32 numpy arrays (every stored value is at most N < 2^24), and Z
+carries one padding entry Z[N] = 0 = log(1 + 0), so the sentinel is a valid
+index.  make_field refuses fields above DEFAULT_ZECH_LIMIT elements with
+TooLarge, before any table is built.
 
-* ``zech``  -- every nonzero element is stored as its discrete log e (so the
-  element is g^e) and zero as the sentinel exponent N = q^6 - 1.  Addition
-  uses a Zech-logarithm table Z[k] = log(1 + g^k); multiplication is exponent
-  addition mod N.  The power, log and Zech tables are uint32 numpy arrays
-  (every stored value is at most N < 2^24), and Z carries one padding entry
-  Z[N] = 0 = log(1 + 0), so the sentinel is a valid index.  The tables also
-  power the vectorised exponent kernels (v_lincomb and its thin wrappers
-  v_add, v_mul, ...) used by the exhaustive scans.  v_trace_lincomb sums
-  traces Tr_{q^6/q} instead; its uint8 trace table is built from the Zech
-  tables on first use, not with the field.  The power table comes from
-  doubling the g-orbit on carry-free packed words: each F_p digit gets its
-  own B-bit field (2^(B-1) >= p), so multiplying a block of powers by g^m is
-  a sum of gathers from per-chunk tables of that F_p-linear map, reduced mod
-  p digit by digit with two bit operations after every add.  Every
-  whole-field scan (the scatteredness deciders, the trace table, the lemma
-  roots, the L4 system) takes its exponent ranges from
-  Field.conjugate_slices: the conjugates e q^v mod N, slice by slice.  The
-  table build and the scans share one slice size, _CHUNK, so no pass
-  allocates N-element temporaries beyond the tables themselves.
-* ``poly``  -- elements are stored as base-p packed coefficient vectors and
-  multiplied by schoolbook convolution plus reduction.  This backend has no
-  table-size limit and exists for fields above the Zech threshold; scans are
-  not attempted there.
+The tables also power the vectorised exponent kernels (v_lincomb and its thin
+wrappers v_add, v_mul, ...) used by the exhaustive scans.  v_trace_lincomb
+sums traces Tr_{q^6/q} instead; its uint8 trace table is built from the Zech
+tables on first use, not with the field.  The power table comes from doubling
+the g-orbit on carry-free packed words: each F_p digit gets its own B-bit
+field (2^(B-1) >= p), so multiplying a block of powers by g^m is a sum of
+gathers from per-chunk tables of that F_p-linear map, reduced mod p digit by
+digit with two bit operations after every add.  Every whole-field scan (the
+scatteredness deciders, the trace table, the lemma roots, the L4 system)
+takes its exponent ranges from Field.conjugate_slices: the conjugates
+e q^v mod N, slice by slice.  The table build and the scans share one slice
+size, _CHUNK, so no pass allocates N-element temporaries beyond the tables
+themselves.
 
 Determinism: the modulus is the first irreducible in ascending packed
 coefficient order (constant term is the least significant base-p digit), the
 generator is the smallest packed value of full multiplicative order, and
 enumeration always yields 0 first and then g^0, g^1, ...  Two constructions
-with the same (p, s) therefore agree bit for bit, independent of backend, and
-make_field returns one shared context per (p, s, backend).
+with the same (p, s) therefore agree bit for bit, and make_field returns one
+shared context per (p, s).
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 
 import numpy as np
 
@@ -56,10 +52,9 @@ from .errors import (
 
 TOWER = 6  # extension degree over F_q; the subfield lattice is {1, 2, 3, 6}
 
-DEFAULT_ZECH_LIMIT = 1 << 24  # largest field order for which tables are built
+DEFAULT_ZECH_LIMIT = 1 << 24  # largest field order make_field builds
 EXP = np.uint32  # dtype of exponent arrays and of the Zech tables
 _ACC_ZERO = 1 << 31  # zero inside a v_lincomb accumulator; see v_lincomb
-MAX_DEGREE = 64  # guard: 6s <= 64
 _CHUNK = 1 << 16  # elements per slice of every whole-field pass; see _spans
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -115,88 +110,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_factor(n: int, budget: int) -> tuple[int, int]:
-    """Find a nontrivial factor of composite n; returns (factor, used_iters)."""
-    if n % 2 == 0:
-        return 2, 0
-    used = 0
-    for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-            used += 1
-            if used > budget:
-                raise TooLarge("factor budget exhausted for %d" % n)
-        if d != n:
-            return d, used
-    raise TooLarge("pollard rho gave up on %d" % n)
-
-
-def factorize(n: int, budget: int = 2_000_000) -> dict[int, int]:
-    """Prime factorisation {prime: multiplicity} with an iteration budget."""
-    out: dict[int, int] = {}
-    for sp in _SMALL_PRIMES:
-        while n % sp == 0:
-            out[sp] = out.get(sp, 0) + 1
-            n //= sp
-    t = 41
-    while t * t <= n and t < 100_000:
-        while n % t == 0:
-            out[t] = out.get(t, 0) + 1
-            n //= t
-        t += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        f, used = _pollard_factor(m, budget)
-        budget -= used
-        stack.extend((f, m // f))
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    fac = factorize(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def _cyclotomic_value(d: int, p: int) -> int:
-    """Phi_d(p) as an exact integer, via the Moebius product over p^e - 1."""
-    num, den = 1, 1
-    for e in _divisors(d):
-        mu = _mobius(d // e)
-        if mu == 1:
-            num *= p**e - 1
-        elif mu == -1:
-            den *= p**e - 1
-    if num % den:
-        raise InternalInvariant("Phi_%d(%d) is not an integer (bug)" % (d, p))
-    return num // den
-
-
-def factorize_field_order(p: int, k: int, budget: int = 2_000_000) -> dict[int, int]:
-    """Factor p^k - 1 by splitting into cyclotomic values first."""
-    out: dict[int, int] = {}
-    for d in _divisors(k):
-        for prime, mult in factorize(_cyclotomic_value(d, p), budget).items():
-            out[prime] = out.get(prime, 0) + mult
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division
+    (every n factored here is at most DEFAULT_ZECH_LIMIT)."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
     return out
 
 
@@ -272,20 +197,6 @@ def _pgcd(a, b, p):
     return a
 
 
-def _pinvmod(a, mod, p):
-    """Inverse of a modulo mod via extended Euclid."""
-    r0, r1 = mod, _pmod(a, mod, p)
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-    if len(r0) != 1:
-        raise DivisionByZero("element not invertible")
-    inv_lead = pow(r0[0], p - 2, p)
-    return _ptrim([c * inv_lead % p for c in t0])
-
-
 def _is_irreducible(mod, p, k):
     """Degree-k monic mod is irreducible over F_p.
 
@@ -296,7 +207,7 @@ def _is_irreducible(mod, p, k):
     x = (0, 1)
     if _ppowmod(x, p**k, mod, p) != x:
         return False
-    for ell in factorize(k):
+    for ell in _prime_factors(k):
         xe = _ppowmod(x, p ** (k // ell), mod, p)
         if len(_pgcd(mod, _psub(xe, x, p), p)) != 1:
             return False
@@ -387,55 +298,38 @@ def _wide_map(src, tables, out, reduce=None) -> None:
 # field context
 # ---------------------------------------------------------------------------
 
-def _default_mode(p: int, deg: int) -> str:
-    """Backend for F_{p^deg} when none is asked for: Zech tables if the
-    order is at most DEFAULT_ZECH_LIMIT, else polynomial arithmetic.  deg is
-    clamped so that an out-of-range request, which Field rejects, neither
-    builds a huge power nor fails here."""
-    order = p ** min(max(deg, 0), MAX_DEGREE + 1)
-    return "zech" if order <= DEFAULT_ZECH_LIMIT else "poly"
-
-
 class Field:
     """Immutable context for F_{p^(6s)}; construct through make_field()."""
 
-    def __init__(self, p: int, s: int, mode: str | None = None):
+    def __init__(self, p: int, s: int):
         if not is_prime(p):
             raise NotPrime("p = %d is not prime" % p)
-        if s < 1 or TOWER * s > MAX_DEGREE:
-            raise TooLarge("need 1 <= 6s <= %d, got 6s = %d" % (MAX_DEGREE, TOWER * s))
+        # 2^(6s) already exceeds the limit once 6s reaches its bit length,
+        # so p^(6s) is only formed when it can fit
+        if (s < 1 or TOWER * s >= DEFAULT_ZECH_LIMIT.bit_length()
+                or p ** (TOWER * s) > DEFAULT_ZECH_LIMIT):
+            raise TooLarge("need s >= 1 and p^(6s) <= %d, got p = %d, s = %d"
+                           % (DEFAULT_ZECH_LIMIT, p, s))
         self.p = p
         self.s = s
         self.q = p**s
         self.deg = TOWER * s
         self.order = p**self.deg
         self.N = self.order - 1
-        if mode is None:
-            mode = _default_mode(p, self.deg)
-        if mode not in ("zech", "poly"):
-            raise ValueError("mode must be 'zech' or 'poly'")
-        if mode == "zech" and self.order > DEFAULT_ZECH_LIMIT:
-            raise TooLarge("order %d exceeds Zech table limit %d" %
-                           (self.order, DEFAULT_ZECH_LIMIT))
-        self.mode = mode
 
-        self.order_factors = factorize_field_order(p, self.deg)
         self.modulus = self._find_modulus()
         self.gen_coeffs = self._find_generator()
-        self.gen_packed = _pack_digits(self.gen_coeffs + (0,) * self.deg, p)
 
         # q^i mod N (Frobenius on exponents) and p^e mod N (automorphisms)
         self._qpow = [pow(self.q, i, self.N) for i in range(TOWER)]
         self._ppow = [pow(self.p, e, self.N) for e in range(self.deg)]
         self._half = self.N // 2 if p != 2 else 0  # g^half = -1 for odd p
 
-        self._frob_mats: dict[int, np.ndarray] = {}
         self._fq_tables = None  # (trace, add), see _trace_tables
         self._frob_exps = None  # see frob_exps
-        if mode == "zech":
-            self._build_tables()
-        self._zero = FieldElem(self, self.N if mode == "zech" else 0)
-        self._one = FieldElem(self, 0 if mode == "zech" else 1)
+        self._build_tables()
+        self._zero = FieldElem(self, self.N)
+        self._one = FieldElem(self, 0)
 
     # -- construction helpers ------------------------------------------------
 
@@ -451,7 +345,7 @@ class Field:
 
     def _find_generator(self) -> tuple[int, ...]:
         p, k, N = self.p, self.deg, self.N
-        checks = [N // ell for ell in self.order_factors]
+        checks = [N // ell for ell in _prime_factors(N)]
         for v in range(2, self.order):
             cand = _ptrim(_digits(v, p, k))
             if all(_ppowmod(cand, c, self.modulus, p) != (1,) for c in checks):
@@ -520,7 +414,7 @@ class Field:
         self._check_tables()
 
     def _check_tables(self) -> None:
-        """Sanity checks of the Zech-mode tables; raise InternalInvariant.
+        """Sanity checks of the tables; raise InternalInvariant.
 
         g^(N/2) = -1 for odd p, log and power tables are inverse bijections,
         and every stored value is at most N (so the 32-bit storage is exact).
@@ -541,11 +435,10 @@ class Field:
     # -- identity / representation -------------------------------------------
 
     def __repr__(self):
-        return "Field(p=%d, s=%d, q=%d, order=%d, mode=%s)" % (
-            self.p, self.s, self.q, self.order, self.mode)
+        return "Field(p=%d, s=%d, q=%d, order=%d)" % (self.p, self.s, self.q, self.order)
 
     def __hash__(self):
-        return hash((self.p, self.s, self.mode))
+        return hash((self.p, self.s))
 
     def summary(self) -> dict:
         info = {
@@ -553,7 +446,7 @@ class Field:
             "s": self.s,
             "q": self.q,
             "order": self.order,
-            "mode": self.mode,
+            "mode": "zech",  # kept, so fingerprints and reports stay unchanged
             "modulus": list(self.modulus),
             "generator": list(self.gen_coeffs),
         }
@@ -573,21 +466,13 @@ class Field:
         return self.from_exp(1)
 
     def from_exp(self, e: int) -> "FieldElem":
-        """g^e; in poly mode computed by square-and-multiply."""
-        e %= self.N
-        if self.mode == "zech":
-            return FieldElem(self, e)
-        coeffs = _ppowmod(self.gen_coeffs, e, self.modulus, self.p)
-        return FieldElem(self, _pack_digits(coeffs + (0,) * self.deg, self.p))
+        """g^e."""
+        return FieldElem(self, e % self.N)
 
     def from_packed(self, v: int) -> "FieldElem":
         if not 0 <= v < self.order:
             raise ValueError("packed value out of range")
-        if self.mode == "poly":
-            return FieldElem(self, v)
-        if v == 0:
-            return self._zero
-        return FieldElem(self, int(self._log[v]))
+        return FieldElem(self, int(self._log[v]))  # log[0] = N, the zero
 
     def from_int(self, n: int) -> "FieldElem":
         """Image of the integer n in the prime subfield."""
@@ -617,30 +502,20 @@ class Field:
         return self.from_int(int(text))
 
     def packed(self, x: "FieldElem") -> int:
-        if self.mode == "poly":
-            return x.val
         return 0 if x.val == self.N else int(self._pow_packed[x.val])
 
     def format(self, x: "FieldElem") -> str:
         if x.is_zero():
             return "0"
-        if self.mode == "zech":
-            return "g^%d" % x.val
-        return "poly:" + ",".join(str(c) for c in _digits(x.val, self.p, self.deg))
+        return "g^%d" % x.val
 
     # -- enumeration -----------------------------------------------------------
 
     def elements(self):
         """All q^6 elements: 0 first, then g^0, g^1, ... (documented order)."""
         yield self._zero
-        if self.mode == "zech":
-            for e in range(self.N):
-                yield FieldElem(self, e)
-        else:
-            cur = self._one
-            for _ in range(self.N):
-                yield cur
-                cur = cur * self.gen()
+        for e in range(self.N):
+            yield FieldElem(self, e)
 
     def subfield_elements(self, m: int):
         """All q^m elements of F_{q^m}: 0 first, then powers of g^((q^6-1)/(q^m-1))."""
@@ -654,9 +529,7 @@ class Field:
         """Position of x in the enumeration order (0 for zero, e+1 for g^e)."""
         if x.is_zero():
             return 0
-        if self.mode == "zech":
-            return x.val + 1
-        return int(self.discrete_log(x)) + 1
+        return x.val + 1
 
     def elem_at(self, index: int) -> "FieldElem":
         return self._zero if index == 0 else self.from_exp(index - 1)
@@ -664,11 +537,9 @@ class Field:
     def discrete_log(self, x: "FieldElem") -> int:
         if x.is_zero():
             raise DivisionByZero("log of zero")
-        if self.mode == "zech":
-            return x.val
-        raise TooLarge("discrete log unavailable in poly mode")
+        return x.val
 
-    # -- scalar arithmetic (mode dispatch) --------------------------------------
+    # -- scalar arithmetic on exponents ----------------------------------------
 
     def _check(self, x: "FieldElem"):
         if x.ctx is not self:
@@ -676,38 +547,34 @@ class Field:
 
     def add(self, x, y):
         self._check(x); self._check(y)
-        if self.mode == "zech":
-            return FieldElem(self, self._z_add(x.val, y.val))
-        return FieldElem(self, self._y_add(x.val, y.val))
+        N, u, v = self.N, x.val, y.val
+        if u == N:
+            return y
+        if v == N:
+            return x
+        z = int(self._Z[(v - u) % N])  # g^u + g^v = g^u (1 + g^(v - u))
+        return self._zero if z == N else FieldElem(self, (u + z) % N)
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
     def neg(self, x):
         self._check(x)
-        if self.p == 2:
+        if self.p == 2 or x.val == self.N:
             return x
-        if self.mode == "zech":
-            return FieldElem(self, x.val if x.val == self.N else (x.val + self._half) % self.N)
-        coeffs = [(-c) % self.p for c in _digits(x.val, self.p, self.deg)]
-        return FieldElem(self, _pack_digits(coeffs, self.p))
+        return FieldElem(self, (x.val + self._half) % self.N)
 
     def mul(self, x, y):
         self._check(x); self._check(y)
-        if self.mode == "zech":
-            if x.val == self.N or y.val == self.N:
-                return self._zero
-            return FieldElem(self, (x.val + y.val) % self.N)
-        return FieldElem(self, self._y_mul(x.val, y.val))
+        if x.val == self.N or y.val == self.N:
+            return self._zero
+        return FieldElem(self, (x.val + y.val) % self.N)
 
     def inv(self, x):
         self._check(x)
         if x.is_zero():
             raise DivisionByZero("inverse of zero")
-        if self.mode == "zech":
-            return FieldElem(self, (self.N - x.val) % self.N)
-        coeffs = _pinvmod(self._unpack(x.val), self.modulus, self.p)
-        return FieldElem(self, _pack_digits(coeffs + (0,) * self.deg, self.p))
+        return FieldElem(self, (self.N - x.val) % self.N)
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
@@ -720,79 +587,21 @@ class Field:
             if e == 0:
                 return self._one
             raise DivisionByZero("negative power of zero")
-        e %= self.N
-        if self.mode == "zech":
-            return FieldElem(self, x.val * e % self.N)
-        coeffs = _ppowmod(self._unpack(x.val), e, self.modulus, self.p)
-        return FieldElem(self, _pack_digits(coeffs + (0,) * self.deg, self.p))
+        return FieldElem(self, x.val * e % self.N)
 
     def frobenius(self, x, i: int):
         """x^(q^i), the i-th power of the tower Frobenius."""
         self._check(x)
-        i %= TOWER
-        if self.mode == "zech":
-            if x.val == self.N:
-                return x
-            return FieldElem(self, x.val * self._qpow[i] % self.N)
-        return self._poly_linear_power(x, self.s * i)
+        if x.val == self.N:
+            return x
+        return FieldElem(self, x.val * self._qpow[i % TOWER] % self.N)
 
     def p_power(self, x, e: int):
         """x^(p^e): the full automorphism group is e = 0 .. 6s-1."""
         self._check(x)
-        e %= self.deg
-        if self.mode == "zech":
-            if x.val == self.N:
-                return x
-            return FieldElem(self, x.val * self._ppow[e] % self.N)
-        return self._poly_linear_power(x, e)
-
-    def _poly_linear_power(self, x, e: int):
-        """x^(p^e) in poly mode via a cached F_p-linear matrix."""
-        e %= self.deg
-        if e == 0:
+        if x.val == self.N:
             return x
-        M = self._frob_mats.get(e)
-        if M is None:
-            cols = []
-            for j in range(self.deg):
-                img = _ppowmod((0, 1) if j == 1 else ((1,) if j == 0 else
-                                                      (0,) * j + (1,)),
-                               self.p**e, self.modulus, self.p)
-                cols.append(list(img) + [0] * (self.deg - len(img)))
-            M = np.array(cols, dtype=np.int64).T % self.p
-            self._frob_mats[e] = M
-        vec = np.array(_digits(x.val, self.p, self.deg), dtype=np.int64)
-        out = (M @ vec) % self.p
-        return FieldElem(self, _pack_digits([int(c) for c in out], self.p))
-
-    def _unpack(self, v: int):
-        return _ptrim(_digits(v, self.p, self.deg))
-
-    # zech scalar kernels ------------------------------------------------------
-
-    def _z_add(self, u: int, v: int) -> int:
-        N = self.N
-        if u == N:
-            return v
-        if v == N:
-            return u
-        z = int(self._Z[(v - u) % N])
-        if z == N:
-            return N
-        return (u + z) % N
-
-    def _y_add(self, u: int, v: int) -> int:
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.deg):
-            out += ((u % p + v % p) % p) * mult
-            u //= p
-            v //= p
-            mult *= p
-        return out
-
-    def _y_mul(self, u: int, v: int) -> int:
-        prod = _pmulmod(self._unpack(u), self._unpack(v), self.modulus, self.p)
-        return _pack_digits(prod + (0,) * self.deg, self.p)
+        return FieldElem(self, x.val * self._ppow[e % self.deg] % self.N)
 
     # -- norms, traces, subfields ----------------------------------------------
 
@@ -836,8 +645,8 @@ class Field:
                 return x / t
         raise InternalInvariant("Tr_{q^6/q^%d} vanishes identically (bug)" % m)
 
-    # F_q as indices (zech mode): k = 0 is zero and k = 1 + j is g^(R j), with
-    # R = N / (q - 1), so g^R generates F_q^*.  Every zech field has q <= 16,
+    # F_q as indices: k = 0 is zero and k = 1 + j is g^(R j), with
+    # R = N / (q - 1), so g^R generates F_q^*.  Every field has q <= 16,
     # so an index and the flat index a * q + b of a pair fit in a uint8.
 
     def fq_index(self, x) -> int:
@@ -859,7 +668,7 @@ class Field:
             return self._one
         return self.from_exp(self.N // 4)
 
-    # -- vectorised exponent kernels (zech mode only) ---------------------------
+    # -- vectorised exponent kernels ------------------------------------------
     #
     # Bulk scans work on uint32 (EXP) numpy arrays of exponents: g^e is stored
     # as e in [0, N) and zero as the sentinel N.  Every kernel is total on that
@@ -875,16 +684,9 @@ class Field:
     # All additive work goes through v_lincomb; v_add, v_sub, v_mul,
     # v_mul_const and v_neg are thin uses of it.
 
-    def _need_tables(self):
-        if self.mode != "zech":
-            raise TooLarge("vectorised scan needs Zech tables (order %d too big)" %
-                           self.order)
-
     def exp_of(self, x: "FieldElem") -> int:
         """Exponent encoding of a single element (N for zero)."""
-        if x.is_zero():
-            return self.N
-        return self.discrete_log(x)
+        return x.val
 
     def elem_of_exp(self, e: int) -> "FieldElem":
         return self._zero if e == self.N else self.from_exp(int(e))
@@ -907,7 +709,6 @@ class Field:
         with np.copyto(where=), and the final clamp turns _ACC_ZERO back
         into N.
         """
-        self._need_tables()
         N, Z = self.N, self._Z
         xs = _exp_arrays(bases)
         if out is None:
@@ -937,7 +738,7 @@ class Field:
             np.add(d, N, out=z)
             np.minimum(d, z, out=d)
             # acc <- t + Z[d] (mod N), zero where the two summands cancel
-            Z.take(d, out=z, mode="clip")
+            Z.take(d, None, z, "clip")  # clip: d > N reads Z[N]
             np.equal(z, N, out=cancel)
             np.add(z, te, out=out)
             np.subtract(out, N, out=d)
@@ -979,7 +780,6 @@ class Field:
         """
         if self._fq_tables is not None:
             return self._fq_tables
-        self._need_tables()
         N, q = self.N, self.q
         R = N // (q - 1)
         rep = np.empty(R, dtype=np.uint8)  # F_q index of Tr(g^r)
@@ -1072,10 +872,10 @@ class Field:
             zero = [xs[i] == N for i in idx if i in has_zero]
             if zero:
                 te = np.where(np.logical_or.reduce(zero), N, te)
-            trace.take(te, out=tr, mode="clip")
+            trace.take(te, None, tr, "clip")
             np.multiply(acc, q, out=pair)
             np.add(pair, tr, out=pair)
-            add.take(pair, out=acc, mode="clip")
+            add.take(pair, None, acc, "clip")
         return acc
 
     def v_add(self, u, v):
@@ -1113,7 +913,7 @@ class Field:
 
 
 class FieldElem:
-    """One element of a Field; value encoding depends on the backend."""
+    """One element of a Field: val is its exponent e for g^e, N for zero."""
 
     __slots__ = ("ctx", "val")
 
@@ -1122,7 +922,7 @@ class FieldElem:
         self.val = val
 
     def is_zero(self) -> bool:
-        return self.val == (self.ctx.N if self.ctx.mode == "zech" else 0)
+        return self.val == self.ctx.N
 
     def __bool__(self):
         return not self.is_zero()
@@ -1163,22 +963,21 @@ class FieldElem:
         return self.ctx.format(self)
 
 
-def make_field(p: int, s: int, mode: str | None = None) -> Field:
+def make_field(p: int, s: int) -> Field:
     """Build (or fetch the cached) F_{p^(6s)} context.
 
     Deterministic for fixed (p, s): same modulus, same generator, same
-    enumeration order on every run.  The cache key is normalised, so every
-    spelling of the same request (positional or keyword, mode omitted, None
-    or the backend it resolves to) returns the one shared context.
+    enumeration order on every run.  Positional and keyword spellings of the
+    same request return the one shared context.  Raises NotPrime for a
+    composite p and TooLarge when s < 1 or the field has more than
+    DEFAULT_ZECH_LIMIT elements.
     """
-    if mode is None:
-        mode = _default_mode(p, TOWER * s)
-    return _cached_field(p, s, mode)
+    return _cached_field(p, s)
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_field(p: int, s: int, mode: str) -> Field:
-    return Field(p, s, mode=mode)
+def _cached_field(p: int, s: int) -> Field:
+    return Field(p, s)
 
 
 def parse_field_spec(text: str) -> tuple[int, int]:

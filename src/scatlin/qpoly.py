@@ -57,8 +57,12 @@ class QPoly:
 
     @classmethod
     def from_json(cls, ctx: Field, data) -> "QPoly":
+        """From {"coeffs": [...]} or a bare list of element literals; any
+        other shape raises ValueError."""
         if isinstance(data, dict):
-            data = data["coeffs"]
+            data = data.get("coeffs")
+        if not isinstance(data, list):
+            raise ValueError('need a coefficient list or {"coeffs": [...]}')
         return cls(ctx, [ctx.element(c) for c in data])
 
     def to_json(self):
@@ -118,8 +122,7 @@ class QPoly:
 
     def v_evaluate(self, e):
         """f at g^e for an exponent array e (zero as the sentinel N), in the
-        exponent encoding: one v_lincomb over the conjugates x^(q^i)
-        (Zech mode only)."""
+        exponent encoding: one v_lincomb over the conjugates x^(q^i)."""
         ctx = self.ctx
         terms = [(ctx.exp_of(a), (i,)) for i, a in enumerate(self.coeffs)]
         return ctx.v_lincomb(terms, [ctx.v_frob(e, i) for i in range(TOWER)])

@@ -16,11 +16,11 @@ Both deciders short-circuit on the first violation in enumeration order
 every violation, which the reproduction suite uses to match the known
 closed-form witnesses.
 
-On Zech-mode contexts both scans walk the R = (q^6-1)/(q-1) coset
-representatives g^r, slice by slice, on the uint32 conjugate exponents
-r q^v mod N that Field.conjugate_slices yields.  The oracle sums a_j x^(q^j)
-over them with one call of the fused kernel Field.v_lincomb per slice, then
-divides by x.
+Both scans run on the field's Zech-table kernels (every field make_field
+builds has them) and walk the R = (q^6-1)/(q-1) coset representatives g^r,
+slice by slice, on the uint32 conjugate exponents r q^v mod N that
+Field.conjugate_slices yields.  The oracle sums a_j x^(q^j) over them with
+one call of the fused kernel Field.v_lincomb per slice, then divides by x.
 
 The criterion expands det M(m) in the six conjugates m^(q^v): the coefficient
 c_S of prod(m^(q^v) for v in S) is a principal minor of M(0), and
@@ -43,8 +43,6 @@ taken i-major, which is enumeration order; the witnesses of several slices
 are merged by exponent, and once a witness is known a short-circuiting scan
 tests only smaller i in later slices.  m = 0 is decided by the constant
 terms alone.  Results do not depend on the slice size.
-
-Both deciders refuse fields above DEFAULT_SCAN_LIMIT elements with TooLarge.
 """
 
 from __future__ import annotations
@@ -55,12 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInvariant, TooLarge
+from .errors import InternalInvariant
 from .gf import EXP, TOWER, Field, FieldElem
 from .qpoly import QPoly, multilinear_det_expansion
 from . import linalg
 
-DEFAULT_SCAN_LIMIT = 1 << 24  # largest field order a decider scans
 _SAMPLE_SEED = 20191005  # fixed, so a cross-check sample repeats run to run
 
 
@@ -120,12 +117,6 @@ def point_weight(f: QPoly, m) -> int:
     return f.minus_m_x(m).kernel_dim()
 
 
-def _guard(ctx: Field):
-    if ctx.order > DEFAULT_SCAN_LIMIT:
-        raise TooLarge("scan over %d elements exceeds the limit %d" %
-                       (ctx.order, DEFAULT_SCAN_LIMIT))
-
-
 # ---------------------------------------------------------------------------
 # oracle route
 # ---------------------------------------------------------------------------
@@ -133,7 +124,6 @@ def _guard(ctx: Field):
 def _coset_counts(f: QPoly):
     """(keys, cosets): every value of f(x)/x as its exponent key (N for the
     zero element), ascending, with the number of F_q*-cosets x mapping to it.
-    Zech mode only.
 
     At x = g^e, f(x) = sum_j a_j g^(e q^j) is one v_lincomb over the
     conjugates of the coset representatives e < (q^6 - 1)/(q - 1), slice by
@@ -157,36 +147,19 @@ def _coset_counts(f: QPoly):
 
 def _buckets(f: QPoly):
     """(witness elements, keys, coset counts) from one bucketing pass over
-    f(x)/x, under the scan guard.
+    f(x)/x.
 
     There is one bucket per point <(1, m)> of the graph.  Its key is m.val,
-    the element's own encoding: the exponent (N for zero) in Zech mode, the
-    packed value in poly mode.  Keys are ascending, and cosets[i] counts the
-    F_q*-cosets mapping to keys[i].  The witnesses are the m receiving at
-    least q + 1 cosets (weight >= 2), in enumeration order.
+    the element's exponent (N for zero).  Keys are ascending, and cosets[i]
+    counts the F_q*-cosets mapping to keys[i].  The witnesses are the m
+    receiving at least q + 1 cosets (weight >= 2), in enumeration order.
     """
     ctx = f.ctx
-    _guard(ctx)
-    bad_at = ctx.q + 1
-    if ctx.mode == "zech":
-        keys, cosets = _coset_counts(f)
-        bad = keys[cosets >= bad_at].tolist()
-        if bad and bad[-1] == ctx.N:  # the zero element comes first
-            bad.insert(0, bad.pop())
-        return [ctx.elem_of_exp(k) for k in bad], keys, cosets
-    # poly mode has no discrete log, so the enumeration records each
-    # element's position, indexed by packed value
-    counts: dict[int, int] = {}
-    position = np.empty(ctx.order, dtype=np.int64)
-    for idx, x in enumerate(ctx.elements()):
-        position[x.val] = idx
-        if not x.is_zero():
-            m = f(x) / x
-            counts[m.val] = counts.get(m.val, 0) + 1
-    keys = np.array(sorted(counts), dtype=np.int64)
-    cosets = np.array([counts[k] for k in keys.tolist()]) // (ctx.q - 1)
-    bad = sorted(keys[cosets >= bad_at].tolist(), key=position.__getitem__)
-    return [ctx.from_packed(v) for v in bad], keys, cosets
+    keys, cosets = _coset_counts(f)
+    bad = keys[cosets >= ctx.q + 1].tolist()
+    if bad and bad[-1] == ctx.N:  # the zero element comes first
+        bad.insert(0, bad.pop())
+    return [ctx.elem_of_exp(k) for k in bad], keys, cosets
 
 
 def _bucket_weight(ctx: Field, keys, cosets, key: int) -> int:
@@ -203,7 +176,7 @@ def _bucket_sample(ctx: Field, keys, cosets, size: int):
     elimination, weights read from the bucket arrays.  They are the smallest
     key of each weight class present, the smallest key that no x hits
     (weight 0) if there is one, then keys drawn from a generator seeded with
-    _SAMPLE_SEED; keys run over range(order) in both modes."""
+    _SAMPLE_SEED; keys run over range(order), the exponents and N."""
     out = keys[np.unique(cosets, return_index=True)[1]].tolist()
     if keys.size < ctx.order:
         gaps = np.flatnonzero(keys != np.arange(keys.size))
@@ -361,67 +334,58 @@ def _fq_root_tables(ctx: Field, const: int):
 def is_scattered_dickson(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
     """Scan all m in F_{q^6} for a common root of the two determinants."""
     ctx = f.ctx
-    _guard(ctx)
     witnesses: list[FieldElem] = []
 
-    if ctx.mode == "zech":
-        N, q = ctx.N, ctx.q
-        R = N // (q - 1)
-        terms6 = _orbit_terms(f)
-        terms5 = _expansion_terms(f, 1)
-        used5 = sorted({v for _, key in terms5 for v in key})
-        # at m = 0 only the constant terms (empty key) survive
-        if not any(key == () for terms in (terms6, terms5) for _, key in terms):
-            witnesses.append(ctx.zero())
-        # det M(g^(r + R i)) = c0 + sum(lambda^k T_k(g^r)) with lambda = g^(R i);
-        # c0 is the trace of the one constant orbit term
-        by_size = [[t for t in terms6 if len(t[1]) == k] for k in range(TOWER + 1)]
-        low, high = _fq_root_tables(ctx, by_size[0][0][0] if by_size[0] else N)
-        shift = R * np.arange(q - 1, dtype=EXP)  # exponent of lambda, row i
-        rows = 0 if witnesses and not exhaustive else q - 1
-        found = []  # witness exponents, ascending within each slice
-        for lo, bases in ctx.conjugate_slices(R):
-            if not rows:
-                break
-            # T_k(g^r) as F_q indices, three to a key; a degree without
-            # terms adds nothing
-            key_low, key_high = np.zeros((2, bases[0].size), dtype=np.uint16)
-            for k in range(1, TOWER + 1):
-                key = key_low if k <= 3 else key_high
-                key *= q
-                if by_size[k]:
-                    key += ctx.v_trace_lincomb(by_size[k], bases)
-            # candidates (i, r), i-major: the roots of det M among the g^(r + R i)
-            hit = np.flatnonzero(low[:rows].take(key_low, axis=1) ==
-                                 high[:rows].take(key_high, axis=1))
-            if not hit.size:
-                continue
-            i = hit // key_low.size
-            r = hit - key_low.size * i
-            # (r + R i) q^v = r q^v + R i (mod N), for the conjugates that the
-            # truncated terms read; the other slots keep a placeholder
-            conj = [shift[i]] * TOWER
-            for v in used5:
-                c = bases[v][r]
-                c += conj[v]
-                conj[v] = np.minimum(c, c - N)
-            roots = ctx.v_lincomb(terms5, conj) == N
-            if np.any(roots):
-                i, r = i[roots], r[roots]
-                if not exhaustive:  # a later slice can only win with a smaller i
-                    i, r, rows = i[:1], r[:1], int(i[0])
-                    found.clear()
-                found.append(lo + r + R * i)
-        if found:
-            e = np.sort(np.concatenate(found))
-            witnesses.extend(ctx.from_exp(k) for k in e.tolist())
-    else:
-        for m in ctx.elements():
-            d6, d5 = dickson_dets_at(f, m)
-            if d6.is_zero() and d5.is_zero():
-                witnesses.append(m)
-                if not exhaustive:
-                    break
+    N, q = ctx.N, ctx.q
+    R = N // (q - 1)
+    terms6 = _orbit_terms(f)
+    terms5 = _expansion_terms(f, 1)
+    used5 = sorted({v for _, key in terms5 for v in key})
+    # at m = 0 only the constant terms (empty key) survive
+    if not any(key == () for terms in (terms6, terms5) for _, key in terms):
+        witnesses.append(ctx.zero())
+    # det M(g^(r + R i)) = c0 + sum(lambda^k T_k(g^r)) with lambda = g^(R i);
+    # c0 is the trace of the one constant orbit term
+    by_size = [[t for t in terms6 if len(t[1]) == k] for k in range(TOWER + 1)]
+    low, high = _fq_root_tables(ctx, by_size[0][0][0] if by_size[0] else N)
+    shift = R * np.arange(q - 1, dtype=EXP)  # exponent of lambda, row i
+    rows = 0 if witnesses and not exhaustive else q - 1
+    found = []  # witness exponents, ascending within each slice
+    for lo, bases in ctx.conjugate_slices(R):
+        if not rows:
+            break
+        # T_k(g^r) as F_q indices, three to a key; a degree without
+        # terms adds nothing
+        key_low, key_high = np.zeros((2, bases[0].size), dtype=np.uint16)
+        for k in range(1, TOWER + 1):
+            key = key_low if k <= 3 else key_high
+            key *= q
+            if by_size[k]:
+                key += ctx.v_trace_lincomb(by_size[k], bases)
+        # candidates (i, r), i-major: the roots of det M among the g^(r + R i)
+        hit = np.flatnonzero(low[:rows].take(key_low, axis=1) ==
+                             high[:rows].take(key_high, axis=1))
+        if not hit.size:
+            continue
+        i = hit // key_low.size
+        r = hit - key_low.size * i
+        # (r + R i) q^v = r q^v + R i (mod N), for the conjugates that the
+        # truncated terms read; the other slots keep a placeholder
+        conj = [shift[i]] * TOWER
+        for v in used5:
+            c = bases[v][r]
+            c += conj[v]
+            conj[v] = np.minimum(c, c - N)
+        roots = ctx.v_lincomb(terms5, conj) == N
+        if np.any(roots):
+            i, r = i[roots], r[roots]
+            if not exhaustive:  # a later slice can only win with a smaller i
+                i, r, rows = i[:1], r[:1], int(i[0])
+                found.clear()
+            found.append(lo + r + R * i)
+    if found:
+        e = np.sort(np.concatenate(found))
+        witnesses.extend(ctx.from_exp(k) for k in e.tolist())
 
     scattered = not witnesses
     return ScatterVerdict(

@@ -1,10 +1,14 @@
 """CLI smoke tests: schemas, exit codes, determinism, checkpointing."""
 
 import ast
+import hashlib
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
+
+import pytest
 
 import scatlin
 from scatlin import cli, family
@@ -250,3 +254,84 @@ def test_table_output():
     proc = run_cli("check", "--field", "3^1", "--poly", "pseudoregulus", "--table")
     assert proc.returncode == 0
     assert "result.scattered" in proc.stdout
+
+
+# sha256 of json.dumps(report minus "timing", sort_keys=True) for each
+# command, as computed before the polynomial-arithmetic backend was deleted
+GOLDEN_REPORTS = {
+    "check --field 3^1 --poly case1 --exhaustive":
+        "dc583e998080315462cff145bdcf8f48127f8c4f53b966f40c40b8fb257bfa8e",
+    "linset --field 3^1 --poly new_fh:h=g^13":
+        "f23ee8af445ccaadf4d96e79ee733a11f3b95357b02c7e5e1bc141e8cf05505f",
+    "enumerate-h --field 3^1":
+        "ce3ed28748d3f25561d0374853de9f992a8d1fe3a2993669ffaf24440c6d74a7",
+    "intn --field 3^1 --h g^13":
+        "10aa668c2c48240960f1078de60e72d7878ead9c71cecb2c4f97772ba7ac7983",
+    "mrd --field 3^1 --poly new_fh:h=g^13 --full-distribution":
+        "7b050ecabb02bd1e41b81d428f1c48266b544e59e4291f17d6d5f1aa6338349d",
+    "lemmas --field 3^1 --h g^13":
+        "1813c332cc55492b4188fc6f36b4b6cae6465109e8ede36def5876280a18cfb6",
+    "equiv --field 3^1 --left new_fh:h=g^91 --right trinomial:h=g^91 --pgl":
+        "81523f617678b6991ea98c1c9603bb641acdba1c1fe90e69251512d5b166555f",
+    "check --field 5^1 --poly case1 --exhaustive":
+        "cb1c7037783f45e917e52c6a79691a4d7400cfbf1f78a181ab8b06634e8092a1",
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 6])
+def test_golden_reports(chunk, f3, f5, with_chunk, capsys):
+    """Whole CLI reports minus timing are pinned, and do not depend on the
+    slice size of the whole-field scans."""
+    for F in (f3, f5):
+        with_chunk(F, chunk)
+    for command, digest in GOLDEN_REPORTS.items():
+        assert cli.main(command.split()) == 0, command
+        rep = strip_timings(json.loads(capsys.readouterr().out))
+        got = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+        assert got == digest, command
+
+
+@pytest.mark.parametrize("argv", [
+    "linset --field 3^x --poly case1",
+    "intn --field 3^1 --h foo",
+    "lemmas --field 3^1 --h poly:1,2,3,4,5,6,7",
+    "check --field 3^1 --poly {bad",
+    'check --field 3^1 --poly {"x":1}',
+    'check --field 3^1 --poly {"coeffs":5}',
+    "check --field 3^1 --poly new_fh:h=g^x",
+    "equiv --field 3^1 --left case1 --right pseudoregulus --resume TMP/missing.json",
+    "equiv --field 3^1 --left case1 --right pseudoregulus --resume TMP/list.json",
+])
+def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
+    """Malformed field, element, polynomial and checkpoint input exits 2
+    with one usage-error line on stderr, not a traceback."""
+    (tmp_path / "list.json").write_text("[]")
+    assert cli.main(argv.replace("TMP", str(tmp_path)).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+def test_order_limit_is_an_error(capsys):
+    """make_field refuses fields above 2^24 elements, so every command
+    exits 1 with a TooLarge error there."""
+    for argv in (["enumerate-h", "--field", "17^1"],
+                 ["check", "--field", "17^1", "--poly", "case1"]):
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "TooLarge"
+
+
+def test_readme_commands_parse():
+    """Every scatlin line of README's command-line block (continuation
+    lines joined) parses, so a flag deleted from the code cannot stay in
+    the docs.  Nothing is run."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(ln, comments=True)
+                for ln in block.replace("\\\n", " ").splitlines() if ln.strip()]
+    assert len(commands) >= 10 and all(argv[0] == "scatlin" for argv in commands)
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail("README command does not parse: %s" % " ".join(argv))

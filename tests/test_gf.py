@@ -1,5 +1,5 @@
 """Field tower arithmetic: construction, axioms, Frobenius, norms, subfields,
-enumeration order, and agreement of the two backends."""
+enumeration order, and agreement with coefficient-vector arithmetic."""
 
 import hashlib
 import random
@@ -11,7 +11,8 @@ import pytest
 from scatlin import gf, make_field, parse_field_spec
 from scatlin.errors import (BadSubfield, CtxMismatch, DivisionByZero,
                             InternalInvariant, NotPrime, TooLarge)
-from scatlin.gf import EXP, Field, _pmulmod, _wide_layout
+from scatlin.gf import (EXP, Field, _digits, _pack_digits, _pmulmod, _ppowmod,
+                        _wide_layout)
 
 
 def test_make_field_sizes(f3, f5, f4):
@@ -20,27 +21,27 @@ def test_make_field_sizes(f3, f5, f4):
     assert f4.order == 4096 and f4.q == 4
 
 
-def test_make_field_guards():
-    with pytest.raises(NotPrime):
-        make_field(9, 1)
-    with pytest.raises(NotPrime):
-        make_field(1, 1)
-    with pytest.raises(TooLarge):
-        make_field(2, 11)  # 6s = 66 > 64
-    with pytest.raises(TooLarge):
-        make_field(3, 10**9)  # rejected without building 3^(6e9)
-    with pytest.raises(TooLarge):
-        make_field(3, 0)
-    with pytest.raises(NotPrime):
-        make_field(0, -1)
+def test_make_field_guards(monkeypatch):
+    """A field above DEFAULT_ZECH_LIMIT elements (q = 17, 2^5; 2^11 and
+    3^(10^9) without forming the order) or with s < 1 raises TooLarge
+    before any modulus search or table build; primality is checked first."""
+    def built(self):
+        raise AssertionError("a refused field was built")
+    monkeypatch.setattr(Field, "_find_modulus", built)
+    monkeypatch.setattr(Field, "_build_tables", built)
+    for p, s in ((17, 1), (2, 5), (2, 11), (3, 10**9), (3, 0)):
+        with pytest.raises(TooLarge):
+            make_field(p, s)
+    for p, s in ((9, 1), (1, 1), (0, -1)):
+        with pytest.raises(NotPrime):
+            make_field(p, s)
 
 
 def test_one_context_per_field():
     a = make_field(3, 1)
-    assert make_field(3, 1, None) is a
     assert make_field(p=3, s=1) is a
-    assert make_field(3, 1, "zech") is a
-    b = make_field(p=3, s=1)
+    b = make_field(3, s=1)
+    assert b is a
     assert a.one() + b.gen() == b.gen() + a.one()  # no CtxMismatch
 
 
@@ -258,41 +259,76 @@ def test_element_parsing(f3):
     assert parse_field_spec("13") == (13, 1)
 
 
-def test_zech_poly_mode_agreement_q2_full():
-    fz = make_field(2, 1)
-    fy = make_field(2, 1, mode="poly")
-    assert fz.modulus == fy.modulus and fz.gen_coeffs == fy.gen_coeffs
-    els_z = list(fz.elements())
-    els_y = list(fy.elements())
-    assert [fz.packed(a) for a in els_z] == [fy.packed(a) for a in els_y]
-    for i, (az, ay) in enumerate(zip(els_z, els_y)):
-        for bz, by in zip(els_z, els_y):
-            assert fz.packed(az + bz) == fy.packed(ay + by)
-            assert fz.packed(az * bz) == fy.packed(ay * by)
-        assert fz.packed(az.frob(1)) == fy.packed(ay.frob(1))
-        if not az.is_zero():
-            assert fz.packed(az.inv()) == fy.packed(ay.inv())
+class VectorArith:
+    """Reference arithmetic of F on coefficient vectors mod F.modulus, with
+    gf's own F_p[x] helpers; elements are packed base-p values."""
+
+    def __init__(self, F):
+        self.p, self.k, self.mod = F.p, F.deg, F.modulus
+        self.order = F.order
+        # enumeration order: 0, then g^0, g^1, ... by repeated multiplication
+        self.elements = [0, 1]
+        gen = _pack_digits(F.gen_coeffs, F.p)
+        while len(self.elements) < F.order:
+            self.elements.append(self.mul(self.elements[-1], gen))
+
+    def _vec(self, u):
+        return _digits(u, self.p, self.k)
+
+    def add(self, u, v):
+        return _pack_digits([(a + b) % self.p for a, b in
+                             zip(self._vec(u), self._vec(v))], self.p)
+
+    def neg(self, u):
+        return _pack_digits([-a % self.p for a in self._vec(u)], self.p)
+
+    def mul(self, u, v):
+        return _pack_digits(_pmulmod(self._vec(u), self._vec(v), self.mod, self.p), self.p)
+
+    def pow(self, u, e):
+        return _pack_digits(_ppowmod(self._vec(u), e, self.mod, self.p), self.p)
+
+    def inv(self, u):
+        return self.pow(u, self.order - 2)
+
+
+def test_zech_poly_mode_agreement_q2_full(f2):
+    """Zech arithmetic equals coefficient-vector arithmetic on every
+    element and every pair at q = 2."""
+    ref = VectorArith(f2)
+    els = list(f2.elements())
+    assert [f2.packed(a) for a in els] == ref.elements
+    assert len(set(ref.elements)) == f2.order  # g is primitive
+    for a, u in zip(els, ref.elements):
+        for b, v in zip(els, ref.elements):
+            assert f2.packed(a + b) == ref.add(u, v)
+            assert f2.packed(a * b) == ref.mul(u, v)
+        assert f2.packed(a.frob(1)) == ref.pow(u, f2.q)
+        if not a.is_zero():
+            assert f2.packed(a.inv()) == ref.inv(u)
 
 
 def test_zech_poly_mode_agreement_q3(f3):
-    fy = make_field(3, 1, mode="poly")
-    # unary operations over the full enumeration
-    for i in range(730):
-        az, ay = f3.elem_at(i), fy.elem_at(i)
-        assert f3.packed(az) == fy.packed(ay)
-        assert f3.packed(-az) == fy.packed(-ay)
+    """Zech arithmetic equals coefficient-vector arithmetic at q = 3: the
+    unary operations on every element, the binary ones on 5000 seeded
+    pairs."""
+    ref = VectorArith(f3)
+    assert [f3.packed(a) for a in f3.elements()] == ref.elements
+    inv = [None] + [ref.inv(u) for u in ref.elements[1:]]
+    for i, u in enumerate(ref.elements):
+        a = f3.elem_at(i)
+        assert f3.packed(-a) == ref.neg(u)
         for j in (1, 2, 3):
-            assert f3.packed(az.frob(j)) == fy.packed(ay.frob(j))
-    # binary operations on a seeded grid
+            assert f3.packed(a.frob(j)) == ref.pow(u, f3.q**j)
     rng = random.Random(23)
     for _ in range(5000):
-        i, j = rng.randrange(730), rng.randrange(730)
-        az, bz = f3.elem_at(i), f3.elem_at(j)
-        ay, by = fy.elem_at(i), fy.elem_at(j)
-        assert f3.packed(az + bz) == fy.packed(ay + by)
-        assert f3.packed(az * bz) == fy.packed(ay * by)
-        if not bz.is_zero():
-            assert f3.packed(az / bz) == fy.packed(ay / by)
+        i, j = rng.randrange(f3.order), rng.randrange(f3.order)
+        a, b = f3.elem_at(i), f3.elem_at(j)
+        u, v = ref.elements[i], ref.elements[j]
+        assert f3.packed(a + b) == ref.add(u, v)
+        assert f3.packed(a * b) == ref.mul(u, v)
+        if not b.is_zero():
+            assert f3.packed(a / b) == ref.mul(u, inv[j])
 
 
 def test_p_power_automorphisms(f9):

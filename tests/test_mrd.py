@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from scatlin import make_field, scatter
+from scatlin import scatter
 from scatlin.errors import BudgetExceeded, InternalInvariant, ZeroMap
 from scatlin.family import enumerate_h, family_poly, u4_deltas
 from scatlin.mrd import (CROSS_CHECKS, RankCode, code_from, codes_equivalent,
@@ -110,15 +110,6 @@ def test_distribution_matches_elimination_reference(f3):
     for f in polys:
         C = code_from(f)
         assert rank_distribution(C).counts == elimination_distribution(C)
-
-
-def test_distribution_poly_mode_agrees(f3):
-    """Poly-mode buckets (packed-value keys) give the Zech-mode counts."""
-    fy = make_field(3, 1, mode="poly")
-    f = family_poly(f3, "case1")
-    fp = QPoly(fy, [fy.elem_at(f3.enum_index(c)) for c in f.coeffs])
-    assert (rank_distribution(code_from(fp)).counts
-            == rank_distribution(code_from(f)).counts)
 
 
 @pytest.mark.parametrize("fixture", ["f5", "f7"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scatlin import FieldElem, QPoly, make_field, scatter
-from scatlin.errors import InternalInvariant, TooLarge
+from scatlin.errors import InternalInvariant
 from scatlin.family import enumerate_h, family_poly
 from scatlin.scatter import (dickson_dets_at, dickson_witness_point,
                              is_scattered_dickson, is_scattered_oracle,
@@ -115,29 +115,6 @@ def test_degenerate_polys(f3):
     assert a.witnesses == [f3.gen()]  # the single weight-6 point sits at m = g
 
 
-def test_poly_mode_fallback_agrees(f3):
-    fy = make_field(3, 1, mode="poly")
-    rng = random.Random(45)
-    for _ in range(3):
-        coeff_idx = [rng.randrange(730) for _ in range(6)]
-        fz = QPoly(f3, [f3.elem_at(i) for i in coeff_idx])
-        fp = QPoly(fy, [fy.elem_at(i) for i in coeff_idx])
-        assert weight_spectrum(fz).counts == weight_spectrum(fp).counts
-        assert is_scattered_oracle(fz).scattered == is_scattered_oracle(fp).scattered
-        assert is_scattered_dickson(fz).scattered == is_scattered_dickson(fp).scattered
-
-
-def test_scan_budget_guard():
-    """q = 17 is above the scan limit (17^6 > 2^24): it gets a poly-mode
-    context, and every decider refuses to scan it."""
-    F = make_field(17, 1)
-    assert F.mode == "poly" and F.order > scatter.DEFAULT_SCAN_LIMIT
-    f = family_poly(F, "case1")
-    for decide in (weight_spectrum, is_scattered_oracle, is_scattered_dickson):
-        with pytest.raises(TooLarge):
-            decide(f)
-
-
 def test_is_scattered_both(f3):
     res = is_scattered(family_poly(f3, "pseudoregulus"), method="both")
     assert res["oracle"].scattered and res["dickson"].scattered
@@ -158,22 +135,6 @@ def test_oracle_buckets_once(monkeypatch):
         assert v.spectrum.counts == spectrum
         assert [F.format(w) for w in v.witnesses] == witnesses
         assert weight_spectrum(f).counts == spectrum
-
-
-def test_poly_mode_oracle_enumerates_once(f3, monkeypatch):
-    fy = make_field(3, 1, mode="poly")
-    coeffs = [f3.from_int(-1), 0, 1]  # x^(q^2) - x: zero is a witness
-    vz = is_scattered_oracle(QPoly(f3, coeffs), exhaustive=True)
-    fp = QPoly(fy, [fy.elem_at(f3.enum_index(f3.element(c))) for c in coeffs])
-    calls = []
-    real = type(fy).elements
-    monkeypatch.setattr(type(fy), "elements",
-                        lambda self: calls.append(self) or real(self))
-    vy = is_scattered_oracle(fp, exhaustive=True)
-    assert len(calls) == 1
-    assert vy.spectrum.counts == vz.spectrum.counts == {2: 91}
-    assert vz.witnesses[0].is_zero()
-    assert [fy.packed(w) for w in vy.witnesses] == [f3.packed(w) for w in vz.witnesses]
 
 
 @pytest.mark.parametrize("q", [5, 13])
@@ -333,12 +294,11 @@ def test_m_zero_decided_by_constant_terms(f3, f5):
         assert dickson_dets_at(cases[3], F.zero())[0].is_zero()
 
 
-@pytest.mark.parametrize("mode", ["zech", "poly"])
-def test_bucket_keys_give_point_weights(mode):
-    """_buckets keys are the elements' own encodings, ascending, in both
-    modes, so a weight read back from the buckets is the point's weight;
-    the cross-check sample covers every weight class of case1."""
-    F = make_field(3, 1, mode=mode)
+def test_bucket_keys_give_point_weights(f3):
+    """_buckets keys are the elements' own encodings (exponents, N for
+    zero), ascending, so a weight read back from the buckets is the point's
+    weight; the cross-check sample covers every weight class of case1."""
+    F = f3
     f = family_poly(F, "case1")
     _, keys, cosets = scatter._buckets(f)
     assert keys.tolist() == sorted(set(keys.tolist()))
