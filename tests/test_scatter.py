@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from scatlin import FieldElem, QPoly, make_field, scatter
-from scatlin.errors import InternalInvariant
+from scatlin import FieldElem, QPoly, gf, make_field, scatter
+from scatlin.errors import InternalInvariant, TooLarge
 from scatlin.family import enumerate_h, family_poly
 from scatlin.scatter import (dickson_dets_at, dickson_witness_point,
                              is_scattered_dickson, is_scattered_oracle,
@@ -113,6 +113,16 @@ def test_degenerate_polys(f3):
     b = is_scattered_dickson(scalar, exhaustive=True)
     assert not a.scattered and not b.scattered
     assert a.witnesses == [f3.gen()]  # the single weight-6 point sits at m = g
+
+
+def test_scan_budget_guard():
+    """q = 17 is above the scan limit (17^6 > 2^24): make_field refuses it
+    with TooLarge, so no decider is ever handed a field it cannot scan.
+    q = 13, the largest prime below the limit, is built and scanned."""
+    assert 13 ** 6 <= gf.DEFAULT_ZECH_LIMIT < 17 ** 6
+    with pytest.raises(TooLarge):
+        make_field(17, 1)
+    assert make_field(13, 1).order == 13 ** 6
 
 
 def test_is_scattered_both(f3):
