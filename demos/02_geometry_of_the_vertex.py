@@ -29,8 +29,8 @@ F = make_field(3, 1)
 h = enumerate_h(F)[0]
 G = gamma_of(h)
 print(f"h = {h}; Gamma has projective dimension {G.pdim}")
-print(f"Gamma avoids Sigma (full 364-point enumeration): "
-      f"{disjoint_from_sigma(G, full=True, use_certificate=False)}\n")
+print(f"Gamma avoids Sigma: Gamma lies in x_0 = 0 and every Sigma point has "
+      f"x_0 != 0 -> {disjoint_from_sigma(G)}\n")
 
 G1 = sigma_hat(G, 1)
 G2 = sigma_hat(G, 2)

@@ -17,11 +17,10 @@ from .gf import Field, FieldElem, make_field, parse_field_spec
 from .qpoly import QPoly
 from .scatter import (WeightSpectrum, is_scattered, is_scattered_dickson,
                       is_scattered_oracle, point_weight, weight_spectrum)
-from .family import (FamilySpec, build, enumerate_h, family_poly,
-                     lemma1_checks, lemma_roots, u4_deltas)
+from .family import (enumerate_h, family_poly, lemma1_checks, lemma_roots,
+                     u4_deltas)
 from .geom import ProjSubspace, gamma_of, intersect, intn, sigma_hat
 from .equiv import (EquivResult, EquivWitness, check_system_L4, gl_equivalent,
                     pgl_linear_sets_equivalent, verify_witness)
 from .mrd import (RankCode, code_from, codes_equivalent,
-                  left_idealiser_field_check, min_distance, mrd_report,
-                  rank_distribution)
+                  left_idealiser_field_check, mrd_report, rank_distribution)

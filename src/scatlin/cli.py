@@ -6,16 +6,15 @@ fingerprint, the result payload, and its timings under one "timing" key
 (field_s for make_field, elapsed_s for the rest).  Exit codes: 0 success, 1 a
 reproduction/math mismatch or another library error (a ClassificationGap from
 `lemmas` and TooLarge for a field above 2^24 elements included), 2 usage
-errors (an unknown flag, or a malformed field, element, polynomial or
-checkpoint file), 3 an internal-invariant failure (a bug, never a property
-of the input).
+errors (an unknown flag, a missing required one such as `equiv --right`, or
+a malformed field, element, polynomial or checkpoint file), 3 an
+internal-invariant failure (a bug, never a property of the input).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -26,8 +25,7 @@ from .errors import (HypothesisViolated, InternalInvariant, InvalidParameter,
 from .family import enumerate_h, family_poly, lemma1_checks, lemma_roots
 from .geom import gamma_of, intn
 from .gf import Field, make_field, parse_field_spec
-from .mrd import (CROSS_CHECKS, DEFAULT_DISTRIBUTION_LIMIT, code_from,
-                  left_idealiser_field_check, mrd_report)
+from .mrd import code_from, left_idealiser_field_check, mrd_report
 from .qpoly import QPoly
 from .reproduce import TAGS, run_tag
 from .scatter import is_scattered_dickson, is_scattered_oracle, weight_spectrum
@@ -191,9 +189,9 @@ def _cmd_equiv(args) -> tuple[int, dict]:
     ctx, field_s = _field_from_args(args)
     t0 = time.perf_counter()
     left = parse_poly_spec(ctx, args.left)
-    if (args.pgl or args.trinomial_search) and (args.resume or args.checkpoint_out):
+    if args.pgl and (args.resume or args.checkpoint_out):
         raise UsageError("--resume and --checkpoint-out apply to a single "
-                         "gl search, not to --pgl or --trinomial-search")
+                         "gl search, not to --pgl")
     resume = None
     if args.resume:
         try:
@@ -203,13 +201,6 @@ def _cmd_equiv(args) -> tuple[int, dict]:
             raise UsageError("--resume %s: %s" % (args.resume, exc)) from exc
         if not isinstance(resume, dict):
             raise UsageError("--resume %s: not a checkpoint object" % args.resume)
-
-    if args.trinomial_search:
-        payload = _trinomial_search(ctx, left, args)
-        return 0, _report(args, ctx, payload, t0, field_s)
-
-    if not args.right:
-        raise UsageError("equiv needs --right (or --trinomial-search)")
     right = parse_poly_spec(ctx, args.right)
     if args.pgl:
         name, _, _ = args.right.partition(":")
@@ -234,46 +225,12 @@ def _cmd_equiv(args) -> tuple[int, dict]:
     return 0, _report(args, ctx, payload, t0, field_s)
 
 
-def _trinomial_search(ctx: Field, left: QPoly, args) -> dict:
-    """Exploratory: scan trinomials a1 x^q + x^(q^3) + a5 x^(q^5) for a
-    GammaL-equivalence with the given subspace.  Whether one exists for h
-    outside F_{q^2} is open; this mode only reports what the budget reached.
-
-    Candidates are taken one per scaling orbit: z -> mu T(lambda z) carries
-    U_T to a GammaL-equivalent graph and acts on the coefficient exponents by
-    (e1, e5) -> (e1 + l (q - q^3), e5 + l (q^5 - q^3)) after the middle slot
-    is normalised to 1, so e1 only needs to run over gcd(q - q^3, N) residues.
-    """
-    budget = args.budget or 10_000_000
-    spent = 0
-    tried = 0
-    g1 = math.gcd(ctx.q - ctx.q**3, ctx.N)
-    for e1 in range(g1):
-        for e5 in range(ctx.N):
-            tri = QPoly(ctx, [ctx.zero(), ctx.from_exp(e1), ctx.zero(),
-                              ctx.one(), ctx.zero(), ctx.from_exp(e5)])
-            res = gl_equivalent(left, tri, budget=budget - spent)
-            spent += res.searched
-            tried += 1
-            if res.equivalent:
-                return {"mode": "trinomial-search", "found": True,
-                        "trinomial": tri.to_json(),
-                        "witness": res.witness.to_json(),
-                        "trinomials_tried": tried, "searched": spent}
-            if spent >= budget:
-                return {"mode": "trinomial-search", "found": False,
-                        "exhausted": False, "trinomials_tried": tried,
-                        "searched": spent}
-    return {"mode": "trinomial-search", "found": False, "exhausted": True,
-            "trinomials_tried": tried, "searched": spent}
-
-
 def _cmd_mrd(args) -> tuple[int, dict]:
     ctx, field_s = _field_from_args(args)
     t0 = time.perf_counter()
     f = parse_poly_spec(ctx, args.poly)
     C = code_from(f)
-    rep = mrd_report(C, budget=args.budget)
+    rep = mrd_report(C)
     payload = {
         "poly": f.to_json(),
         "min_distance": rep["min_distance"],
@@ -355,26 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="semilinear equivalence search")
     add_common(p)
     p.add_argument("--left", required=True)
-    p.add_argument("--right", help="poly spec (unless --trinomial-search)")
+    p.add_argument("--right", required=True)
     p.add_argument("--budget", type=int, default=None,
                    help="max (rho, a, b) triples to try")
     p.add_argument("--resume", help="checkpoint file from a budget-exceeded run")
     p.add_argument("--checkpoint-out", help="where to write a checkpoint")
     p.add_argument("--pgl", action="store_true",
                    help="decide linear-set equivalence via the adjoint reduction")
-    p.add_argument("--trinomial-search", action="store_true",
-                   help="exploratory scan for an equivalent trinomial form")
     p.set_defaults(fn=_cmd_equiv)
 
     p = sub.add_parser("mrd", help="rank-metric code checks")
     add_common(p)
     add_poly(p)
     p.add_argument("--full-distribution", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_DISTRIBUTION_LIMIT,
-                   help="max eliminations for the rank distribution's "
-                        "elimination cross-check (it needs %d; default %%(default)s); "
-                        "the counts themselves come from one bucketing pass"
-                        % CROSS_CHECKS)
     p.set_defaults(fn=_cmd_mrd)
 
     p = sub.add_parser("lemmas", help="auxiliary-lemma checks for one h")

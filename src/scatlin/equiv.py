@@ -47,6 +47,7 @@ from .qpoly import QPoly
 _FULL_VERIFY_LIMIT = 1 << 16
 _BLOCK = 1 << 18  # most orbit representatives evaluated per block of the triple scan
 _VERIFY_SEED = 2024  # fixed, so the pointwise sample repeats run to run
+_VERIFY_SAMPLE = 512  # points checked pointwise above _FULL_VERIFY_LIMIT
 
 
 @dataclass
@@ -93,13 +94,14 @@ def apply_witness(w: EquivWitness, x: FieldElem, y: FieldElem):
     return (w.a * xr + w.b * yr, w.c * xr + w.d * yr)
 
 
-def verify_witness(f: QPoly, g: QPoly, w: EquivWitness, sample: int = 512) -> bool:
+def verify_witness(f: QPoly, g: QPoly, w: EquivWitness) -> bool:
     """Does the witness map U_f onto U_g with nonzero determinant?
 
     Two independent routes must both hold.  First the exact 6-coefficient
     identity g o (a id + b f^rho) = c id + d f^rho.  Then the map is applied
     pointwise to (x, f(x)): every x when the field is small enough (then
-    injectivity makes "into" equal "onto"), otherwise a seeded sample.
+    injectivity makes "into" equal "onto"), otherwise a seeded sample of
+    _VERIFY_SAMPLE points.
     """
     ctx = f.ctx
     if w.determinant().is_zero():
@@ -109,10 +111,10 @@ def verify_witness(f: QPoly, g: QPoly, w: EquivWitness, sample: int = 512) -> bo
     if (g.compose(ident.scale(w.a) + frho.scale(w.b))
             != ident.scale(w.c) + frho.scale(w.d)):
         return False
-    return _maps_graph(f, g, w, sample)
+    return _maps_graph(f, g, w)
 
 
-def _maps_graph(f: QPoly, g: QPoly, w: EquivWitness, sample: int) -> bool:
+def _maps_graph(f: QPoly, g: QPoly, w: EquivWitness) -> bool:
     """The pointwise route of verify_witness: (u, v) = w(x, f(x)) satisfies
     g(u) = v for every x (fields up to _FULL_VERIFY_LIMIT) or for a sample
     drawn with _VERIFY_SEED, all points at once on exponent arrays."""
@@ -120,11 +122,11 @@ def _maps_graph(f: QPoly, g: QPoly, w: EquivWitness, sample: int) -> bool:
     rng = random.Random(_VERIFY_SEED)
     # enumeration index k is the exponent k - 1, and index 0 (zero) is N
     k = np.arange(ctx.order) if ctx.order <= _FULL_VERIFY_LIMIT else \
-        np.array([rng.randrange(ctx.order) for _ in range(sample)], dtype=np.int64)
+        np.array([rng.randrange(ctx.order) for _ in range(_VERIFY_SAMPLE)], dtype=np.int64)
     x = (k - 1) % ctx.order
     xr = ctx.v_p_power(x, w.rho)
     yr = ctx.v_p_power(f.v_evaluate(x), w.rho)
-    a, b, c, d = (ctx.exp_of(z) for z in (w.a, w.b, w.c, w.d))
+    a, b, c, d = (z.val for z in (w.a, w.b, w.c, w.d))
     u = ctx.v_lincomb([(a, (0,)), (b, (1,))], (xr, yr))
     v = ctx.v_lincomb([(c, (0,)), (d, (1,))], (xr, yr))
     return bool(np.array_equal(g.v_evaluate(u), v))
@@ -152,7 +154,7 @@ def _rho_plan(ctx: Field, f: QPoly, g: QPoly, rho: int):
     inv = fr[tp].inv()
 
     def terms(row):
-        return [(ctx.exp_of(x), (i,)) for i, x in enumerate(row) if not x.is_zero()]
+        return [(x.val, (i,)) for i, x in enumerate(row) if not x.is_zero()]
 
     def reduced(t):  # slot_t - (f^rho_t / f^rho_tp) slot_tp
         return [x - fr[t] * inv * y for x, y in zip(slot[t], slot[tp])]
@@ -226,7 +228,7 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
     E = ctx.order
     R = ctx.N // (ctx.q - 1)
     reps_end = E * (R + 1)  # no orbit representative lies at or past this flat
-    exps = [[ctx.exp_of(cf) for cf in poly.coeffs] for poly in (f, g)]
+    exps = [[cf.val for cf in poly.coeffs] for poly in (f, g)]
     binding = {"field": [ctx.p, ctx.s],
                "inputs_sha256": hashlib.sha256(json.dumps(exps).encode()).hexdigest()}
 
@@ -359,7 +361,7 @@ def check_system_L4(h: FieldElem, delta: FieldElem, variant: str) -> dict:
     for rho in range(ctx.deg):
         k = ctx.p_power(h, rho)
         eqs, back = _l4_coefficients(ctx, k, delta, variant)
-        eq_terms = [[(ctx.exp_of(cf), (v,)) for v, cf in zip((1, 3, 5), coeffs)]
+        eq_terms = [[(cf.val, (v,)) for v, cf in zip((1, 3, 5), coeffs)]
                     for coeffs in eqs]
         for lo, bases in ctx.conjugate_slices(N):
             mask = np.ones(bases[0].size, dtype=bool)

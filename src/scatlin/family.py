@@ -27,31 +27,12 @@ t^(q^2), which Field.conjugate_slices yields slice by slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (ClassificationGap, HypothesisViolated, InternalInvariant,
                      InvalidParameter, ParityMismatch)
 from .gf import Field, FieldElem
 from .qpoly import QPoly
-
-FAMILY_TAGS = ("new_fh", "case1", "pseudoregulus", "lp", "csajbok_mp",
-               "csajbok_mz", "trinomial")
-
-
-@dataclass
-class FamilySpec:
-    ctx: Field
-    tag: str
-    param: FieldElem | None = None
-
-    def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
-            raise InvalidParameter("unknown family tag %r" % self.tag)
-        if self.param is not None:
-            self.param = self.ctx.element(self.param)
-
 
 def h_is_valid(ctx: Field, h: FieldElem, variant: str | None = None) -> bool:
     """h^(q^3+1) = -1 (odd variant) or +1 (even variant)."""
@@ -131,9 +112,11 @@ def u3_delta_samples(ctx: Field) -> list[FieldElem]:
     return deltas
 
 
-def build(spec: FamilySpec) -> QPoly:
-    """The exact coefficient vector of the requested family member."""
-    ctx, tag, prm = spec.ctx, spec.tag, spec.param
+def family_poly(ctx: Field, tag: str, param=None) -> QPoly:
+    """The exact coefficient vector of the family member tag (see above) with
+    parameter param, an element spec; raises InvalidParameter for an unknown
+    tag or an inadmissible parameter."""
+    prm = None if param is None else ctx.element(param)
     one, zero = ctx.one(), ctx.zero()
 
     if tag == "pseudoregulus":
@@ -143,7 +126,7 @@ def build(spec: FamilySpec) -> QPoly:
         return QPoly(ctx, [zero, one, -one, zero, one, one], tag=tag)
 
     if prm is None:
-        raise InvalidParameter("family %r needs a parameter" % tag)
+        raise InvalidParameter("family %r is unknown or needs a parameter" % tag)
 
     if tag == "new_fh":
         variant = "even" if ctx.p == 2 else "odd"
@@ -183,11 +166,6 @@ def build(spec: FamilySpec) -> QPoly:
         return QPoly(ctx, [zero, hinv - one, zero, one, zero, prm - one], tag=tag)
 
     raise InvalidParameter("unknown family tag %r" % tag)
-
-
-def family_poly(ctx: Field, tag: str, param=None) -> QPoly:
-    prm = None if param is None else ctx.element(param)
-    return build(FamilySpec(ctx, tag, prm))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +254,7 @@ def _lemma_terms(h: FieldElem, which: str):
         for sign, digits in monos:
             c = c + ctx.from_int(sign) * h ** sum(d * q**i for i, d in enumerate(digits))
         idx = sum(((v,) * d for v, d in enumerate(tpow)), ())
-        terms.append((ctx.exp_of(c), idx))
+        terms.append((c.val, idx))
     return terms
 
 

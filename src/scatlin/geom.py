@@ -14,6 +14,11 @@ the collineation moving around it is
 whose fixed points are exactly Sigma.  Applying it to a subspace = applying it
 to each basis vector and re-canonicalising (Frobenius first, then the cyclic
 shift, golden-tested against the expected images of the projection vertex).
+
+Disjointness from Sigma has one route, a certificate: every Sigma point has
+all coordinates nonzero, so a subspace inside a coordinate hyperplane avoids
+Sigma.  The projection vertex lies in x_0 = 0, so the certificate always
+decides it; intn refuses a subspace that lies in no coordinate hyperplane.
 """
 
 from __future__ import annotations
@@ -22,19 +27,16 @@ from .errors import CtxMismatch, InternalInvariant, PreconditionFailed, ZeroPara
 from .gf import TOWER, Field, FieldElem
 from .linalg import nullspace, rref
 
-_SIGMA_PREFIX = 256  # Sigma points checked when the enumeration is not full
-
 
 class ProjSubspace:
     """A projective subspace, canonicalised as an RREF basis."""
 
-    __slots__ = ("ctx", "rows", "pivots")
+    __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx: Field, rows):
         self.ctx = ctx
-        reduced, pivots = rref(ctx, rows) if rows else ([], [])
+        reduced, _ = rref(ctx, rows) if rows else ([], [])
         self.rows = tuple(tuple(r) for r in reduced)
-        self.pivots = tuple(pivots)
 
     @classmethod
     def from_basis(cls, ctx: Field, vectors) -> "ProjSubspace":
@@ -65,20 +67,6 @@ class ProjSubspace:
 
     def __repr__(self):
         return "ProjSubspace(pdim=%d)" % self.pdim
-
-    def contains_point(self, vec) -> bool:
-        """Is the projective point spanned by vec inside this subspace?
-
-        Reduces vec against the stored RREF rows; membership iff the
-        remainder vanishes.
-        """
-        v = [self.ctx.element(c) for c in vec]
-        for row, pc in zip(self.rows, self.pivots):
-            coef = v[pc]
-            if coef.is_zero():
-                continue
-            v = [a - coef * b for a, b in zip(v, row)]
-        return all(c.is_zero() for c in v)
 
 
 def intersect(S: ProjSubspace, T: ProjSubspace) -> ProjSubspace:
@@ -132,39 +120,20 @@ def gamma_of(h: FieldElem) -> ProjSubspace:
     if G.pdim != 3:
         raise InternalInvariant("the vertex has dimension %d, not 3 (bug)" % G.pdim)
     # x_0 = 0 on G, so the coordinate-hyperplane certificate proves this
-    if not disjoint_from_sigma(G, full=False):
-        raise PreconditionFailed("gamma meets the canonical subgeometry")
+    if not disjoint_from_sigma(G):
+        raise PreconditionFailed("gamma is not certified disjoint from Sigma")
     return G
 
 
-def _sigma_points(ctx: Field, limit: int | None = None):
-    """Projective points of the canonical subgeometry, one per F_q*-coset."""
-    reps = ctx.N // (ctx.q - 1)
-    count = reps if limit is None else min(limit, reps)
-    for e in range(count):
-        x = ctx.from_exp(e)
-        yield [ctx.frobenius(x, i) for i in range(TOWER)]
+def disjoint_from_sigma(S: ProjSubspace) -> bool:
+    """Is S certified to avoid every point of Sigma?
 
-
-def disjoint_from_sigma(S: ProjSubspace, full: bool = True,
-                        use_certificate: bool = True) -> bool:
-    """Does S avoid every point of Sigma?
-
-    Fast certificate: Sigma points have every coordinate nonzero (they are
-    the conjugates of some x != 0), so a subspace contained in a coordinate
-    hyperplane cannot meet Sigma.  Otherwise enumerate: all
-    (q^6-1)/(q-1) points when full, else a deterministic prefix of
-    _SIGMA_PREFIX points.
+    Sigma points have every coordinate nonzero (they are the conjugates of
+    some x != 0), so a subspace contained in a coordinate hyperplane cannot
+    meet Sigma.  True is that certificate; False means "not certified", not
+    "meets Sigma".
     """
-    if use_certificate:
-        for j in range(TOWER):
-            if all(r[j].is_zero() for r in S.rows):
-                return True
-    limit = None if full else _SIGMA_PREFIX
-    for vec in _sigma_points(S.ctx, limit=limit):
-        if S.contains_point(vec):
-            return False
-    return True
+    return any(all(r[j].is_zero() for r in S.rows) for j in range(TOWER))
 
 
 def intn(S: ProjSubspace, power: int = 1) -> tuple[int, list[int]]:
@@ -174,17 +143,17 @@ def intn(S: ProjSubspace, power: int = 1) -> tuple[int, list[int]]:
     intersection S cap S^sigma cap ... cap S^(sigma^j), and r is the least
     positive integer with dims[r] > k - 2r (k = dim S).
 
-    Preconditions (checked): S disjoint from Sigma, dim(S cap S^sigma) >= k-2.
+    Preconditions (checked): S lies in a coordinate hyperplane, which
+    certifies that it avoids Sigma, and dim(S cap S^sigma) >= k-2.
     """
     if power not in (1, 5):
         raise PreconditionFailed("power must be 1 or 5 (the subgeometry-fixing collineations)")
-    ctx = S.ctx
     k = S.pdim
     if k < 0:
         raise PreconditionFailed("empty subspace")
-    full = (ctx.N // (ctx.q - 1)) <= 1 << 20
-    if not disjoint_from_sigma(S, full=full):
-        raise PreconditionFailed("S meets the canonical subgeometry")
+    if not disjoint_from_sigma(S):
+        raise PreconditionFailed("S lies in no coordinate hyperplane, so it is "
+                                 "not certified disjoint from Sigma")
     dims = [k]
     current = S
     image = S

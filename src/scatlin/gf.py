@@ -532,12 +532,10 @@ class Field:
         return x.val + 1
 
     def elem_at(self, index: int) -> "FieldElem":
+        """The element at position index of the enumeration order."""
+        if not 0 <= index < self.order:
+            raise ValueError("index %d outside [0, %d)" % (index, self.order))
         return self._zero if index == 0 else self.from_exp(index - 1)
-
-    def discrete_log(self, x: "FieldElem") -> int:
-        if x.is_zero():
-            raise DivisionByZero("log of zero")
-        return x.val
 
     # -- scalar arithmetic on exponents ----------------------------------------
 
@@ -651,7 +649,7 @@ class Field:
 
     def fq_index(self, x) -> int:
         """Index of x in F_q; raises BadSubfield when x lies outside F_q."""
-        e, R = self.exp_of(x), self.N // (self.q - 1)
+        e, R = x.val, self.N // (self.q - 1)
         if e == self.N:
             return 0
         if e % R:
@@ -671,8 +669,9 @@ class Field:
     # -- vectorised exponent kernels ------------------------------------------
     #
     # Bulk scans work on uint32 (EXP) numpy arrays of exponents: g^e is stored
-    # as e in [0, N) and zero as the sentinel N.  Every kernel is total on that
-    # encoding and returns a fresh EXP array unless it is given out=.
+    # as e in [0, N) and zero as the sentinel N, which is FieldElem.val.  Every
+    # kernel is total on that encoding and returns a fresh EXP array unless it
+    # is given out=.
     #
     # Products in int64, sums in 32-bit.  A sum or difference of two reduced
     # exponents lies in [0, 2N) (after adding N to a difference) and is reduced
@@ -683,10 +682,6 @@ class Field:
     #
     # All additive work goes through v_lincomb; v_add, v_sub, v_mul,
     # v_mul_const and v_neg are thin uses of it.
-
-    def exp_of(self, x: "FieldElem") -> int:
-        """Exponent encoding of a single element (N for zero)."""
-        return x.val
 
     def elem_of_exp(self, e: int) -> "FieldElem":
         return self._zero if e == self.N else self.from_exp(int(e))

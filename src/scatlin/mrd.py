@@ -11,7 +11,9 @@ F_q built in a fixed basis with trace-dual coordinate extraction.
 The full rank distribution is read off the oracle's bucketing pass: ranks are
 constant on the F_{q^6}*-orbits (0, 0), (0, 1), (1, b), and f + b id has rank
 6 minus the weight of the point <(1, -b)>.  Elimination rank cross-checks a
-fixed sample of 32 codewords; the budget caps those eliminations, not q.
+fixed sample of 32 codewords; rank_distribution's budget caps those
+eliminations, not q.  The minimum distance is
+rank_distribution(C).min_distance().
 """
 
 from __future__ import annotations
@@ -128,17 +130,13 @@ def rank_distribution(C: RankCode,
     return RankDistribution(counts=dict(sorted(counts.items())), q=ctx.q)
 
 
-def min_distance(C: RankCode, budget: int = DEFAULT_DISTRIBUTION_LIMIT) -> int:
-    return rank_distribution(C, budget).min_distance()
-
-
-def mrd_report(C: RankCode, budget: int = DEFAULT_DISTRIBUTION_LIMIT) -> dict:
+def mrd_report(C: RankCode) -> dict:
     """Distribution, minimum distance, and the Singleton-equality verdict.
 
     MRD for parameters (6, 6, q; d): |C| = q^(6 (6 - d + 1)); with |C| = q^12
     that forces d = 5, so the verdict is min_distance == 5.
     """
-    dist = rank_distribution(C, budget)
+    dist = rank_distribution(C)
     d = dist.min_distance()
     ctx = C.ctx
     singleton = dist.size == ctx.q ** (TOWER * (TOWER - d + 1))
@@ -151,10 +149,9 @@ def mrd_report(C: RankCode, budget: int = DEFAULT_DISTRIBUTION_LIMIT) -> dict:
     }
 
 
-def codes_equivalent(Cf: RankCode, Cg: RankCode,
-                     budget: int | None = None) -> _equiv.EquivResult:
+def codes_equivalent(Cf: RankCode, Cg: RankCode) -> _equiv.EquivResult:
     """Code equivalence delegates to subspace equivalence of U_f and U_g."""
-    return _equiv.gl_equivalent(Cf.f, Cg.f, budget=budget)
+    return _equiv.gl_equivalent(Cf.f, Cg.f)
 
 
 def left_idealiser_field_check(C: RankCode, full: bool | None = None) -> bool:

@@ -124,7 +124,7 @@ class QPoly:
         """f at g^e for an exponent array e (zero as the sentinel N), in the
         exponent encoding: one v_lincomb over the conjugates x^(q^i)."""
         ctx = self.ctx
-        terms = [(ctx.exp_of(a), (i,)) for i, a in enumerate(self.coeffs)]
+        terms = [(a.val, (i,)) for i, a in enumerate(self.coeffs)]
         return ctx.v_lincomb(terms, [ctx.v_frob(e, i) for i in range(TOWER)])
 
     def compose(self, other: "QPoly") -> "QPoly":

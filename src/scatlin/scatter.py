@@ -132,7 +132,7 @@ def _coset_counts(f: QPoly):
     """
     ctx = f.ctx
     N = ctx.N
-    terms = [(ctx.exp_of(a), (j,)) for j, a in enumerate(f.coeffs)]
+    terms = [(a.val, (j,)) for j, a in enumerate(f.coeffs)]
     vals = np.empty(N // (ctx.q - 1), dtype=EXP)
     for lo, bases in ctx.conjugate_slices(vals.size):
         out = vals[lo:lo + bases[0].size]
@@ -260,7 +260,7 @@ def _expansion_terms(f: QPoly, drop: int):
     if drop:
         A = [row[-1:] + row[:-1] for row in A]
     terms = multilinear_det_expansion(ctx, A, range(drop, TOWER - drop))
-    return [(ctx.exp_of(coeff), tuple(sorted(key))) for key, coeff in terms.items()]
+    return [(coeff.val, tuple(sorted(key))) for key, coeff in terms.items()]
 
 
 def _orbit_terms(f: QPoly):
@@ -290,7 +290,7 @@ def _orbit_terms(f: QPoly):
                 break
             orbit.append(nxt)
         seen.update(orbit)
-        z = ctx.exp_of(ctx.unit_trace(len(orbit)))
+        z = ctx.unit_trace(len(orbit)).val
         terms.append(((z + coeff[key]) % N, key))
     return terms
 
@@ -396,17 +396,12 @@ def is_scattered_dickson(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
     )
 
 
-def is_scattered(f: QPoly, method: str = "both") -> dict:
-    """Run one or both deciders; raises if the two routes disagree."""
-    out: dict = {}
-    if method in ("oracle", "both"):
-        out["oracle"] = is_scattered_oracle(f)
-    if method in ("dickson", "both"):
-        out["dickson"] = is_scattered_dickson(f)
-    if method == "both":
-        if out["oracle"].scattered != out["dickson"].scattered:
-            raise InternalInvariant("decider disagreement: oracle=%s dickson=%s (bug)" %
-                                    (out["oracle"].scattered, out["dickson"].scattered))
+def is_scattered(f: QPoly) -> dict:
+    """Run both deciders; raises if the two routes disagree."""
+    out = {"oracle": is_scattered_oracle(f), "dickson": is_scattered_dickson(f)}
+    if out["oracle"].scattered != out["dickson"].scattered:
+        raise InternalInvariant("decider disagreement: oracle=%s dickson=%s (bug)" %
+                                (out["oracle"].scattered, out["dickson"].scattered))
     return out
 
 

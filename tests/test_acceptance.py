@@ -212,7 +212,7 @@ def test_criterion_10_property_suites():
     rng = random.Random(2024)
 
     def rand_poly():
-        return QPoly(ctx, [ctx.elem_at(rng.randrange(730)) for _ in range(6)])
+        return QPoly(ctx, [ctx.elem_at(rng.randrange(ctx.order)) for _ in range(6)])
 
     polys = [rand_poly() for _ in range(200)]
     polys += [family_poly(ctx, "new_fh", h) for h in enumerate_h(ctx)]

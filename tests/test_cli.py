@@ -99,7 +99,6 @@ def test_equiv_cli_checkpoint_misuse_exit_2(tmp_path, capsys):
     assert cli.main(base + ["--right", "case1", "--resume", str(ck)]) == 2
     for flag in ("--resume", "--checkpoint-out"):
         assert cli.main(base + ["--right", "pseudoregulus", "--pgl", flag, str(ck)]) == 2
-        assert cli.main(base + ["--trinomial-search", flag, str(ck)]) == 2
     assert json.loads(ck.read_text())["tried"] == 1000
     assert cli.main(base + ["--right", "pseudoregulus", "--workers", "2"]) == 2
 
@@ -203,17 +202,19 @@ def test_lemmas_cli_gap_is_an_error(monkeypatch, capsys):
     assert "skipped" in rep["result"]["lemma3"]
 
 
-def test_json_flag_removed():
+@pytest.mark.parametrize("argv", [
     # JSON is the only default output; the old no-op --json flag is unknown
-    proc = run_cli("linset", "--field", "3^1", "--poly", "case1", "--json")
-    assert proc.returncode == 2
-
-
-def test_family_flag_removed():
+    "linset --field 3^1 --poly case1 --json",
     # --poly NAME:h=ELT is the one polynomial grammar; the old --family,
     # --h and --delta flags of check, linset and mrd are unknown
-    proc = run_cli("check", "--field", "3^1", "--family", "case1")
-    assert proc.returncode == 2
+    "check --field 3^1 --family case1",
+    # the exploratory trinomial scan is deleted
+    "equiv --field 3^1 --left new_fh:h=g^13 --right pseudoregulus --trinomial-search",
+    # mrd's elimination cap is deleted: the cross-check always runs its 32
+    "mrd --field 3^1 --poly case1 --budget 1000",
+], ids=["json", "family", "trinomial-search", "mrd-budget"])
+def test_removed_flag_is_unknown(argv):
+    assert run_cli(*argv.split()).returncode == 2
 
 
 def test_reproduce_exit_codes():

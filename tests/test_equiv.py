@@ -170,7 +170,7 @@ def test_search_finds_random_semilinear_images(f3):
     found = 0
     while found < 4:
         rho = rng.randrange(f3.deg)
-        a, b, c, d = (f3.elem_at(rng.randrange(730)) for _ in range(4))
+        a, b, c, d = (f3.elem_at(rng.randrange(f3.order)) for _ in range(4))
         g = semilinear_image(f, EquivWitness(rho, a, b, c, d))
         if g is None:
             continue
@@ -186,13 +186,13 @@ def reference_scan(f, g, budget=None, chunk=1 << 16):
     and (c, d) solved from slot tp = the first nonzero slot t >= 1 of f^rho."""
     ctx = f.ctx
     N, E = ctx.N, ctx.order
-    gt = [ctx.exp_of(cf) for cf in g.coeffs]
+    gt = [cf.val for cf in g.coeffs]
     tried = 0
     for rho in range(ctx.deg):
         frho = f.automorphism_image(rho)
-        fr = [ctx.exp_of(cf) for cf in frho.coeffs]
+        fr = [cf.val for cf in frho.coeffs]
         tp = next(t for t in range(1, 6) if fr[t] != N)
-        ck = [[ctx.exp_of(g.coeffs[k] * ctx.frobenius(frho.coeffs[(t - k) % 6], k))
+        ck = [[(g.coeffs[k] * ctx.frobenius(frho.coeffs[(t - k) % 6], k)).val
                for k in range(6)] for t in range(6)]
 
         def lhs(t, scale=0):  # g^scale times slot t of g o (a id + b f^rho)
@@ -248,14 +248,14 @@ def test_reduced_scan_matches_reference(f3):
     def image(f, rho, a=None, b=None):
         g = None
         while g is None:
-            ra, rb, c, d = (f3.elem_at(rng.randrange(1, 730)) for _ in range(4))
+            ra, rb, c, d = (f3.elem_at(rng.randrange(1, f3.order)) for _ in range(4))
             g = semilinear_image(f, EquivWitness(rho, ra if a is None else a,
                                                  rb if b is None else b, c, d))
         return g
 
     h = trinomial_hs(f3)[0]
     fh = family_poly(f3, "new_fh", general_hs(f3)[0])
-    rand_f = QPoly(f3, [f3.zero()] + [f3.elem_at(rng.randrange(1, 730)) for _ in range(5)])
+    rand_f = QPoly(f3, [f3.zero()] + [f3.elem_at(rng.randrange(1, f3.order)) for _ in range(5)])
     last = f3.from_exp(2 * R - 1)
     cases = [(family_poly(f3, "new_fh", h), family_poly(f3, "trinomial", h), None),
              (fh, family_poly(f3, "pseudoregulus"), f3.order ** 2),
@@ -274,14 +274,14 @@ def test_reduced_scan_matches_reference(f3):
         if ref.witness is not None:
             w = res.witness
             assert w.to_json() == ref.witness.to_json()
-            found.append((w.a.is_zero(), f3.exp_of(w.b if w.a.is_zero() else w.a)))
+            found.append((w.a.is_zero(), (w.b if w.a.is_zero() else w.a).val))
     assert all(e < R for _, e in found)
     assert found[1][0] and found[-2:] == [(False, R - 1), (True, R - 1)]
 
 
-def test_verify_witness_checks_exact_identity(f7):
+def test_verify_witness_checks_exact_identity(f7, monkeypatch):
     """At q = 7 the pointwise route only samples, so the 6-coefficient
-    identity must catch a wrong c on its own."""
+    identity must catch a wrong c on its own, even with no sample."""
     rng = random.Random(7)
     f = family_poly(f7, "new_fh", enumerate_h(f7)[0])
     g = None
@@ -289,13 +289,14 @@ def test_verify_witness_checks_exact_identity(f7):
         w = EquivWitness(rng.randrange(f7.deg),
                          *(f7.elem_at(rng.randrange(1, f7.order)) for _ in range(4)))
         g = semilinear_image(f, w)
-    assert verify_witness(f, g, w) and verify_witness(f, g, w, sample=0)
     bad = EquivWitness(w.rho, w.a, w.b, w.c + f7.one(), w.d)
     if bad.determinant().is_zero():
         bad.c = w.c - f7.one()
     assert not bad.determinant().is_zero()
-    assert not verify_witness(f, g, bad)
-    assert not verify_witness(f, g, bad, sample=0)
+    for sample in (equiv._VERIFY_SAMPLE, 0):
+        monkeypatch.setattr(equiv, "_VERIFY_SAMPLE", sample)
+        assert verify_witness(f, g, w)
+        assert not verify_witness(f, g, bad)
 
 
 def test_degenerate_inputs(f3):
@@ -383,7 +384,7 @@ def test_l4_consistency_with_general_search(f3):
 
 
 @pytest.mark.parametrize("q", [3, 7])
-def test_pointwise_route_matches_scalar(q):
+def test_pointwise_route_matches_scalar(q, monkeypatch):
     """The pointwise half of verify_witness on its own, against a scalar
     reference over the same points: every x at q = 3, the seeded sample at
     q = 7.  A corrupted c or d must fail it."""
@@ -395,7 +396,8 @@ def test_pointwise_route_matches_scalar(q):
         w = EquivWitness(rng.randrange(F.deg),
                          *(F.elem_at(rng.randrange(1, F.order)) for _ in range(4)))
         g = semilinear_image(f, w)
-    assert equiv._maps_graph(f, g, w, 512)
+    assert equiv._maps_graph(f, g, w)
+    monkeypatch.setattr(equiv, "_VERIFY_SAMPLE", 64)
     for bad in (EquivWitness(w.rho, w.a, w.b, w.c + F.one(), w.d),
                 EquivWitness(w.rho, w.a, w.b, w.c, w.d * F.gen())):
         seed = random.Random(equiv._VERIFY_SEED)
@@ -403,4 +405,4 @@ def test_pointwise_route_matches_scalar(q):
               [F.elem_at(seed.randrange(F.order)) for _ in range(64)])
         ref = all(g(u) == v for u, v in (apply_witness(bad, x, f(x)) for x in xs))
         assert not ref
-        assert equiv._maps_graph(f, g, bad, 64) is False
+        assert equiv._maps_graph(f, g, bad) is False

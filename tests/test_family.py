@@ -74,6 +74,10 @@ def test_build_validation(f3, f5):
         family_poly(f5, "trinomial", 1)  # 1^(q+1) = 1 != -1
     with pytest.raises(InvalidParameter):
         family_poly(f5, "trinomial", f5.from_exp(1))  # g is outside F_{q^2}
+    # an unknown tag, with or without a parameter
+    for param in (None, 1):
+        with pytest.raises(InvalidParameter):
+            family_poly(f3, "no_such_family", param)
 
 
 def test_u3_tagged_unverified(f3):

@@ -8,9 +8,27 @@ import pytest
 from scatlin import geom
 from scatlin.errors import PreconditionFailed, ZeroParameter
 from scatlin.family import enumerate_h
-from scatlin.geom import (ProjSubspace, _sigma_points, disjoint_from_sigma,
-                          gamma_of, intersect, intn, sigma_hat,
-                          sigma_hat_vector)
+from scatlin.geom import (ProjSubspace, disjoint_from_sigma, gamma_of,
+                          intersect, intn, sigma_hat, sigma_hat_vector)
+
+
+def sigma_points(F):
+    """Every point <(x, x^q, ..., x^(q^5))> of the canonical subgeometry, one
+    per F_q^*-coset: the reference enumeration behind the certificate."""
+    for e in range(F.N // (F.q - 1)):
+        x = F.from_exp(e)
+        yield [F.frobenius(x, i) for i in range(6)]
+
+
+def contains_point(S, vec):
+    """Is <vec> inside S?  Reduce vec against S's RREF rows, each at its
+    pivot (the row's first nonzero entry, which is 1); in S iff nothing is
+    left."""
+    v = list(vec)
+    for row in S.rows:
+        pc = next(j for j, c in enumerate(row) if not c.is_zero())
+        v = [a - v[pc] * b for a, b in zip(v, row)]
+    return all(c.is_zero() for c in v)
 
 
 def basis_subspace(F, idxs):
@@ -33,22 +51,25 @@ def test_gamma_dimension_and_equations(f3):
 
 
 def test_gamma_disjoint_from_sigma_full_enumeration(f3):
-    # all 28 vertices against all 364 subgeometry points, no certificate
-    pts = list(_sigma_points(f3))
+    # all 28 vertices against all 364 subgeometry points: the reference
+    # enumeration agrees with the coordinate-hyperplane certificate
+    pts = list(sigma_points(f3))
     assert len(pts) == 364
     for h in enumerate_h(f3):
         G = gamma_of(h)
-        assert disjoint_from_sigma(G, full=True, use_certificate=False)
-        assert disjoint_from_sigma(G)  # certificate path agrees
+        assert not any(contains_point(G, vec) for vec in pts)
+        assert disjoint_from_sigma(G)
 
 
 def test_gamma_meeting_sigma_raises(f3, monkeypatch):
-    """A vertex basis that meets Sigma fails the hyperplane certificate, and
-    the fallback prefix finds the point <(1, ..., 1)> of Sigma on it."""
+    """A vertex basis that meets Sigma, here at the point <(1, ..., 1)>,
+    lies in no coordinate hyperplane, so the certificate fails and gamma_of
+    raises."""
     one, zero = f3.one(), f3.zero()
     rows = [[one] * 6] + [[one if j == i else zero for j in range(6)] for i in (1, 2, 3)]
     meets = ProjSubspace.from_basis(f3, rows)
-    assert meets.pdim == 3 and meets.contains_point([one] * 6)
+    assert meets.pdim == 3 and contains_point(meets, [one] * 6)
+    assert not disjoint_from_sigma(meets)
     monkeypatch.setattr(geom.ProjSubspace, "from_constraints",
                         classmethod(lambda cls, ctx, constraints: meets))
     with pytest.raises(PreconditionFailed):
@@ -56,7 +77,7 @@ def test_gamma_meeting_sigma_raises(f3, monkeypatch):
 
 
 def test_sigma_hat_fixes_subgeometry(f3):
-    for vec in list(_sigma_points(f3))[:25]:
+    for vec in list(sigma_points(f3))[:25]:
         img = sigma_hat_vector(f3, vec)
         assert ProjSubspace.from_basis(f3, [vec]) == ProjSubspace.from_basis(f3, [img])
 
@@ -105,10 +126,10 @@ def test_intersect_dimension_lower_bound(f3):
     rng = random.Random(77)
     for _ in range(15):
         A = ProjSubspace.from_basis(
-            f3, [[f3.elem_at(rng.randrange(730)) for _ in range(6)]
+            f3, [[f3.elem_at(rng.randrange(f3.order)) for _ in range(6)]
                  for _ in range(rng.randrange(1, 5))])
         B = ProjSubspace.from_basis(
-            f3, [[f3.elem_at(rng.randrange(730)) for _ in range(6)]
+            f3, [[f3.elem_at(rng.randrange(f3.order)) for _ in range(6)]
                  for _ in range(rng.randrange(1, 5))])
         got = intersect(A, B).pdim
         assert got >= A.pdim + B.pdim - 5
@@ -142,6 +163,17 @@ def test_intn_preconditions(f3):
         intn(ProjSubspace.empty(f3), 1)
     with pytest.raises(PreconditionFailed):
         intn(basis_subspace(f3, [0, 1]), 2)  # power must be 1 or 5
+
+
+def test_intn_refuses_uncertified_subspace(f3):
+    """<(1, 1, 1, 1, 1, g)> avoids Sigma, as the enumeration shows, but it
+    lies in no coordinate hyperplane, so the certificate does not decide it
+    and intn refuses it."""
+    P = ProjSubspace.from_basis(f3, [[f3.one()] * 5 + [f3.gen()]])
+    assert not any(contains_point(P, vec) for vec in sigma_points(f3))
+    assert not disjoint_from_sigma(P)
+    with pytest.raises(PreconditionFailed):
+        intn(P, 1)
 
 
 def test_intn_rejects_subspace_meeting_sigma(f3):

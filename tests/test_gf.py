@@ -140,9 +140,9 @@ def test_field_axioms_sampled(f3):
     rng = random.Random(11)
     one, zero = f3.one(), f3.zero()
     for _ in range(100):
-        x = f3.elem_at(rng.randrange(730))
-        y = f3.elem_at(rng.randrange(730))
-        z = f3.elem_at(rng.randrange(730))
+        x = f3.elem_at(rng.randrange(f3.order))
+        y = f3.elem_at(rng.randrange(f3.order))
+        z = f3.elem_at(rng.randrange(f3.order))
         assert x + y == y + x
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
@@ -176,7 +176,7 @@ def test_h_squared_is_minus_one_at_q5(f5):
 def test_frobenius_basics(f3):
     rng = random.Random(3)
     for _ in range(50):
-        x = f3.elem_at(rng.randrange(730))
+        x = f3.elem_at(rng.randrange(f3.order))
         assert x.frob(0) == x
         assert x.frob(3).frob(3) == x
         assert x.frob(1) == x ** 3
@@ -186,8 +186,8 @@ def test_frobenius_is_automorphism(f3, f9):
     for F in (f3, f9):
         rng = random.Random(17)
         for _ in range(60):
-            x = F.elem_at(rng.randrange(F.order + 1))
-            y = F.elem_at(rng.randrange(F.order + 1))
+            x = F.elem_at(rng.randrange(F.order))
+            y = F.elem_at(rng.randrange(F.order))
             for i in (1, 2, 5):
                 assert (x + y).frob(i) == x.frob(i) + y.frob(i)
                 assert (x * y).frob(i) == x.frob(i) * y.frob(i)
@@ -210,8 +210,8 @@ def test_norm_trace(f3):
     one = f3.one()
     assert f3.norm(one, 1) == one
     for _ in range(40):
-        x = f3.elem_at(rng.randrange(730))
-        y = f3.elem_at(rng.randrange(730))
+        x = f3.elem_at(rng.randrange(f3.order))
+        y = f3.elem_at(rng.randrange(f3.order))
         assert f3.norm(x, 3) == x ** (f3.q**3 + 1)
         for m in (1, 2, 3):
             assert f3.in_subfield(f3.norm(x, m), m)
@@ -247,6 +247,13 @@ def test_enum_index_roundtrip(f3):
     # valid indices are 0 (zero element) through order - 1 (g^(N-1))
     for i in (0, 1, 2, 77, 728):
         assert f3.enum_index(f3.elem_at(i)) == i
+
+
+def test_elem_at_rejects_out_of_range(f3):
+    # elem_at(order) would otherwise wrap to g^0, and elem_at(-1) to g^(N-2)
+    for i in (f3.order, -1):
+        with pytest.raises(ValueError):
+            f3.elem_at(i)
 
 
 def test_element_parsing(f3):
@@ -335,7 +342,7 @@ def test_p_power_automorphisms(f9):
     # x -> x^(p^e): 12 distinct automorphisms at q = 9, frob(i) = p_power(2i)
     rng = random.Random(31)
     for _ in range(30):
-        x = f9.elem_at(rng.randrange(f9.order + 1))
+        x = f9.elem_at(rng.randrange(f9.order))
         assert f9.p_power(x, 2) == x.frob(1)
         assert f9.p_power(x, f9.deg) == x
 
@@ -355,8 +362,8 @@ def q3_tables(f3):
     """Addition and multiplication tables of F_{3^6} from the scalar
     Field.add / Field.mul, indexed by exponent (index N is zero)."""
     els = [f3.elem_of_exp(e) for e in range(f3.N + 1)]
-    add = np.array([[f3.exp_of(x + y) for y in els] for x in els])
-    mul = np.array([[f3.exp_of(x * y) for y in els] for x in els])
+    add = np.array([[(x + y).val for y in els] for x in els])
+    mul = np.array([[(x * y).val for y in els] for x in els])
     return add, mul
 
 
@@ -370,7 +377,7 @@ def test_v_add_v_sub_match_scalar_all_pairs(f3, q3_tables):
     add, _ = q3_tables
     N = f3.N
     u, v = _all_pairs(f3)
-    neg = np.array([f3.exp_of(-f3.elem_of_exp(e)) for e in range(N + 1)])
+    neg = np.array([(-f3.elem_of_exp(e)).val for e in range(N + 1)])
     s, d = f3.v_add(u, v), f3.v_sub(u, v)
     assert s.dtype == EXP and d.dtype == EXP
     assert np.array_equal(s, add[u, v])
@@ -402,10 +409,10 @@ def test_scaling_kernels_match_scalar(f3, f9):
     for F in (f3, f9):
         e = np.arange(F.N + 1)
         els = [F.elem_of_exp(int(x)) for x in e]
-        assert F.v_frob(e, 1).tolist() == [F.exp_of(x.frob(1)) for x in els]
-        assert F.v_p_power(e, 1).tolist() == [F.exp_of(F.p_power(x, 1)) for x in els]
-        assert F.v_pow(e, 7).tolist() == [F.exp_of(x ** 7) for x in els]
-        assert F.v_inv(e[:-1]).tolist() == [F.exp_of(x.inv()) for x in els[:-1]]
+        assert F.v_frob(e, 1).tolist() == [x.frob(1).val for x in els]
+        assert F.v_p_power(e, 1).tolist() == [F.p_power(x, 1).val for x in els]
+        assert F.v_pow(e, 7).tolist() == [(x ** 7).val for x in els]
+        assert F.v_inv(e[:-1]).tolist() == [x.inv().val for x in els[:-1]]
         with pytest.raises(DivisionByZero):
             F.v_inv(e)
 
