@@ -25,6 +25,9 @@ Slot t of the left side is g_t a^(q^t) plus a q-polynomial in b, so a block
 of a rows times a b range is tested by comparing terms in the row bases
 a^(q^t) with terms in the column bases b^(q^k), broadcast.
 
+check_system_L4 solves the same slot rows for a = A(b) (_b_system), which
+leaves equations in b alone: Theta(q^6) per rho, complete by construction.
+
 The triple scan, the U^4 system scan and the pointwise half of
 verify_witness all run on exponent arrays through the field's Zech-table
 kernels (Field.v_lincomb); make_field builds no field too large for them.
@@ -41,6 +44,7 @@ import numpy as np
 
 from .errors import (DegenerateInput, HypothesisViolated, InternalInvariant,
                      InvalidParameter)
+from .family import family_poly, h_is_valid
 from .gf import TOWER, Field, FieldElem
 from .qpoly import QPoly
 
@@ -137,12 +141,12 @@ def _maps_graph(f: QPoly, g: QPoly, w: EquivWitness) -> bool:
 # ---------------------------------------------------------------------------
 
 def _rho_plan(ctx: Field, f: QPoly, g: QPoly, rho: int):
-    """Exponent-encoded terms of d, c and the four tests for one rho.
+    """The slot identity for one rho as rows (d, c, tests) over the bases
+    a^(q^i) (index i) and b^(q^k) (index 6 + k), each a FieldElem vector.
 
-    Slot t of g o (a id + b f^rho) is a row over the bases a^(q^i) (index i)
-    and b^(q^k) (index 6 + k).  With tp >= 1 the first nonzero slot of f^rho,
-    d is slot_tp / f^rho_tp, and slot_t - f^rho_t d is c for t = 0 and must
-    vanish for the other t != tp: its a part must equal its negated b part.
+    Slot t of g o (a id + b f^rho) is such a row.  With tp >= 1 the first
+    nonzero slot of f^rho, d is slot_tp / f^rho_tp, and row t is
+    slot_t - f^rho_t d: c for t = 0, a test that must vanish for t != tp.
     """
     fr = f.automorphism_image(rho).coeffs
     tp = next((t for t in range(1, TOWER) if not fr[t].is_zero()), None)
@@ -151,17 +155,14 @@ def _rho_plan(ctx: Field, f: QPoly, g: QPoly, rho: int):
     slot = [[g.coeffs[t] if i == t else ctx.zero() for i in range(TOWER)]
             + [g.coeffs[k] * ctx.frobenius(fr[(t - k) % TOWER], k)
                for k in range(TOWER)] for t in range(TOWER)]
-    inv = fr[tp].inv()
+    d = [fr[tp].inv() * y for y in slot[tp]]
+    rows = [[x - fr[t] * y for x, y in zip(slot[t], d)] for t in range(TOWER)]
+    return d, rows[0], [rows[t] for t in range(1, TOWER) if t != tp]
 
-    def terms(row):
-        return [(x.val, (i,)) for i, x in enumerate(row) if not x.is_zero()]
 
-    def reduced(t):  # slot_t - (f^rho_t / f^rho_tp) slot_tp
-        return [x - fr[t] * inv * y for x, y in zip(slot[t], slot[tp])]
-
-    tests = [(terms(reduced(t)[:TOWER]), terms([-x for x in reduced(t)[TOWER:]]))
-             for t in range(1, TOWER) if t != tp]
-    return terms([inv * y for y in slot[tp]]), terms(reduced(0)), tests
+def _terms(row):
+    """The row as v_lincomb terms: (exponent of x, (i,)) for each nonzero x = row[i]."""
+    return [(x.val, (i,)) for i, x in enumerate(row) if not x.is_zero()]
 
 
 def _scan_block(ctx: Field, plan, lo: int, hi: int, R: int, work):
@@ -243,7 +244,9 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
 
     work = np.empty((2, min(_BLOCK, E * E)), dtype=bool)  # see _scan_block
     for rho in range(rho_start, ctx.deg):
-        plan = _rho_plan(ctx, f, g, rho)
+        d_row, c_row, tests = _rho_plan(ctx, f, g, rho)
+        plan = (_terms(d_row), _terms(c_row),
+                [(_terms(r[:TOWER]), _terms([-x for x in r[TOWER:]])) for r in tests])
         flat = flat_start if rho == rho_start else 0
         while flat < E * E:
             scan = flat < reps_end
@@ -291,78 +294,66 @@ def pgl_linear_sets_equivalent(f: QPoly, g: QPoly, g_family: str,
 
 
 # ---------------------------------------------------------------------------
-# the specialised csajbok_mz (U^4) systems
+# the slot identity solved for a = A(b): the U^4 (csajbok_mz) systems
 # ---------------------------------------------------------------------------
 
-def _l4_coefficients(ctx: Field, k: FieldElem, delta: FieldElem, variant: str):
-    """Constraint and back-substitution coefficients of the two systems.
+def _b_system(ctx: Field, f: QPoly, g: QPoly, rho: int):
+    """The rows of _rho_plan as q-polynomials in b: (A, C, D, eqs), with
+    a, c, d = A(b), C(b), D(b) and E(b) = 0 for each nonzero E in eqs.
 
-    Returns (eq_coeffs, back) where eq_coeffs[i] = (gamma_i, alpha_i, beta_i)
-    multiply (b^q, b^(q^3), b^(q^5)) in constraint i, and back(b) derives
-    (a, c, d) from the first three lines.
+    A test row with one a term, p_i a^(q^i) = -sum_k p_(6+k) b^(q^k), gives
+    A = x^(q^(6-i)) o (-p_b / p_i), and a row r becomes (r_a o A) + r_b.
+    Every witness satisfies that row, so no witness is lost; b = 0 forces
+    a = 0, so ad - bc = 0.  None when no test row has a single a term.
     """
-    q = ctx.q
-    one = ctx.one()
-    if variant == "trin":
-        eqs = [
-            (ctx.zero(), one, k ** (q - 1) + delta * k ** (q + q * q)),
-            (k ** (q * q - q), one + k ** (q * q - q), delta * k ** (q * q - 1)),
-            (-delta, k ** (1 - q) + delta * delta * k ** (1 - q * q), delta),
-        ]
+    d_row, c_row, tests = _rho_plan(ctx, f, g, rho)
+    pivot = next((r for r in tests if sum(not x.is_zero() for x in r[:TOWER]) == 1), None)
+    if pivot is None:
+        return None
+    i = next(i for i in range(TOWER) if not pivot[i].is_zero())
+    A = QPoly.monomial(ctx, TOWER - i).compose(QPoly(ctx, [-x / pivot[i] for x in pivot[TOWER:]]))
 
-        def back(b):
-            a = -(k ** (q + 1)) * b.frob(4) - delta.frob(1) * b.frob(2)
-            c = b.frob(1) - delta * k ** (q * q + 1) * b.frob(5)
-            d = k ** (1 - q) * b.frob(3) + delta * b.frob(5)
-            return a, c, d
-    elif variant == "trin2":
-        eqs = [
-            (ctx.zero(), delta, k ** (q - 1) - delta * k ** (q * q + q)),
-            (delta * k ** (q * q - q), k ** (q * q - q) + one, k ** (q * q - 1)),
-            (delta * delta, k ** (1 - q) + delta * delta * k ** (1 - q * q), one),
-        ]
+    def in_b(row):
+        return QPoly(ctx, row[:TOWER]).compose(A) + QPoly(ctx, row[TOWER:])
 
-        def back(b):
-            a = -delta.frob(1) * k ** (q + 1) * b.frob(4) - b.frob(2)
-            c = delta * b.frob(1) - k ** (q * q + 1) * b.frob(5)
-            d = k ** (1 - q) * b.frob(3) + b.frob(5)
-            return a, c, d
-    else:
-        raise InvalidParameter("variant must be 'trin' or 'trin2'")
-    return eqs, back
+    eqs = [in_b(r) for r in tests if r is not pivot]
+    return A, in_b(c_row), in_b(d_row), [E for E in eqs if not E.is_zero()]
 
 
 def l4_target(ctx: Field, delta: FieldElem, variant: str) -> QPoly:
+    """U^4_delta = x^q + x^(q^3) + delta x^(q^5) ("trin"), or ("trin2")
+    delta x^q + x^(q^3) + x^(q^5), the adjoint of U^4_(delta^q)."""
     one, zero = ctx.one(), ctx.zero()
     if variant == "trin":
         return QPoly(ctx, [zero, one, zero, one, zero, delta])
-    return QPoly(ctx, [zero, delta, zero, one, zero, one])
+    if variant == "trin2":
+        return QPoly(ctx, [zero, delta, zero, one, zero, one])
+    raise InvalidParameter("variant must be 'trin' or 'trin2'")
 
 
 def check_system_L4(h: FieldElem, delta: FieldElem, variant: str) -> dict:
-    """Solve one of the two reduced systems for U_h ~ U^4_delta.
+    """Is U_h GammaL-equivalent to the U^4_delta target of variant?
 
-    For each automorphism rho (k = h^rho) the three constraint equations are
-    scanned over b = g^e in F_{q^6}^*, slice by slice on the conjugates
-    b^q, b^(q^3), b^(q^5) (Field.conjugate_slices); a surviving b yields
-    (a, c, d) by back-substitution and is accepted when ad - bc != 0.  The
-    first b accepted, in ascending e within the first rho that has one, is
-    the witness.  Cost Theta(q^6) per (rho, delta, variant) instead of the
-    general Theta(q^12) search.
+    For each rho (k = h^rho) the equations of _b_system are scanned over
+    b = g^e != 0, slice by slice (Field.conjugate_slices); the first b with
+    ad - bc != 0, in ascending e within the first rho that has one, gives
+    the witness.  Theta(q^6) per rho instead of the general Theta(q^12).
     """
     ctx = h.ctx
-    one = ctx.one()
-    if delta * delta + delta != one:
+    if delta * delta + delta != ctx.one():
         raise HypothesisViolated("need delta^2 + delta = 1")
-    if ctx.norm(h, 3) != -one:
+    if not h_is_valid(ctx, h, "odd"):
         raise HypothesisViolated("need h^(q^3+1) = -1")
+    fh = family_poly(ctx, "new_fh", h)
+    target = l4_target(ctx, delta, variant)
     N = ctx.N
 
     for rho in range(ctx.deg):
-        k = ctx.p_power(h, rho)
-        eqs, back = _l4_coefficients(ctx, k, delta, variant)
-        eq_terms = [[(cf.val, (v,)) for v, cf in zip((1, 3, 5), coeffs)]
-                    for coeffs in eqs]
+        system = _b_system(ctx, fh, target, rho)
+        if system is None:  # the t = 3 row always qualifies: f_h^rho_3 = 0, g_3 = 1
+            raise InternalInvariant("no slot row solves for a against U^4 (bug)")
+        A, C, D, eqs = system
+        eq_terms = [_terms(E.coeffs) for E in eqs]
         for lo, bases in ctx.conjugate_slices(N):
             mask = np.ones(bases[0].size, dtype=bool)
             for terms in eq_terms:
@@ -371,16 +362,12 @@ def check_system_L4(h: FieldElem, delta: FieldElem, variant: str) -> dict:
                     break
             for e in np.flatnonzero(mask).tolist():
                 b = ctx.from_exp(lo + e)
-                a, c, d = back(b)
-                if (a * d - b * c).is_zero():
+                w = EquivWitness(rho, A(b), b, C(b), D(b))
+                if w.determinant().is_zero():
                     continue
-                w = EquivWitness(rho=rho, a=a, b=b, c=c, d=d)
-                target = l4_target(ctx, delta, variant)
-                fh = QPoly(ctx, [ctx.zero(), h ** (ctx.q - 1),
-                                 -(h ** (ctx.q**2 - 1)), ctx.zero(), one, one])
                 if not verify_witness(fh, target, w):
                     raise InternalInvariant("L4 system produced a bad witness (bug)")
                 return {"solvable": True, "variant": variant, "rho": rho,
-                        "k": k, "witness": w}
+                        "k": ctx.p_power(h, rho), "witness": w}
     return {"solvable": False, "variant": variant, "rho": None, "k": None,
             "witness": None}

@@ -3,7 +3,7 @@
 Every error raised by scatlin is a subclass of ScatlinError, so callers can
 catch the whole family with one except clause.  The CLI maps UsageError to
 exit code 2, InternalInvariant (a bug signal) to exit code 3, and every other
-ScatlinError, MathMismatch and ClassificationGap included, to exit code 1.
+ScatlinError, ClassificationGap included, to exit code 1.
 Only HypothesisViolated, which says that a lemma does not apply to its
 input, is reported as "skipped" (by `scatlin lemmas`) instead of as an error.
 """
@@ -76,10 +76,6 @@ class ZeroMap(ScatlinError):
 
 class UsageError(ScatlinError):
     pass
-
-
-class MathMismatch(ScatlinError):
-    """A reproduction run disagreed with the expected value."""
 
 
 class InternalInvariant(ScatlinError):

@@ -17,8 +17,8 @@ shift, golden-tested against the expected images of the projection vertex).
 
 Disjointness from Sigma has one route, a certificate: every Sigma point has
 all coordinates nonzero, so a subspace inside a coordinate hyperplane avoids
-Sigma.  The projection vertex lies in x_0 = 0, so the certificate always
-decides it; intn refuses a subspace that lies in no coordinate hyperplane.
+Sigma.  The projection vertex lies in x_0 = 0, so a failed certificate there
+is a bug; intn refuses a subspace that lies in no coordinate hyperplane.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def gamma_of(h: FieldElem) -> ProjSubspace:
         raise InternalInvariant("the vertex has dimension %d, not 3 (bug)" % G.pdim)
     # x_0 = 0 on G, so the coordinate-hyperplane certificate proves this
     if not disjoint_from_sigma(G):
-        raise PreconditionFailed("gamma is not certified disjoint from Sigma")
+        raise InternalInvariant("the vertex is not certified disjoint from Sigma (bug)")
     return G
 
 

@@ -103,18 +103,6 @@ def nullspace(ctx: Field, mat, ncols: int) -> list[list[FieldElem]]:
     return basis
 
 
-def mat_mul(ctx: Field, A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[ctx.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = ctx.zero()
-            for t in range(k):
-                acc = acc + A[i][t] * B[t][j]
-            out[i][j] = acc
-    return out
-
-
 def mat_inv(ctx: Field, A):
     """Inverse of a square matrix (raises if singular)."""
     n = len(A)

@@ -125,8 +125,8 @@ def _intn_run(tag: str, q: int) -> dict:
         G = gamma_of(h)
         r1, dims1 = intn(G, 1)
         r5, dims5 = intn(G, 5)
-        if not (dims1[:3] == [3, 1, -1] and r1 == 3 and r5 == 3):
-            bad.append((str(h), r1, r5, dims1))
+        if not (dims1[:3] == dims5[:3] == [3, 1, -1] and r1 == 3 and r5 == 3):
+            bad.append((str(h), r1, r5, dims1, dims5))
     run.check("every h: chain (3,1,-1) and intn 3 under both collineations",
               not bad, bad or "none", "none")
     return run.report()
@@ -157,12 +157,8 @@ def _l4_q5_power5(tag: str) -> dict:
     h = ctx.from_int(2)
     deltas = u4_deltas(ctx)
     run.check("single delta root at q=5", len(deltas) == 1, len(deltas), 1)
-    found = None
-    for variant in ("trin", "trin2"):
-        res = check_system_L4(h, deltas[0], variant)
-        if res["solvable"]:
-            found = res
-            break
+    found = next((r for r in (check_system_L4(h, deltas[0], v) for v in ("trin", "trin2"))
+                  if r["solvable"]), None)
     run.check("system solvable", found is not None)
     if found:
         k = found["k"]

@@ -1,5 +1,5 @@
-"""Exhaustive semilinear equivalence: witnesses, budgets, and the reduced
-csajbok_mz systems."""
+"""Exhaustive semilinear equivalence: witnesses, budgets, and the csajbok_mz
+systems derived from the slot identity."""
 
 import json
 import random
@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from scatlin import equiv, make_field
-from scatlin.equiv import (EquivResult, EquivWitness, apply_witness,
+from scatlin.equiv import (EquivResult, EquivWitness, _b_system, apply_witness,
                            check_system_L4, gl_equivalent, l4_target,
-                           _l4_coefficients, pgl_linear_sets_equivalent,
-                           verify_witness)
+                           pgl_linear_sets_equivalent, verify_witness)
 from scatlin.errors import DegenerateInput, HypothesisViolated, InvalidParameter
 from scatlin.family import enumerate_h, family_poly, u4_deltas
 from scatlin.linalg import mat_inv
@@ -353,13 +352,54 @@ def test_l4_system_insolvable_off_fq2(f3):
             assert not check_system_L4(h, delta, variant)["solvable"]
 
 
-def test_l4_b_zero_forces_zero_matrix(f3):
-    h = trinomial_hs(f3)[0]
-    delta = u4_deltas(f3)[0]
-    for variant in ("trin", "trin2"):
-        _, back = _l4_coefficients(f3, h, delta, variant)
-        a, c, d = back(f3.zero())
-        assert a.is_zero() and c.is_zero() and d.is_zero()
+def frobenius_orbit_reps(F):
+    """One admissible h per orbit of h -> h^p."""
+    reps, seen = [], set()
+    for h in enumerate_h(F):
+        if h not in seen:
+            reps.append(h)
+            seen.update(F.p_power(h, e) for e in range(F.deg))
+    return reps
+
+
+def test_b_system_contains_search_witnesses(f3, f5):
+    """Completeness: the witness the exhaustive search finds satisfies the
+    system derived at its rho, for the four trinomial pairs at q = 3 and
+    for f_h, h = 2, against both U^4 targets at q = 5."""
+    delta = u4_deltas(f5)[0]
+    pairs = [(family_poly(f3, "new_fh", h), family_poly(f3, "trinomial", h))
+             for h in trinomial_hs(f3)]
+    pairs += [(family_poly(f5, "new_fh", f5.from_int(2)), l4_target(f5, delta, v))
+              for v in ("trin", "trin2")]
+    for f, g in pairs:
+        w = gl_equivalent(f, g).witness
+        A, C, D, eqs = _b_system(f.ctx, f, g, w.rho)
+        assert (A(w.b), C(w.b), D(w.b)) == (w.a, w.c, w.d)
+        assert eqs and all(E(w.b).is_zero() for E in eqs)
+
+
+def test_b_system_none_without_a_pivot_row(f3):
+    """With f = g = x^q + ... + x^(q^5), test row t has the two a terms
+    g_t a^(q^t) and -(f_t / f_1) g_1 a^q, so no row solves for a."""
+    f = QPoly(f3, [f3.zero()] + [f3.one()] * 5)
+    assert _b_system(f3, f, f, 0) is None
+
+
+def test_l4_q5_solvable_h_pinned(f5):
+    """Over all 126 h at q = 5 only g^3906 and g^11718 (the h in F_5) are
+    solvable, for both variants and at rho = 0, with these witnesses."""
+    delta = u4_deltas(f5)[0]
+    expect = {"trin": {"rho": 0, "a": "g^7812", "b": "g^0", "c": "g^11718", "d": "g^11718"},
+              "trin2": {"rho": 0, "a": "g^0", "b": "g^0", "c": "g^11718", "d": "g^3906"}}
+    hits = {}
+    for h in enumerate_h(f5):
+        for variant in ("trin", "trin2"):
+            r = check_system_L4(h, delta, variant)
+            if r["solvable"]:
+                hits[(f5.format(h), variant)] = (r["rho"], r["k"], r["witness"].to_json())
+    assert hits == {(f5.format(h), v): (0, h, expect[v])
+                    for h in (f5.from_exp(3906), f5.from_exp(11718))
+                    for v in ("trin", "trin2")}
 
 
 def test_l4_hypothesis_guards(f3):
@@ -368,19 +408,21 @@ def test_l4_hypothesis_guards(f3):
     h = enumerate_h(f3)[0]
     with pytest.raises(HypothesisViolated):
         check_system_L4(h, f3.one(), "trin")
+    with pytest.raises(InvalidParameter):
+        check_system_L4(h, u4_deltas(f3)[0], "trin3")
 
 
 def test_l4_consistency_with_general_search(f3):
-    """The reduced Theta(q^6) systems agree with the Theta(q^12) search."""
-    delta = u4_deltas(f3)[0]
-    u4 = family_poly(f3, "csajbok_mz", delta)
-    adj_target = l4_target(f3, delta, "trin2")
-    for h in [trinomial_hs(f3)[0], general_hs(f3)[0]]:
+    """The Theta(q^6) system agrees with the Theta(q^12) search for every
+    Frobenius-orbit representative of h, both deltas and both variants."""
+    reps = frobenius_orbit_reps(f3)
+    assert len(reps) == 6
+    for h in reps:
         fh = family_poly(f3, "new_fh", h)
-        assert (check_system_L4(h, delta, "trin")["solvable"]
-                == gl_equivalent(fh, u4).equivalent)
-        assert (check_system_L4(h, delta, "trin2")["solvable"]
-                == gl_equivalent(fh, adj_target).equivalent)
+        for delta in u4_deltas(f3):
+            for variant in ("trin", "trin2"):
+                assert (check_system_L4(h, delta, variant)["solvable"]
+                        == gl_equivalent(fh, l4_target(f3, delta, variant)).equivalent)
 
 
 @pytest.mark.parametrize("q", [3, 7])

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from scatlin import geom
-from scatlin.errors import PreconditionFailed, ZeroParameter
+from scatlin import geom, reproduce
+from scatlin.errors import InternalInvariant, PreconditionFailed, ZeroParameter
 from scatlin.family import enumerate_h
 from scatlin.geom import (ProjSubspace, disjoint_from_sigma, gamma_of,
                           intersect, intn, sigma_hat, sigma_hat_vector)
@@ -63,8 +63,8 @@ def test_gamma_disjoint_from_sigma_full_enumeration(f3):
 
 def test_gamma_meeting_sigma_raises(f3, monkeypatch):
     """A vertex basis that meets Sigma, here at the point <(1, ..., 1)>,
-    lies in no coordinate hyperplane, so the certificate fails and gamma_of
-    raises."""
+    lies in no coordinate hyperplane.  The real vertex lies in x_0 = 0, so
+    a failed certificate in gamma_of is a bug: InternalInvariant."""
     one, zero = f3.one(), f3.zero()
     rows = [[one] * 6] + [[one if j == i else zero for j in range(6)] for i in (1, 2, 3)]
     meets = ProjSubspace.from_basis(f3, rows)
@@ -72,7 +72,7 @@ def test_gamma_meeting_sigma_raises(f3, monkeypatch):
     assert not disjoint_from_sigma(meets)
     monkeypatch.setattr(geom.ProjSubspace, "from_constraints",
                         classmethod(lambda cls, ctx, constraints: meets))
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(InternalInvariant):
         gamma_of(enumerate_h(f3)[0])
 
 
@@ -144,6 +144,15 @@ def test_intn_chain_q3(f3):
         assert r1 == 3 and r5 == 3
         assert dims1[:3] == [3, 1, -1]
         assert dims5[:3] == [3, 1, -1]
+
+
+def test_intn_run_checks_sigma5_chain(monkeypatch):
+    """The intn-q3 reproduce run fails when only the sigma_hat^5 chain is
+    wrong, with the intersection number still 3."""
+    def wrong_sigma5(S, power=1):
+        return (3, [3, 2, 0, -1]) if power == 5 else intn(S, power)
+    monkeypatch.setattr(reproduce, "intn", wrong_sigma5)
+    assert reproduce.run_tag("intn-q3")["ok"] is False
 
 
 def test_intn_trivial_arithmetic(f3):

@@ -4,9 +4,19 @@ determinants, and kernel dimensions (all against enumeration oracles)."""
 import random
 
 from scatlin import QPoly
-from scatlin.linalg import det, mat_mul, rank
+from scatlin.linalg import det, rank
 from scatlin.family import family_poly
 from scatlin.scatter import _criterion_matrices
+
+
+def mat_mul(ctx, A, B):
+    """The matrix product A B over ctx, the reference for compose."""
+    out = [[ctx.zero() for _ in B[0]] for _ in A]
+    for i, row in enumerate(A):
+        for j in range(len(B[0])):
+            for t, x in enumerate(row):
+                out[i][j] = out[i][j] + x * B[t][j]
+    return out
 
 
 def rand_poly(F, rng):
