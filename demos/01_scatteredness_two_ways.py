@@ -56,7 +56,7 @@ print("  all 28 scattered.\n")
 # -- even q: never scattered, with an explicit witness ----------------------
 
 F4 = make_field(2, 2)
-h = enumerate_h(F4, "even")[3]
+h = enumerate_h(F4)[3]
 f = family_poly(F4, "new_fh", h)
 mbar = h.frob(2) + h.frob(1)
 verdict = is_scattered_dickson(f, exhaustive=True)

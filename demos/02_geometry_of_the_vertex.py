@@ -1,12 +1,15 @@
 """The projection vertex in PG(5, q^6) and its intersection number.
 
-The linear set of f_h arises by projecting the canonical subgeometry
+The linear set of a q-polynomial f = sum a_i x^(q^i) arises by projecting
+the canonical subgeometry
 
     Sigma = { <(x, x^q, ..., x^(q^5))> : x != 0 }
 
-from the 3-dimensional vertex
+from the 3-dimensional vertex read off f's coefficients (geom.vertex)
 
-    Gamma:  x_0 = 0,   h^(q-1) x_1 - h^(q^2-1) x_2 + x_4 + x_5 = 0.
+    Gamma:  x_0 = 0,   a_1 x_1 + a_2 x_2 + a_3 x_3 + a_4 x_4 + a_5 x_5 = 0,
+
+which for f_h is x_0 = 0, h^(q-1) x_1 - h^(q^2-1) x_2 + x_4 + x_5 = 0.
 
 The collineation sigma_hat: <(x_0..x_5)> -> <(x_5^q, x_0^q, ..., x_4^q)>
 fixes exactly Sigma, and the invariant
@@ -19,9 +22,10 @@ vertices have intersection number 1 or 2.
 Run:  python demos/02_geometry_of_the_vertex.py
 """
 
-from scatlin import make_field, enumerate_h
+from scatlin import make_field, enumerate_h, family_poly
+from scatlin.family import lp_delta_samples
 from scatlin.geom import (disjoint_from_sigma, gamma_of, intersect, intn,
-                          sigma_hat)
+                          sigma_hat, vertex)
 
 print(__doc__)
 
@@ -56,8 +60,11 @@ r1, dims1 = intn(G, 1)
 r5, dims5 = intn(G, 5)
 print(f"intn under sigma_hat   : r = {r1}, chain {dims1}")
 print(f"intn under sigma_hat^5 : r = {r5}, chain {dims5}")
-print("\nan intersection number of 3 rules out both the pseudoregulus and the")
-print("LP vertices, whose chains stop at r = 1 or 2.")
+print("\nthe same invariant of the pseudoregulus and LP vertices:")
+for name, param in (("pseudoregulus", None), ("lp", lp_delta_samples(F)[0])):
+    r, dims = intn(vertex(family_poly(F, name, param)), 1)
+    print(f"  {name:13s}: r = {r}, chain {dims}")
+print("an intersection number of 3 rules out both of them.")
 
 print("\nsweeping every admissible h at q = 3 and q = 5:")
 for q in (3, 5):

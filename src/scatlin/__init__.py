@@ -19,7 +19,7 @@ from .scatter import (WeightSpectrum, is_scattered, is_scattered_dickson,
                       is_scattered_oracle, point_weight, weight_spectrum)
 from .family import (enumerate_h, family_poly, lemma1_checks, lemma_roots,
                      u4_deltas)
-from .geom import ProjSubspace, gamma_of, intersect, intn, sigma_hat
+from .geom import ProjSubspace, gamma_of, intersect, intn, sigma_hat, vertex
 from .equiv import (EquivResult, EquivWitness, check_system_L4, gl_equivalent,
                     pgl_linear_sets_equivalent, verify_witness)
 from .mrd import (RankCode, code_from, codes_equivalent,

@@ -1,14 +1,18 @@
 """Command-line surface: machine-readable reports for every subsystem.
 
-Every command takes `--field p^s`, prints a JSON report (or an aligned table
-with `--table`) carrying the command echo, the field summary with its modulus
-fingerprint, the result payload, and its timings under one "timing" key
-(field_s for make_field, elapsed_s for the rest).  Exit codes: 0 success, 1 a
-reproduction/math mismatch or another library error (a ClassificationGap from
-`lemmas` and TooLarge for a field above 2^24 elements included), 2 usage
+Every command but `reproduce` takes `--field p^s`.  `main` builds that field,
+calls the command's handler with (args, ctx), and prints one JSON report (or
+an aligned table with `--table`) carrying the command echo, the field summary
+with its modulus fingerprint, the handler's result payload, and its timings
+under one "timing" key (field_s for make_field, elapsed_s for the handler).
+Polynomials come from `--poly` (and `--left`/`--right`), in the grammar of
+parse_poly_spec.  Exit codes: 0 success, 1 a reproduction/math mismatch or
+another library error (a ClassificationGap from `lemmas`, a DegenerateInput
+from `intn` and TooLarge for a field above 2^24 elements included), 2 usage
 errors (an unknown flag, a missing required one such as `equiv --right`, or
 a malformed field, element, polynomial or checkpoint file), 3 an
-internal-invariant failure (a bug, never a property of the input).
+internal-invariant failure (a bug, never a property of the input, such as
+the two scatteredness deciders disagreeing).
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from .equiv import gl_equivalent, pgl_linear_sets_equivalent
 from .errors import (HypothesisViolated, InternalInvariant, InvalidParameter,
                      ScatlinError, UsageError)
 from .family import enumerate_h, family_poly, lemma1_checks, lemma_roots
-from .geom import gamma_of, intn
+from .geom import intn, vertex
 from .gf import Field, make_field, parse_field_spec
 from .mrd import code_from, left_idealiser_field_check, mrd_report
 from .qpoly import QPoly
 from .reproduce import TAGS, run_tag
-from .scatter import is_scattered_dickson, is_scattered_oracle, weight_spectrum
+from .scatter import is_scattered, weight_spectrum
 
 _FAMILY_ALIASES = {
     "u1": "pseudoregulus", "u2": "lp", "u3": "csajbok_mp", "u4": "csajbok_mz",
@@ -84,23 +88,6 @@ def _field_from_args(args) -> tuple[Field, float]:
     return ctx, time.perf_counter() - t0
 
 
-def _report(args, field: Field | None, payload: dict, t0: float,
-            field_s: float | None = None) -> dict:
-    """The report of one command.  Every timing sits under "timing":
-    field_s is the make_field call and elapsed_s the rest, from t0."""
-    timing = {"elapsed_s": round(time.perf_counter() - t0, 3)}
-    rep = {
-        "command": " ".join(args._argv),
-        "version": __version__,
-        "result": payload,
-        "timing": timing,
-    }
-    if field is not None:
-        rep["field"] = field.summary()
-        timing["field_s"] = round(field_s, 3)
-    return rep
-
-
 def _emit(args, report: dict) -> None:
     if getattr(args, "table", False):
         _print_table(report)
@@ -119,39 +106,25 @@ def _print_table(obj, prefix: str = "") -> None:
         print("%-48s %s" % (prefix.rstrip("."), obj))
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: (args, ctx) -> result payload -----------------------
 
 
-def _cmd_check(args) -> tuple[int, dict]:
-    ctx, field_s = _field_from_args(args)
-    t0 = time.perf_counter()
+def _cmd_check(args, ctx: Field) -> dict:
     f = parse_poly_spec(ctx, args.poly)
-    payload: dict = {"poly": f.to_json()}
-    if args.method in ("oracle", "both"):
-        v = is_scattered_oracle(f, exhaustive=args.exhaustive)
-        payload["oracle"] = v.to_json()
-        payload["spectrum"] = v.spectrum.to_json()
-        if v.witness is not None:
-            payload["witness"] = ctx.format(v.witness)
-    if args.method in ("dickson", "both"):
-        v = is_scattered_dickson(f, exhaustive=args.exhaustive)
-        payload["dickson"] = v.to_json()
-        if "witness" not in payload and v.witness is not None:
-            payload["witness"] = ctx.format(v.witness)
-    verdicts = [payload[m]["scattered"] for m in ("oracle", "dickson")
-                if m in payload]
-    payload["scattered"] = all(verdicts)
-    if len(verdicts) == 2 and verdicts[0] != verdicts[1]:
-        return 3, _report(args, ctx, payload, t0, field_s)  # decider disagreement: a bug
-    return 0, _report(args, ctx, payload, t0, field_s)
+    v = is_scattered(f, exhaustive=args.exhaustive)
+    oracle = v["oracle"]
+    payload = {"poly": f.to_json(), "oracle": oracle.to_json(),
+               "spectrum": oracle.spectrum.to_json(),
+               "dickson": v["dickson"].to_json(), "scattered": oracle.scattered}
+    if oracle.witness is not None:
+        payload["witness"] = ctx.format(oracle.witness)
+    return payload
 
 
-def _cmd_linset(args) -> tuple[int, dict]:
-    ctx, field_s = _field_from_args(args)
-    t0 = time.perf_counter()
+def _cmd_linset(args, ctx: Field) -> dict:
     f = parse_poly_spec(ctx, args.poly)
     sp = weight_spectrum(f)
-    payload = {
+    return {
         "poly": f.to_json(),
         "spectrum": sp.to_json(),
         "size": sp.size,
@@ -159,39 +132,31 @@ def _cmd_linset(args) -> tuple[int, dict]:
         "mass_conserved": sp.mass_ok(),
         "infinity_point_weight": sp.infinity_weight,
     }
-    return 0, _report(args, ctx, payload, t0, field_s)
 
 
-def _cmd_enumerate_h(args) -> tuple[int, dict]:
-    ctx, field_s = _field_from_args(args)
-    t0 = time.perf_counter()
-    hs = enumerate_h(ctx, args.variant)
-    payload = {
-        "variant": args.variant or ("even" if ctx.p == 2 else "odd"),
+def _cmd_enumerate_h(args, ctx: Field) -> dict:
+    hs = enumerate_h(ctx)
+    return {
+        "variant": "even" if ctx.p == 2 else "odd",
         "count": len(hs),
         "h": [ctx.format(h) for h in hs],
     }
-    return 0, _report(args, ctx, payload, t0, field_s)
 
 
-def _cmd_intn(args) -> tuple[int, dict]:
-    ctx, field_s = _field_from_args(args)
-    t0 = time.perf_counter()
-    h = _element(ctx, args.h)
-    G = gamma_of(h)
-    r, dims = intn(G, args.power)
-    payload = {"h": ctx.format(h), "power": args.power,
-               "dims_chain": dims, "intn": r}
-    return 0, _report(args, ctx, payload, t0, field_s)
+def _cmd_intn(args, ctx: Field) -> dict:
+    f = parse_poly_spec(ctx, args.poly)
+    r, dims = intn(vertex(f), args.power)
+    return {"poly": f.to_json(), "power": args.power, "dims_chain": dims, "intn": r}
 
 
-def _cmd_equiv(args) -> tuple[int, dict]:
-    ctx, field_s = _field_from_args(args)
-    t0 = time.perf_counter()
+def _cmd_equiv(args, ctx: Field) -> dict:
     left = parse_poly_spec(ctx, args.left)
     if args.pgl and (args.resume or args.checkpoint_out):
         raise UsageError("--resume and --checkpoint-out apply to a single "
                          "gl search, not to --pgl")
+    if args.checkpoint_out and args.budget is None:
+        raise UsageError("--checkpoint-out needs --budget: a search without "
+                         "one never stops early, so it leaves no checkpoint")
     resume = None
     if args.resume:
         try:
@@ -202,32 +167,27 @@ def _cmd_equiv(args) -> tuple[int, dict]:
         if not isinstance(resume, dict):
             raise UsageError("--resume %s: not a checkpoint object" % args.resume)
     right = parse_poly_spec(ctx, args.right)
+    payload = {"left": left.to_json(), "right": right.to_json()}
     if args.pgl:
-        name, _, _ = args.right.partition(":")
-        fam = _FAMILY_ALIASES.get(name.lower(), "")
-        res = pgl_linear_sets_equivalent(left, right, fam, budget=args.budget)
-        payload = {"left": left.to_json(), "right": right.to_json(),
-                   "verdict": "equivalent" if res["equivalent"] else "not_equivalent",
-                   "branch": res["branch"], "searched": res["searched"]}
+        res = pgl_linear_sets_equivalent(left, right, right.tag, budget=args.budget)
+        payload.update(verdict="equivalent" if res["equivalent"] else "not_equivalent",
+                       branch=res["branch"], searched=res["searched"])
         if res["witness"] is not None:
             payload["witness"] = res["witness"].to_json()
-    else:
-        try:
-            res = gl_equivalent(left, right, budget=args.budget, resume=resume)
-        except InvalidParameter as exc:  # only a checkpoint that does not fit
-            raise UsageError("--resume %s: %s" % (args.resume, exc)) from exc
-        payload = {"left": left.to_json(), "right": right.to_json()}
-        payload.update(res.to_json())
-        if res.status == "budget_exceeded" and args.checkpoint_out:
-            with open(args.checkpoint_out, "w") as fh:
-                json.dump(res.checkpoint, fh)
-            payload["checkpoint_file"] = args.checkpoint_out
-    return 0, _report(args, ctx, payload, t0, field_s)
+        return payload
+    try:
+        res = gl_equivalent(left, right, budget=args.budget, resume=resume)
+    except InvalidParameter as exc:  # only a checkpoint that does not fit
+        raise UsageError("--resume %s: %s" % (args.resume, exc)) from exc
+    payload.update(res.to_json())
+    if res.status == "budget_exceeded" and args.checkpoint_out:
+        with open(args.checkpoint_out, "w") as fh:
+            json.dump(res.checkpoint, fh)
+        payload["checkpoint_file"] = args.checkpoint_out
+    return payload
 
 
-def _cmd_mrd(args) -> tuple[int, dict]:
-    ctx, field_s = _field_from_args(args)
-    t0 = time.perf_counter()
+def _cmd_mrd(args, ctx: Field) -> dict:
     f = parse_poly_spec(ctx, args.poly)
     C = code_from(f)
     rep = mrd_report(C)
@@ -241,33 +201,24 @@ def _cmd_mrd(args) -> tuple[int, dict]:
     }
     if args.full_distribution:
         payload["distribution"] = rep["distribution"].to_json()
-    return 0, _report(args, ctx, payload, t0, field_s)
+    return payload
 
 
-def _cmd_lemmas(args) -> tuple[int, dict]:
-    ctx, field_s = _field_from_args(args)
-    t0 = time.perf_counter()
+def _cmd_lemmas(args, ctx: Field) -> dict:
     h = _element(ctx, args.h)
-    payload: dict = {"h": ctx.format(h)}
-    if args.which in ("lemma1", "all"):
-        payload["lemma1"] = lemma1_checks(h)
+    payload = {"h": ctx.format(h), "lemma1": lemma1_checks(h)}
     for name in ("lemma2", "lemma3"):
-        if args.which not in (name, "all"):
-            continue
         try:
             roots = lemma_roots(h, name)
             payload[name] = {"roots": [{"sigma": ctx.format(t), "class": c}
                                        for t, c in roots]}
         except HypothesisViolated as exc:  # the lemma does not apply to h
             payload[name] = {"skipped": str(exc)}
-    return 0, _report(args, ctx, payload, t0, field_s)
+    return payload
 
 
-def _cmd_reproduce(args) -> tuple[int, dict]:
-    t0 = time.perf_counter()
-    report = run_tag(args.tag)
-    rc = 0 if report["ok"] else 1
-    return rc, _report(args, None, report, t0)
+def _cmd_reproduce(args, ctx) -> dict:
+    return run_tag(args.tag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,41 +227,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact toolkit for scattered linearized polynomials over F_{q^6}")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, field=True):
+    def command(name, fn, help, field=True, poly=False):
+        # no flag abbreviations, so a deleted flag such as intn's old --h is
+        # unknown instead of a prefix of --help
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         if field:
             p.add_argument("--field", required=True, help="field spec p^s, e.g. 5^1")
         p.add_argument("--table", action="store_true", help="aligned table output")
+        if poly:
+            p.add_argument("--poly", required=True,
+                           help="family spec (e.g. new_fh:h=g^13) or JSON coefficients")
+        p.set_defaults(fn=fn)
+        return p
 
-    def add_poly(p):
-        p.add_argument("--poly", required=True,
-                       help="family spec (e.g. new_fh:h=g^13) or JSON coefficients")
-
-    p = sub.add_parser("check", help="decide scatteredness")
-    add_common(p)
-    add_poly(p)
-    p.add_argument("--method", choices=("oracle", "dickson", "both"), default="both")
+    p = command("check", _cmd_check, "decide scatteredness", poly=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="report every witness, not just the first")
-    p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("linset", help="weight spectrum of the linear set")
-    add_common(p)
-    add_poly(p)
-    p.set_defaults(fn=_cmd_linset)
+    command("linset", _cmd_linset, "weight spectrum of the linear set", poly=True)
 
-    p = sub.add_parser("enumerate-h", help="all h with h^(q^3+1) = -1 (or 1)")
-    add_common(p)
-    p.add_argument("--variant", choices=("odd", "even"), default=None)
-    p.set_defaults(fn=_cmd_enumerate_h)
+    command("enumerate-h", _cmd_enumerate_h, "all h with h^(q^3+1) = -1")
 
-    p = sub.add_parser("intn", help="intersection number of the projection vertex")
-    add_common(p)
-    p.add_argument("--h", required=True)
+    p = command("intn", _cmd_intn, "intersection number of the projection vertex",
+                poly=True)
     p.add_argument("--power", type=int, choices=(1, 5), default=1)
-    p.set_defaults(fn=_cmd_intn)
 
-    p = sub.add_parser("equiv", help="semilinear equivalence search")
-    add_common(p)
+    p = command("equiv", _cmd_equiv, "semilinear equivalence search")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--budget", type=int, default=None,
@@ -319,39 +261,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-out", help="where to write a checkpoint")
     p.add_argument("--pgl", action="store_true",
                    help="decide linear-set equivalence via the adjoint reduction")
-    p.set_defaults(fn=_cmd_equiv)
 
-    p = sub.add_parser("mrd", help="rank-metric code checks")
-    add_common(p)
-    add_poly(p)
+    p = command("mrd", _cmd_mrd, "rank-metric code checks", poly=True)
     p.add_argument("--full-distribution", action="store_true")
-    p.set_defaults(fn=_cmd_mrd)
 
-    p = sub.add_parser("lemmas", help="auxiliary-lemma checks for one h")
-    add_common(p)
+    p = command("lemmas", _cmd_lemmas, "auxiliary-lemma checks for one h")
     p.add_argument("--h", required=True)
-    p.add_argument("--which", choices=("lemma1", "lemma2", "lemma3", "all"),
-                   default="all")
-    p.set_defaults(fn=_cmd_lemmas)
 
-    p = sub.add_parser("reproduce", help="re-derive a known statement")
-    add_common(p, field=False)
+    p = command("reproduce", _cmd_reproduce, "re-derive a known statement", field=False)
     p.add_argument("tag", choices=sorted(TAGS) + ["all"])
-    p.set_defaults(fn=_cmd_reproduce)
 
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one command and print its report.  Every timing sits under
+    "timing": field_s is the make_field call and elapsed_s the handler."""
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args._argv = ["scatlin"] + argv
     try:
-        rc, report = args.fn(args)
+        ctx, field_s = _field_from_args(args) if "field" in args else (None, None)
+        t0 = time.perf_counter()
+        payload = args.fn(args, ctx)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
@@ -359,8 +294,14 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          indent=2))
         return 3 if isinstance(exc, InternalInvariant) else 1
+    report = {"command": " ".join(["scatlin"] + argv), "version": __version__,
+              "result": payload,
+              "timing": {"elapsed_s": round(time.perf_counter() - t0, 3)}}
+    if ctx is not None:
+        report["field"] = ctx.summary()
+        report["timing"]["field_s"] = round(field_s, 3)
     _emit(args, report)
-    return rc
+    return 0 if payload.get("ok", True) else 1  # a reproduce mismatch exits 1
 
 
 if __name__ == "__main__":

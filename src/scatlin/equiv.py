@@ -269,14 +269,15 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
     return EquivResult("not_equivalent", searched=tried)
 
 
-def pgl_linear_sets_equivalent(f: QPoly, g: QPoly, g_family: str,
+def pgl_linear_sets_equivalent(f: QPoly, g: QPoly, g_family: str | None,
                                budget: int | None = None) -> dict:
     """PGammaL-equivalence of the linear sets, via the reduction lemma:
     L_f ~ L_g iff U_f is GammaL-equivalent to U_g or (except for the
     csajbok_mp family, where only the direct branch applies) to the adjoint
-    graph U_{ghat}."""
+    graph U_{ghat}.  g_family is g's family tag; None (no family, as for an
+    adjoint or a polynomial given by its coefficients) searches both."""
     branches = [("direct", g)]
-    if not g_family.startswith("csajbok_mp"):
+    if not (g_family or "").startswith("csajbok_mp"):
         branches.append(("adjoint", g.adjoint()))
     results = {}
     searched = 0
@@ -342,7 +343,7 @@ def check_system_L4(h: FieldElem, delta: FieldElem, variant: str) -> dict:
     ctx = h.ctx
     if delta * delta + delta != ctx.one():
         raise HypothesisViolated("need delta^2 + delta = 1")
-    if not h_is_valid(ctx, h, "odd"):
+    if not h_is_valid(ctx, h):
         raise HypothesisViolated("need h^(q^3+1) = -1")
     fh = family_poly(ctx, "new_fh", h)
     target = l4_target(ctx, delta, variant)

@@ -37,10 +37,6 @@ class BadSubfield(ScatlinError):
     """Subfield index m does not divide 6."""
 
 
-class ParityMismatch(ScatlinError):
-    """h-enumeration variant inconsistent with the parity of q."""
-
-
 class InvalidParameter(ScatlinError):
     """A parameter violates its defining condition: a family parameter, or a
     resume checkpoint that was made for another field, f or g."""
@@ -54,10 +50,6 @@ class ClassificationGap(ScatlinError):
     """A polynomial root matched none of the listed cases; never expected."""
 
 
-class ZeroParameter(ScatlinError):
-    pass
-
-
 class PreconditionFailed(ScatlinError):
     """A geometric precondition (disjointness / dimension bound) broke."""
 
@@ -67,7 +59,8 @@ class BudgetExceeded(ScatlinError):
 
 
 class DegenerateInput(ScatlinError):
-    """The map pair {id, f} is linearly dependent; search is meaningless."""
+    """f is a multiple of the identity, so U_f is a line: the map pair
+    {id, f} is dependent, and U_f has no projection vertex."""
 
 
 class ZeroMap(ScatlinError):

@@ -3,8 +3,8 @@
 Families (parameter conditions enforced at build time):
 
 * ``new_fh``        f_h = h^(q-1) x^q - h^(q^2-1) x^(q^2) + x^(q^4) + x^(q^5),
-                    with h^(q^3+1) = -1 for odd q, or = +1 for even q (the
-                    even variant exists because those f_h are never scattered).
+                    with h^(q^3+1) = -1 (h_is_valid); at even q, -1 = +1,
+                    and those f_h are never scattered.
 * ``case1``         the h-free specialisation x^q - x^(q^2) + x^(q^4) + x^(q^5)
                     (equals new_fh whenever h lies in F_q, and is the object
                     studied at every odd q, including q = 3 mod 4 where no
@@ -30,43 +30,29 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (ClassificationGap, HypothesisViolated, InternalInvariant,
-                     InvalidParameter, ParityMismatch)
+                     InvalidParameter)
 from .gf import Field, FieldElem
 from .qpoly import QPoly
 
-def h_is_valid(ctx: Field, h: FieldElem, variant: str | None = None) -> bool:
-    """h^(q^3+1) = -1 (odd variant) or +1 (even variant)."""
-    if variant is None:
-        variant = "even" if ctx.p == 2 else "odd"
-    target = ctx.one() if variant == "even" else -ctx.one()
-    return ctx.norm(h, 3) == target
+def h_is_valid(ctx: Field, h: FieldElem) -> bool:
+    """h^(q^3+1) = -1, which is +1 at even q."""
+    return ctx.norm(h, 3) == -ctx.one()
 
 
-def enumerate_h(ctx: Field, variant: str | None = None) -> list[FieldElem]:
+def enumerate_h(ctx: Field) -> list[FieldElem]:
     """All q^3 + 1 solutions of h^(q^3+1) = -1 (odd q) or = 1 (even q).
 
     Solved on exponents: with h = g^j and N = q^6 - 1 = (q^3+1)(q^3-1), the
-    equation (q^3+1) j = target log (mod N) reduces to j = j0 (mod q^3 - 1).
+    equation (q^3+1) j = log(-1) (mod N) reduces to j = j0 (mod q^3 - 1).
     Every returned h is validated by a direct power.
     """
     q = ctx.q
-    if variant is None:
-        variant = "even" if ctx.p == 2 else "odd"
-    if variant == "odd":
-        if ctx.p == 2:
-            raise ParityMismatch("odd variant needs odd q")
-        j0 = (q**3 - 1) // 2
-    elif variant == "even":
-        if ctx.p != 2:
-            raise ParityMismatch("even variant needs q a power of 2")
-        j0 = 0
-    else:
-        raise ParityMismatch("variant must be 'odd' or 'even'")
     step = q**3 - 1
+    j0 = 0 if ctx.p == 2 else step // 2
     out = []
     for t in range(q**3 + 1):
         h = ctx.from_exp(j0 + t * step)
-        if not h_is_valid(ctx, h, variant):
+        if not h_is_valid(ctx, h):
             raise InternalInvariant("enumerated h = %s is not admissible (bug)" % h)
         out.append(h)
     return out
@@ -129,10 +115,8 @@ def family_poly(ctx: Field, tag: str, param=None) -> QPoly:
         raise InvalidParameter("family %r is unknown or needs a parameter" % tag)
 
     if tag == "new_fh":
-        variant = "even" if ctx.p == 2 else "odd"
-        if not h_is_valid(ctx, prm, variant):
-            raise InvalidParameter("h fails h^(q^3+1) = %s" %
-                                   ("1" if variant == "even" else "-1"))
+        if not h_is_valid(ctx, prm):
+            raise InvalidParameter("h fails h^(q^3+1) = -1")
         hq1 = prm ** (ctx.q - 1)
         hq21 = prm ** (ctx.q**2 - 1)
         return QPoly(ctx, [zero, hq1, -hq21, zero, one, one], tag=tag)
@@ -173,7 +157,7 @@ def family_poly(ctx: Field, tag: str, param=None) -> QPoly:
 # ---------------------------------------------------------------------------
 
 def _require_h(ctx: Field, h: FieldElem, need_h4: str):
-    if ctx.norm(h, 3) != -ctx.one():
+    if not h_is_valid(ctx, h):
         raise HypothesisViolated("need h^(q^3+1) = -1")
     h4_is_one = (h ** 4) == ctx.one()
     # Valid h with h^4 = 1 are exactly +-sqrt(-1), which lie in F_q; the

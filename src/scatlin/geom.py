@@ -15,6 +15,9 @@ whose fixed points are exactly Sigma.  Applying it to a subspace = applying it
 to each basis vector and re-canonicalising (Frobenius first, then the cyclic
 shift, golden-tested against the expected images of the projection vertex).
 
+The projection vertex of U_f, for any q-polynomial f = sum a_i x^(q^i), is
+read off f's coefficients: x_0 = 0 and sum a_i x_i = 0 (`vertex`).
+
 Disjointness from Sigma has one route, a certificate: every Sigma point has
 all coordinates nonzero, so a subspace inside a coordinate hyperplane avoids
 Sigma.  The projection vertex lies in x_0 = 0, so a failed certificate there
@@ -23,9 +26,11 @@ is a bug; intn refuses a subspace that lies in no coordinate hyperplane.
 
 from __future__ import annotations
 
-from .errors import CtxMismatch, InternalInvariant, PreconditionFailed, ZeroParameter
+from .errors import CtxMismatch, DegenerateInput, InternalInvariant, PreconditionFailed
+from .family import family_poly
 from .gf import TOWER, Field, FieldElem
 from .linalg import nullspace, rref
+from .qpoly import QPoly
 
 
 class ProjSubspace:
@@ -104,25 +109,27 @@ def sigma_hat(S: ProjSubspace, iterations: int = 1) -> ProjSubspace:
     return ProjSubspace(S.ctx, rows)
 
 
-def gamma_of(h: FieldElem) -> ProjSubspace:
-    """The projection vertex: x_0 = 0 and h^(q-1) x_1 - h^(q^2-1) x_2 + x_4 + x_5 = 0."""
-    ctx = h.ctx
-    if h.is_zero():
-        raise ZeroParameter("gamma_of needs h != 0")
+def vertex(f: QPoly) -> ProjSubspace:
+    """The projection vertex of U_f for f = sum a_i x^(q^i): x_0 = 0 and
+    a_0 x_0 + ... + a_5 x_5 = 0.  It needs one of a_1 .. a_5 nonzero, or
+    U_f is a line (DegenerateInput)."""
+    ctx = f.ctx
+    if all(c.is_zero() for c in f.coeffs[1:]):
+        raise DegenerateInput("f is a multiple of x, so U_f is a line with no vertex")
     one, zero = ctx.one(), ctx.zero()
-    c1 = h ** (ctx.q - 1)
-    c2 = -(h ** (ctx.q**2 - 1))
-    constraints = [
-        [one, zero, zero, zero, zero, zero],
-        [zero, c1, c2, zero, one, one],
-    ]
-    G = ProjSubspace.from_constraints(ctx, constraints)
+    G = ProjSubspace.from_constraints(ctx, [[one] + [zero] * (TOWER - 1), f.coeffs])
     if G.pdim != 3:
         raise InternalInvariant("the vertex has dimension %d, not 3 (bug)" % G.pdim)
     # x_0 = 0 on G, so the coordinate-hyperplane certificate proves this
     if not disjoint_from_sigma(G):
         raise InternalInvariant("the vertex is not certified disjoint from Sigma (bug)")
     return G
+
+
+def gamma_of(h: FieldElem) -> ProjSubspace:
+    """The projection vertex of f_h; family_poly raises InvalidParameter
+    for an inadmissible h."""
+    return vertex(family_poly(h.ctx, "new_fh", h))
 
 
 def disjoint_from_sigma(S: ProjSubspace) -> bool:

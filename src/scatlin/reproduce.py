@@ -99,7 +99,7 @@ def _case2(tag: str, q: int, count: int, outside_fq: bool) -> dict:
 def _even_negative(tag: str, p: int, s: int) -> dict:
     run = Run(tag)
     ctx = make_field(p, s)
-    hs = enumerate_h(ctx, "even")
+    hs = enumerate_h(ctx)
     run.check("q^3+1 admissible h", len(hs) == ctx.q**3 + 1, len(hs), ctx.q**3 + 1)
     bad = []
     for h in hs:

@@ -396,9 +396,10 @@ def is_scattered_dickson(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
     )
 
 
-def is_scattered(f: QPoly) -> dict:
+def is_scattered(f: QPoly, exhaustive: bool = False) -> dict:
     """Run both deciders; raises if the two routes disagree."""
-    out = {"oracle": is_scattered_oracle(f), "dickson": is_scattered_dickson(f)}
+    out = {"oracle": is_scattered_oracle(f, exhaustive=exhaustive),
+           "dickson": is_scattered_dickson(f, exhaustive=exhaustive)}
     if out["oracle"].scattered != out["dickson"].scattered:
         raise InternalInvariant("decider disagreement: oracle=%s dickson=%s (bug)" %
                                 (out["oracle"].scattered, out["dickson"].scattered))

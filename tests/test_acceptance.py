@@ -75,7 +75,7 @@ def test_criterion_3_even_q_negative():
     t0 = time.time()
     for p, s in ((2, 1), (2, 2)):
         ctx = make_field(p, s)
-        hs = enumerate_h(ctx, "even")
+        hs = enumerate_h(ctx)
         assert len(hs) == ctx.q**3 + 1
         for h in hs:
             f = family_poly(ctx, "new_fh", h)

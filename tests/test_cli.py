@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import scatlin
-from scatlin import cli, family
+from scatlin import cli, family, scatter
 from scatlin.mrd import RankCode
 
 
@@ -45,8 +45,7 @@ def test_check_pseudoregulus():
 
 
 def test_check_family_grammar():
-    rep = run_json("check", "--field", "5^1", "--poly", "new_fh:h=2",
-                   "--method", "oracle")
+    rep = run_json("check", "--field", "5^1", "--poly", "new_fh:h=2")
     assert rep["result"]["scattered"] is True
     assert rep["result"]["oracle"]["spectrum"] == {"1": 3906}
 
@@ -70,10 +69,15 @@ def test_enumerate_h_cli():
     assert rep["result"]["count"] == 65
 
 
-def test_intn_cli():
-    rep = run_json("intn", "--field", "3^1", "--h", "g^13")
+def test_intn_cli(capsys):
+    """intn takes any polynomial; x -> a x has no vertex and exits 1."""
+    rep = run_json("intn", "--field", "3^1", "--poly", "new_fh:h=g^13")
     assert rep["result"]["intn"] == 3
     assert rep["result"]["dims_chain"][:3] == [3, 1, -1]
+    rep = run_json("intn", "--field", "3^1", "--poly", "pseudoregulus", "--power", "5")
+    assert (rep["result"]["intn"], rep["result"]["dims_chain"]) == (1, [3, 2])
+    assert cli.main(["intn", "--field", "3^1", "--poly", '{"coeffs":["g^0"]}']) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "DegenerateInput"
 
 
 def test_equiv_cli_with_checkpoint(tmp_path):
@@ -90,9 +94,14 @@ def test_equiv_cli_with_checkpoint(tmp_path):
 
 
 def test_equiv_cli_checkpoint_misuse_exit_2(tmp_path, capsys):
-    """Resuming a checkpoint made for other inputs, and --resume or
-    --checkpoint-out where no single search runs, are usage errors."""
+    """Resuming a checkpoint made for other inputs, --resume or
+    --checkpoint-out where no single search runs, and --checkpoint-out
+    without the --budget that could stop the search, are usage errors."""
     ck = tmp_path / "ck.json"
+    none = tmp_path / "none.json"
+    assert cli.main(["equiv", "--field", "3^1", "--left", "case1", "--right",
+                     "pseudoregulus", "--checkpoint-out", str(none)]) == 2
+    assert not none.exists()
     base = ["equiv", "--field", "3^1", "--left", "new_fh:h=g^13"]
     assert cli.main(base + ["--right", "pseudoregulus", "--budget", "1000",
                             "--checkpoint-out", str(ck)]) == 0
@@ -133,14 +142,16 @@ def test_internal_invariant_exit_3(monkeypatch, capsys):
     assert cli.main(["mrd", "--field", "3^1", "--poly", "case1"]) == 3
     assert json.loads(capsys.readouterr().out)["error"] == "InternalInvariant"
     # so is a disagreement of the two scatteredness deciders
-    real = cli.is_scattered_dickson
+    real = scatter.is_scattered_dickson
 
     def flipped(f, **kw):
         v = real(f, **kw)
         v.scattered = not v.scattered
         return v
-    monkeypatch.setattr(cli, "is_scattered_dickson", flipped)
+    monkeypatch.setattr(scatter, "is_scattered_dickson", flipped)
+    capsys.readouterr()
     assert cli.main(["check", "--field", "3^1", "--poly", "case1"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "InternalInvariant"
 
 
 def test_invariant_checks_fire_under_python_O():
@@ -188,18 +199,17 @@ def test_lemmas_cli_gap_is_an_error(monkeypatch, capsys):
     polynomial has no unclassified root, so the gap is provoked in process
     by flipping the signs of its c1 and c0 rows, which gives 6 unclassified
     roots at q = 5, h = g^62."""
-    argv = ["lemmas", "--field", "5^1", "--h", "g^62", "--which"]
-    rep = run_json(*argv, "lemma2")
+    argv = ["lemmas", "--field", "5^1", "--h", "g^62"]
+    rep = run_json(*argv)
     assert [r["class"] for r in rep["result"]["lemma2"]["roots"]] == ["minus", "plus"]
+    assert "skipped" in rep["result"]["lemma3"]
     rows = family.LEMMA_POLYS["lemma2"]
     flipped = rows[:2] + tuple((tpow, tuple((-sign, d) for sign, d in monos))
                                for tpow, monos in rows[2:])
     monkeypatch.setitem(family.LEMMA_POLYS, "lemma2", flipped)
     capsys.readouterr()
-    assert cli.main([*argv, "lemma2"]) == 1
+    assert cli.main(argv) == 1
     assert json.loads(capsys.readouterr().out)["error"] == "ClassificationGap"
-    rep = run_json(*argv, "lemma3")
-    assert "skipped" in rep["result"]["lemma3"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -212,7 +222,14 @@ def test_lemmas_cli_gap_is_an_error(monkeypatch, capsys):
     "equiv --field 3^1 --left new_fh:h=g^13 --right pseudoregulus --trinomial-search",
     # mrd's elimination cap is deleted: the cross-check always runs its 32
     "mrd --field 3^1 --poly case1 --budget 1000",
-], ids=["json", "family", "trinomial-search", "mrd-budget"])
+    # check always runs both deciders, enumerate-h takes the parity of the
+    # field, lemmas reports all three lemmas, and intn takes --poly
+    "check --field 3^1 --poly case1 --method oracle",
+    "enumerate-h --field 3^1 --variant odd",
+    "lemmas --field 3^1 --h g^13 --which lemma1",
+    "intn --field 3^1 --poly case1 --h g^13",
+], ids=["json", "family", "trinomial-search", "mrd-budget", "check-method",
+        "enumerate-h-variant", "lemmas-which", "intn-h"])
 def test_removed_flag_is_unknown(argv):
     assert run_cli(*argv.split()).returncode == 2
 
@@ -222,6 +239,14 @@ def test_reproduce_exit_codes():
     assert proc.returncode == 0
     body = json.loads(proc.stdout)
     assert body["result"]["ok"] is True
+
+
+def test_reproduce_all_in_process(capsys):
+    """The headline reproduction: every tag ok, exit 0, through main's
+    field-less path."""
+    assert cli.main(["reproduce", "all"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["result"]["ok"] is True and "field" not in rep
 
 
 def test_reproduce_unknown_tag_is_usage_error():
@@ -259,6 +284,7 @@ def test_table_output():
 
 # sha256 of json.dumps(report minus "timing", sort_keys=True) for each
 # command, as computed before the polynomial-arithmetic backend was deleted
+# (the intn entry since intn reads its vertex off --poly)
 GOLDEN_REPORTS = {
     "check --field 3^1 --poly case1 --exhaustive":
         "dc583e998080315462cff145bdcf8f48127f8c4f53b966f40c40b8fb257bfa8e",
@@ -266,8 +292,8 @@ GOLDEN_REPORTS = {
         "f23ee8af445ccaadf4d96e79ee733a11f3b95357b02c7e5e1bc141e8cf05505f",
     "enumerate-h --field 3^1":
         "ce3ed28748d3f25561d0374853de9f992a8d1fe3a2993669ffaf24440c6d74a7",
-    "intn --field 3^1 --h g^13":
-        "10aa668c2c48240960f1078de60e72d7878ead9c71cecb2c4f97772ba7ac7983",
+    "intn --field 3^1 --poly new_fh:h=g^13":
+        "5f11a7f110cf76f932e50d040ef0b7de452d2b81fedc5d7859b4c8031f60cd23",
     "mrd --field 3^1 --poly new_fh:h=g^13 --full-distribution":
         "7b050ecabb02bd1e41b81d428f1c48266b544e59e4291f17d6d5f1aa6338349d",
     "lemmas --field 3^1 --h g^13":
@@ -294,7 +320,7 @@ def test_golden_reports(chunk, f3, f5, with_chunk, capsys):
 
 @pytest.mark.parametrize("argv", [
     "linset --field 3^x --poly case1",
-    "intn --field 3^1 --h foo",
+    "intn --field 3^1 --poly new_fh:h=foo",
     "lemmas --field 3^1 --h poly:1,2,3,4,5,6,7",
     "check --field 3^1 --poly {bad",
     'check --field 3^1 --poly {"x":1}',

@@ -318,6 +318,20 @@ def test_pgl_reduction_branches(f3):
     assert set(res2["results"]) == {"direct"}
 
 
+def test_pgl_untagged_target_searches_both_branches(f3):
+    """An adjoint or a polynomial given by its coefficients has no family
+    tag; passing g.tag then searches both branches."""
+    ps = family_poly(f3, "pseudoregulus")
+    g = ps.adjoint()
+    assert g.tag is None
+    res = pgl_linear_sets_equivalent(ps, g, g.tag)
+    assert res["equivalent"] and verify_witness(ps, g, res["witness"])
+    g = family_poly(f3, "case1").adjoint()  # not scattered, unlike ps
+    res = pgl_linear_sets_equivalent(ps, g, g.tag)
+    assert not res["equivalent"] and res["exhausted"]
+    assert set(res["results"]) == {"direct", "adjoint"}
+
+
 def test_l4_system_q5_power_of_5(f5):
     h = f5.from_int(2)
     delta = u4_deltas(f5)[0]

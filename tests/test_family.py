@@ -5,7 +5,7 @@ import random
 import pytest
 
 from scatlin import make_field
-from scatlin.errors import HypothesisViolated, InvalidParameter, ParityMismatch
+from scatlin.errors import HypothesisViolated, InvalidParameter
 from scatlin.family import (LEMMA_POLYS, enumerate_h, family_poly, h_is_valid,
                             lemma1_checks, lemma_roots, lp_delta_samples,
                             u3_delta_samples, u4_deltas)
@@ -30,16 +30,11 @@ def test_enumerate_h_q5(f5):
 
 
 def test_enumerate_h_even(f2, f4):
-    assert len(enumerate_h(f2, "even")) == 2**3 + 1
-    assert len(enumerate_h(f4, "even")) == 4**3 + 1
-    assert len(enumerate_h(f4)) == 4**3 + 1  # defaults to 'even' when p = 2
-    with pytest.raises(ParityMismatch):
-        enumerate_h(f2, "odd")
-
-
-def test_enumerate_h_parity_guard(f3):
-    with pytest.raises(ParityMismatch):
-        enumerate_h(f3, "even")
+    """At even q, -1 = 1: the q^3 + 1 solutions of h^(q^3+1) = 1."""
+    for F in (f2, f4):
+        hs = enumerate_h(F)
+        assert len(hs) == F.q**3 + 1
+        assert all(h ** (F.q**3 + 1) == F.one() for h in hs)
 
 
 def test_build_family_vectors(f3, f5):
@@ -107,7 +102,7 @@ def test_trinomial_h_are_fh_parameters(f3):
     assert len(hs) == 4
     for h in hs:
         assert h ** (f3.q + 1) == -f3.one()
-        assert h_is_valid(f3, h, "odd")
+        assert h_is_valid(f3, h)
         family_poly(f3, "trinomial", h)
 
 

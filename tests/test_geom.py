@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from scatlin import geom, reproduce
-from scatlin.errors import InternalInvariant, PreconditionFailed, ZeroParameter
-from scatlin.family import enumerate_h
+from scatlin import QPoly, geom, reproduce
+from scatlin.errors import (DegenerateInput, InternalInvariant, InvalidParameter,
+                            PreconditionFailed)
+from scatlin.family import (enumerate_h, family_poly, lp_delta_samples,
+                            u3_delta_samples, u4_deltas)
 from scatlin.geom import (ProjSubspace, disjoint_from_sigma, gamma_of,
-                          intersect, intn, sigma_hat, sigma_hat_vector)
+                          intersect, intn, sigma_hat, sigma_hat_vector, vertex)
 
 
 def sigma_points(F):
@@ -37,17 +39,48 @@ def basis_subspace(F, idxs):
         F, [[one if j == i else zero for j in range(6)] for i in idxs])
 
 
-def test_gamma_dimension_and_equations(f3):
-    h = enumerate_h(f3)[0]
-    G = gamma_of(h)
-    assert G.pdim == 3
-    c1 = h ** (f3.q - 1)
-    c2 = -(h ** (f3.q**2 - 1))
-    for row in G.rows:
-        assert row[0].is_zero()
-        assert (c1 * row[1] + c2 * row[2] + row[4] + row[5]).is_zero()
-    with pytest.raises(ZeroParameter):
+def test_gamma_dimension_and_equations(f3, f5):
+    """The vertex read off f_h's coefficients satisfies the closed-form
+    equations x_0 = 0, h^(q-1) x_1 - h^(q^2-1) x_2 + x_4 + x_5 = 0 for every
+    admissible h; h = 0 is not a parameter of f_h."""
+    for F in (f3, f5):
+        q = F.q
+        for h in enumerate_h(F):
+            G = gamma_of(h)
+            assert G.pdim == 3
+            c1 = h ** (q - 1)
+            c2 = -(h ** (q**2 - 1))
+            for row in G.rows:
+                assert row[0].is_zero()
+                assert (c1 * row[1] + c2 * row[2] + row[4] + row[5]).is_zero()
+    with pytest.raises(InvalidParameter):
         gamma_of(f3.zero())
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_vertex_intn_of_known_families(q, f3, f5):
+    """(intn, chain) of the vertex of each known family, the same under
+    sigma_hat and sigma_hat^5: the invariant separates the pseudoregulus and
+    LP from the rest."""
+    F = {3: f3, 5: f5}[q]
+    expected = [
+        (family_poly(F, "pseudoregulus"), (1, [3, 2])),
+        (family_poly(F, "lp", lp_delta_samples(F)[0]), (2, [3, 1, 0])),
+        (family_poly(F, "csajbok_mp", u3_delta_samples(F)[0]), (3, [3, 1, -1, -1])),
+        (family_poly(F, "case1"), (3, [3, 1, -1, -1])),
+    ]
+    expected += [(family_poly(F, "csajbok_mz", d), (3, [3, 1, -1, -1]))
+                 for d in u4_deltas(F)]
+    for f, want in expected:
+        G = vertex(f)
+        assert (intn(G, 1), intn(G, 5)) == (want, want), f.tag
+
+
+def test_vertex_of_a_line_is_degenerate(f3):
+    """x -> a x has U_f a line, so it has no projection vertex."""
+    for a in (f3.one(), f3.gen(), f3.zero()):
+        with pytest.raises(DegenerateInput):
+            vertex(QPoly(f3, [a]))
 
 
 def test_gamma_disjoint_from_sigma_full_enumeration(f3):
