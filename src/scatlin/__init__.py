@@ -22,5 +22,4 @@ from .family import (enumerate_h, family_poly, lemma1_checks, lemma_roots,
 from .geom import ProjSubspace, gamma_of, intersect, intn, sigma_hat, vertex
 from .equiv import (EquivResult, EquivWitness, check_system_L4, gl_equivalent,
                     pgl_linear_sets_equivalent, verify_witness)
-from .mrd import (RankCode, code_from, codes_equivalent,
-                  left_idealiser_field_check, mrd_report, rank_distribution)
+from .mrd import RankCode, code_from, idealisers, mrd_report, rank_distribution

@@ -8,11 +8,11 @@ under one "timing" key (field_s for make_field, elapsed_s for the handler).
 Polynomials come from `--poly` (and `--left`/`--right`), in the grammar of
 parse_poly_spec.  Exit codes: 0 success, 1 a reproduction/math mismatch or
 another library error (a ClassificationGap from `lemmas`, a DegenerateInput
-from `intn` and TooLarge for a field above 2^24 elements included), 2 usage
-errors (an unknown flag, a missing required one such as `equiv --right`, or
-a malformed field, element, polynomial or checkpoint file), 3 an
-internal-invariant failure (a bug, never a property of the input, such as
-the two scatteredness deciders disagreeing).
+from `intn` or `mrd` and TooLarge for a field above 2^24 elements included),
+2 usage errors (an unknown flag, a missing required one such as `equiv
+--right`, a negative `--budget`, or a malformed field, element, polynomial
+or checkpoint file), 3 an internal-invariant failure (a bug, never a
+property of the input, such as the two scatteredness deciders disagreeing).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (HypothesisViolated, InternalInvariant, InvalidParameter,
 from .family import enumerate_h, family_poly, lemma1_checks, lemma_roots
 from .geom import intn, vertex
 from .gf import Field, make_field, parse_field_spec
-from .mrd import code_from, left_idealiser_field_check, mrd_report
+from .mrd import code_from, mrd_report
 from .qpoly import QPoly
 from .reproduce import TAGS, run_tag
 from .scatter import is_scattered, weight_spectrum
@@ -151,6 +151,8 @@ def _cmd_intn(args, ctx: Field) -> dict:
 
 def _cmd_equiv(args, ctx: Field) -> dict:
     left = parse_poly_spec(ctx, args.left)
+    if args.budget is not None and args.budget < 0:
+        raise UsageError("--budget must be a nonnegative triple count")
     if args.pgl and (args.resume or args.checkpoint_out):
         raise UsageError("--resume and --checkpoint-out apply to a single "
                          "gl search, not to --pgl")
@@ -170,8 +172,9 @@ def _cmd_equiv(args, ctx: Field) -> dict:
     payload = {"left": left.to_json(), "right": right.to_json()}
     if args.pgl:
         res = pgl_linear_sets_equivalent(left, right, right.tag, budget=args.budget)
-        payload.update(verdict="equivalent" if res["equivalent"] else "not_equivalent",
-                       branch=res["branch"], searched=res["searched"])
+        verdict = ("equivalent" if res["equivalent"] else
+                   "not_equivalent" if res["exhausted"] else "budget_exceeded")
+        payload.update(verdict=verdict, branch=res["branch"], searched=res["searched"])
         if res["witness"] is not None:
             payload["witness"] = res["witness"].to_json()
         return payload
@@ -189,19 +192,11 @@ def _cmd_equiv(args, ctx: Field) -> dict:
 
 def _cmd_mrd(args, ctx: Field) -> dict:
     f = parse_poly_spec(ctx, args.poly)
-    C = code_from(f)
-    rep = mrd_report(C)
-    payload = {
-        "poly": f.to_json(),
-        "min_distance": rep["min_distance"],
-        "cardinality": rep["cardinality"],
-        "singleton_equality": rep["singleton_equality"],
-        "mrd": rep["mrd"],
-        "left_idealiser_field": left_idealiser_field_check(C),
-    }
+    rep = mrd_report(code_from(f))
+    dist = rep.pop("distribution")
     if args.full_distribution:
-        payload["distribution"] = rep["distribution"].to_json()
-    return payload
+        rep["distribution"] = dist.to_json()
+    return {"poly": f.to_json(), **rep}
 
 
 def _cmd_lemmas(args, ctx: Field) -> dict:

@@ -59,12 +59,9 @@ class BudgetExceeded(ScatlinError):
 
 
 class DegenerateInput(ScatlinError):
-    """f is a multiple of the identity, so U_f is a line: the map pair
-    {id, f} is dependent, and U_f has no projection vertex."""
-
-
-class ZeroMap(ScatlinError):
-    pass
+    """f is a multiple of the identity (f = 0 included), so the map pair
+    {id, f} is dependent: U_f is a line with no projection vertex, and C_f
+    has q^6 maps instead of q^12."""
 
 
 class UsageError(ScatlinError):

@@ -1,8 +1,8 @@
 """Rank-metric codes C_f = {x -> a f(x) + b x} and their MRD verification.
 
 Codewords are F_q-linear maps on F_{q^6}; the code is the F_{q^6}-span of
-{f, id}, has q^12 codewords, and is closed under left multiplication by field
-scalars, which embeds F_{q^6} into its left idealiser.
+{f, id} and has q^12 codewords when f is not a multiple of x (otherwise
+RankCode raises DegenerateInput).
 
 Ranks are computed through 6x6 Dickson matrices over F_{q^6} (constant-size
 exact elimination) and cross-checkable against an explicit 6x6 matrix over
@@ -14,21 +14,24 @@ constant on the F_{q^6}*-orbits (0, 0), (0, 1), (1, b), and f + b id has rank
 fixed sample of 32 codewords; rank_distribution's budget caps those
 eliminations, not q.  The minimum distance is
 rank_distribution(C).min_distance().
+
+idealisers(C) gives F_q-bases of the left and right idealisers, the code's
+invariants (Lunardon-Trombetti-Zhou), in the same trace-dual coordinates.
+Code equivalence is GammaL-equivalence of U_f (Sheekey): equiv.gl_equivalent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InternalInvariant, ZeroMap
+from .errors import BudgetExceeded, DegenerateInput, InternalInvariant
 from .gf import TOWER, Field
-from .linalg import mat_inv, rank as mat_rank
+from .linalg import mat_inv, nullspace, rank as mat_rank
 from .qpoly import QPoly
-from . import equiv as _equiv, scatter as _scatter
+from . import scatter as _scatter
 
 DEFAULT_DISTRIBUTION_LIMIT = 1000  # eliminations allowed by default
 CROSS_CHECKS = 32  # eliminations in one distribution's cross-check
-_IDEALISER_SAMPLES = 64  # scalars tried by a non-full idealiser check
 
 
 @dataclass
@@ -51,8 +54,9 @@ class RankCode:
     """The 2-dimensional F_{q^6}-span {a f + b id} as a rank-metric code."""
 
     def __init__(self, ctx: Field, f: QPoly):
-        if f.is_zero():
-            raise ZeroMap("C_f needs a nonzero q-polynomial")
+        self._pivot = next((i for i in range(1, TOWER) if not f.coeffs[i].is_zero()), None)
+        if self._pivot is None:  # f = f_0 x: C_f = F_{q^6} x has q^6 maps
+            raise DegenerateInput("f is a multiple of x, so {f, id} are dependent")
         self.ctx = ctx
         self.f = f
         self._dual = None
@@ -82,20 +86,27 @@ class RankCode:
             self._dual = (basis, dual)
         return self._dual
 
+    def _coordinates(self, y) -> list:
+        """The F_q-coordinates Tr(y dual_i) of y in the basis 1, g, ..., g^5."""
+        return [self.ctx.trace(y * d, 1) for d in self._basis_and_dual()[1]]
+
     def codeword_matrix(self, a, b):
         """Explicit 6x6 matrix over F_q in the basis 1, g, ..., g^5.
 
-        Column j holds the coordinates of the image of g^j, extracted with
-        the trace-dual basis; the cross-check route for codeword_rank.
+        Column j holds the coordinates of the image of g^j; the cross-check
+        route for codeword_rank.
         """
-        ctx = self.ctx
         word = self.codeword(a, b)
-        basis, dual = self._basis_and_dual()
-        cols = []
-        for j in range(TOWER):
-            y = word(basis[j])
-            cols.append([ctx.trace(y * dual[i], 1) for i in range(TOWER)])
-        return [[cols[j][i] for j in range(TOWER)] for i in range(TOWER)]
+        cols = [self._coordinates(word(x)) for x in self._basis_and_dual()[0]]
+        return [list(row) for row in zip(*cols)]
+
+    def _membership_rows(self, w: QPoly) -> list:
+        """24 values in F_q, all zero iff w is in C: with i = self._pivot, the
+        first i >= 1 where f_i != 0, w = c f + d id iff w_j f_i = w_i f_j for
+        the four j outside {0, i}, 6 trace-dual coordinates each."""
+        f, i = self.f.coeffs, self._pivot
+        return [x for j in range(1, TOWER) if j != i
+                for x in self._coordinates(w.coeffs[j] * f[i] - w.coeffs[i] * f[j])]
 
     def codeword_rank_explicit(self, a, b) -> int:
         return mat_rank(self.ctx, self.codeword_matrix(a, b))
@@ -131,7 +142,8 @@ def rank_distribution(C: RankCode,
 
 
 def mrd_report(C: RankCode) -> dict:
-    """Distribution, minimum distance, and the Singleton-equality verdict.
+    """Distribution, minimum distance, the Singleton-equality verdict, and
+    the F_q-dimensions of the two idealisers.
 
     MRD for parameters (6, 6, q; d): |C| = q^(6 (6 - d + 1)); with |C| = q^12
     that forces d = 5, so the verdict is min_distance == 5.
@@ -140,44 +152,37 @@ def mrd_report(C: RankCode) -> dict:
     d = dist.min_distance()
     ctx = C.ctx
     singleton = dist.size == ctx.q ** (TOWER * (TOWER - d + 1))
+    left, right = idealisers(C)
     return {
         "min_distance": d,
         "distribution": dist,
         "cardinality": dist.size,
         "singleton_equality": singleton,
         "mrd": singleton,
+        "idealisers": {"left": len(left), "right": len(right)},
     }
 
 
-def codes_equivalent(Cf: RankCode, Cg: RankCode) -> _equiv.EquivResult:
-    """Code equivalence delegates to subspace equivalence of U_f and U_g."""
-    return _equiv.gl_equivalent(Cf.f, Cg.f)
+def idealisers(C: RankCode) -> tuple[list, list]:
+    """F_q-bases, as (a, b) pairs with psi = a f + b id, of the left idealiser
+    {phi in C : phi o C in C} and the right idealiser {psi in C : C o psi in C}.
 
-
-def left_idealiser_field_check(C: RankCode, full: bool | None = None) -> bool:
-    """Left multiplications by F_{q^6}* stay inside the code.
-
-    For c in F_{q^6}* and a sample of (a, b), the composed map
-    x -> c (a f(x) + b x) must again be a codeword, with coefficients exactly
-    (ca, cb).  Checks all q^6 - 1 scalars on small fields (or when full=True),
-    a deterministic sample otherwise; either way the embedded field acts
-    faithfully, so the left idealiser contains a copy of F_{q^6}.
+    Each is one nullspace over the 12 F_q-coordinates of (a, b).  C is closed
+    under left multiplication by F_{q^6}, so psi is in the right idealiser
+    iff f o psi lies in C (24 rows), and phi in the left one iff phi o w does
+    for the 12 F_q-basis codewords w = g^j f, g^j id (288 rows).
     """
-    ctx = C.ctx
-    if full is None:
-        full = ctx.order <= 1 << 12
-    scalars = range(ctx.N) if full else range(min(_IDEALISER_SAMPLES, ctx.N))
-    pairs = [(ctx.one(), ctx.zero()), (ctx.zero(), ctx.one()),
-             (ctx.gen(), ctx.from_exp(2))]
-    seen = set()
-    for e in scalars:
-        c = ctx.from_exp(e)
-        scalar_map = QPoly(ctx, [c])
-        for a, b in pairs:
-            word = C.codeword(a, b)
-            composed = scalar_map.compose(word)
-            if composed != C.codeword(c * a, c * b):
-                return False
-        seen.add((c * pairs[0][0]).val)
-    # faithful: distinct scalars move the codeword f to distinct codewords
-    return len(seen) == len(list(scalars))
+    ctx, basis = C.ctx, C._basis_and_dual()[0]
+    zero = ctx.zero()
+    words = [C.codeword(x, zero) for x in basis] + [C.codeword(zero, x) for x in basis]
+
+    def element(v):  # F_q-coordinates in the basis 1, g, ..., g^5
+        return sum((c * x for c, x in zip(v, basis)), start=zero)
+
+    def kernel(images):
+        cols = [[x for w in images(psi) for x in C._membership_rows(w)] for psi in words]
+        return [(element(v[:TOWER]), element(v[TOWER:]))
+                for v in nullspace(ctx, list(zip(*cols)), 2 * TOWER)]
+
+    return (kernel(lambda phi: [phi.compose(w) for w in words]),
+            kernel(lambda psi: [C.f.compose(psi)]))

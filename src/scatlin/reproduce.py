@@ -14,7 +14,7 @@ from .errors import HypothesisViolated
 from .family import enumerate_h, family_poly, lemma_roots, u4_deltas
 from .geom import gamma_of, intn
 from .gf import make_field
-from .mrd import code_from, left_idealiser_field_check, mrd_report
+from .mrd import code_from, idealisers, mrd_report
 from .scatter import (dickson_dets_at, is_scattered_dickson,
                       is_scattered_oracle, point_weight)
 
@@ -181,8 +181,10 @@ def _mrd_q3(tag: str) -> dict:
     run.check("one zero codeword", rep["distribution"].counts.get(0) == 1)
     run.check("Singleton equality |C| = q^12", rep["singleton_equality"],
               rep["cardinality"], ctx.q**12)
-    run.check("left idealiser contains F_{q^6} (all %d scalars)" % ctx.N,
-              left_idealiser_field_check(C, full=True))
+    left, right = idealisers(C)
+    run.check("left idealiser is F_{q^6} id: 6 basis pairs, all with a = 0",
+              len(left) == 6 and all(a.is_zero() for a, _ in left), len(left), 6)
+    run.check("right idealiser has dimension 2", len(right) == 2, len(right), 2)
     return run.report()
 
 

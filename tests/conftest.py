@@ -1,6 +1,7 @@
 import pytest
 
-from scatlin import gf, make_field
+from scatlin import QPoly, gf, make_field
+from scatlin.linalg import mat_inv
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +48,27 @@ def with_chunk(monkeypatch):
         if size is not None:
             assert sum(1 for _ in F.conjugate_slices(F.N // (F.q - 1))) > 1
     return set_chunk
+
+
+def compose_inverse(P):
+    """The inverse of an invertible q-polynomial: solve Q o P = id, which is
+    linear in Q's six coefficients."""
+    ctx = P.ctx
+    M = [[ctx.frobenius(P.coeffs[(t - k) % 6], k) for k in range(6)]
+         for t in range(6)]
+    Minv = mat_inv(ctx, M)
+    return QPoly(ctx, [Minv[k][0] for k in range(6)])
+
+
+def semilinear_image(f, w):
+    """The g with U_g the image of U_f under the witness map w, or None when
+    w is singular or a id + b f^rho is not invertible."""
+    ctx = f.ctx
+    if w.determinant().is_zero():
+        return None
+    frho = f.automorphism_image(w.rho)
+    P = QPoly.identity(ctx).scale(w.a) + frho.scale(w.b)
+    if P.kernel_dim() != 0:
+        return None
+    Q = QPoly.identity(ctx).scale(w.c) + frho.scale(w.d)
+    return Q.compose(compose_inverse(P))

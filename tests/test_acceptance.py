@@ -15,7 +15,7 @@ from scatlin.equiv import (EquivWitness, check_system_L4, gl_equivalent,
 from scatlin.family import (enumerate_h, family_poly, lp_delta_samples,
                             u3_delta_samples, u4_deltas)
 from scatlin.geom import gamma_of, intn
-from scatlin.mrd import code_from, left_idealiser_field_check, mrd_report
+from scatlin.mrd import code_from, idealisers, mrd_report
 from scatlin.reproduce import run_tag
 from scatlin.scatter import (dickson_dets_at, is_scattered_dickson,
                              is_scattered_oracle, point_weight, weight_spectrum)
@@ -209,10 +209,13 @@ def test_criterion_9_mrd():
     assert rep["distribution"].counts[0] == 1
     assert rep["cardinality"] == 3**12
     assert rep["singleton_equality"]
-    assert left_idealiser_field_check(C, full=True)  # all 728 nonzero scalars
+    left, right = idealisers(C)
+    # exactly F_{3^6} id: 6 F_3-independent pairs (0, b) span all of {(0, b)}
+    assert len(left) == 6 and all(a.is_zero() for a, _ in left)
+    assert len(right) == 2 and rep["idealisers"] == {"left": 6, "right": 2}
     elapsed = time.time() - t0
     assert elapsed < 300.0
-    _announce(9, "MRD (6,6,3;5), idealiser = F_{3^6}", elapsed)
+    _announce(9, "MRD (6,6,3;5), left idealiser = F_{3^6} id, dim R = 2", elapsed)
 
 
 def test_criterion_10_property_suites():

@@ -119,12 +119,25 @@ def test_equiv_cli_pgl():
     assert rep["result"]["branch"] == "direct"
 
 
-def test_mrd_cli():
+def test_equiv_cli_pgl_budget_exceeded(capsys):
+    """A budget that stops both branches leaves the question open."""
+    assert cli.main(["equiv", "--field", "3^1", "--left", "new_fh:h=g^13", "--right",
+                     "pseudoregulus", "--pgl", "--budget", "1000"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert (res["verdict"], res["searched"]) == ("budget_exceeded", 2000)
+
+
+def test_mrd_cli(capsys):
+    """A code of q^12 maps reports its idealiser dimensions; f = g x spans
+    only F_{q^6} x and exits 1."""
     rep = run_json("mrd", "--field", "3^1", "--poly", "new_fh:h=g^13",
                    "--full-distribution")
     assert rep["result"]["mrd"] is True
     assert rep["result"]["min_distance"] == 5
     assert rep["result"]["distribution"]["0"] == 1
+    assert rep["result"]["idealisers"] == {"left": 6, "right": 2}
+    assert cli.main(["mrd", "--field", "3^1", "--poly", '{"coeffs":["g^1"]}']) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "DegenerateInput"
 
 
 def test_mrd_cli_q7_full_distribution():
@@ -284,7 +297,8 @@ def test_table_output():
 
 # sha256 of json.dumps(report minus "timing", sort_keys=True) for each
 # command, as computed before the polynomial-arithmetic backend was deleted
-# (the intn entry since intn reads its vertex off --poly)
+# (the intn entry since intn reads its vertex off --poly, the mrd entries
+# since the report carries the idealiser dimensions)
 GOLDEN_REPORTS = {
     "check --field 3^1 --poly case1 --exhaustive":
         "dc583e998080315462cff145bdcf8f48127f8c4f53b966f40c40b8fb257bfa8e",
@@ -295,7 +309,9 @@ GOLDEN_REPORTS = {
     "intn --field 3^1 --poly new_fh:h=g^13":
         "5f11a7f110cf76f932e50d040ef0b7de452d2b81fedc5d7859b4c8031f60cd23",
     "mrd --field 3^1 --poly new_fh:h=g^13 --full-distribution":
-        "7b050ecabb02bd1e41b81d428f1c48266b544e59e4291f17d6d5f1aa6338349d",
+        "cc0a79c224840044c0e73b5fe352c820a7f98c14dfac905401bb415de2095b70",
+    "mrd --field 5^1 --poly case1":
+        "90d55f10500184bb0c2450c8e0113705badcb805399e32e71404e48b4b01cb37",
     "lemmas --field 3^1 --h g^13":
         "1813c332cc55492b4188fc6f36b4b6cae6465109e8ede36def5876280a18cfb6",
     "equiv --field 3^1 --left new_fh:h=g^91 --right trinomial:h=g^91 --pgl":
@@ -328,10 +344,11 @@ def test_golden_reports(chunk, f3, f5, with_chunk, capsys):
     "check --field 3^1 --poly new_fh:h=g^x",
     "equiv --field 3^1 --left case1 --right pseudoregulus --resume TMP/missing.json",
     "equiv --field 3^1 --left case1 --right pseudoregulus --resume TMP/list.json",
+    "equiv --field 3^1 --left case1 --right pseudoregulus --budget -5",
 ])
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
-    """Malformed field, element, polynomial and checkpoint input exits 2
-    with one usage-error line on stderr, not a traceback."""
+    """Malformed field, element, polynomial, budget and checkpoint input
+    exits 2 with one usage-error line on stderr, not a traceback."""
     (tmp_path / "list.json").write_text("[]")
     assert cli.main(argv.replace("TMP", str(tmp_path)).split()) == 2
     err = capsys.readouterr().err

@@ -13,8 +13,9 @@ from scatlin.equiv import (EquivResult, EquivWitness, _b_system, apply_witness,
                            pgl_linear_sets_equivalent, verify_witness)
 from scatlin.errors import DegenerateInput, HypothesisViolated, InvalidParameter
 from scatlin.family import enumerate_h, family_poly, u4_deltas
-from scatlin.linalg import mat_inv
 from scatlin.qpoly import QPoly
+
+from conftest import semilinear_image
 
 
 def trinomial_hs(F):
@@ -135,30 +136,6 @@ def test_checkpoint_bound_to_inputs(f3, f5):
     for f, g, resume in foreign:
         with pytest.raises(InvalidParameter):
             gl_equivalent(f, g, resume=resume)
-
-
-def compose_inverse(P):
-    """The inverse of an invertible q-polynomial: solve Q o P = id, which is
-    linear in Q's six coefficients."""
-    ctx = P.ctx
-    M = [[ctx.frobenius(P.coeffs[(t - k) % 6], k) for k in range(6)]
-         for t in range(6)]
-    Minv = mat_inv(ctx, M)
-    return QPoly(ctx, [Minv[k][0] for k in range(6)])
-
-
-def semilinear_image(f, w):
-    """The g with U_g the image of U_f under the witness map w, or None when
-    w is singular or a id + b f^rho is not invertible."""
-    ctx = f.ctx
-    if w.determinant().is_zero():
-        return None
-    frho = f.automorphism_image(w.rho)
-    P = QPoly.identity(ctx).scale(w.a) + frho.scale(w.b)
-    if P.kernel_dim() != 0:
-        return None
-    Q = QPoly.identity(ctx).scale(w.c) + frho.scale(w.d)
-    return Q.compose(compose_inverse(P))
 
 
 def test_search_finds_random_semilinear_images(f3):

@@ -1,16 +1,20 @@
-"""Rank-metric codes: rank routes, distributions, idealiser, equivalence."""
+"""Rank-metric codes: rank routes, distributions, idealisers."""
 
 import random
 
 import pytest
 
 from scatlin import scatter
-from scatlin.errors import BudgetExceeded, InternalInvariant, ZeroMap
+from scatlin.equiv import EquivWitness
+from scatlin.errors import BudgetExceeded, DegenerateInput, InternalInvariant
 from scatlin.family import enumerate_h, family_poly, u4_deltas
-from scatlin.mrd import (CROSS_CHECKS, RankCode, code_from, codes_equivalent,
-                         left_idealiser_field_check, mrd_report, rank_distribution)
+from scatlin.linalg import rank as mat_rank
+from scatlin.mrd import (CROSS_CHECKS, RankCode, code_from, idealisers, mrd_report,
+                         rank_distribution)
 from scatlin.qpoly import QPoly
 from scatlin.scatter import is_scattered_oracle, point_weight
+
+from conftest import semilinear_image
 
 
 def elimination_distribution(C):
@@ -31,8 +35,14 @@ def closed_form(q):
 
 
 def test_code_construction_guards(f3):
-    with pytest.raises(ZeroMap):
-        code_from(QPoly.zero(f3))
+    """f = f_0 x (f = 0 included) spans only F_{q^6} x, q^6 maps: degenerate.
+    One nonzero f_i with i >= 1 is enough for a code of q^12 maps."""
+    for coeffs in ([], ["g^0"], ["g^1"]):
+        with pytest.raises(DegenerateInput):
+            code_from(QPoly(f3, coeffs))
+    for i in range(1, 6):
+        C = code_from(QPoly.monomial(f3, i, "g^2"))
+        assert rank_distribution(C).size == 3**12
 
 
 def test_codeword_ranks(f3):
@@ -188,20 +198,123 @@ def test_distribution_invariant_under_equivalence(f3):
     assert d1.counts == d2.counts
 
 
-def test_codes_equivalent_delegates(f3):
-    h = next(h for h in enumerate_h(f3) if not f3.in_subfield(h, 2))
-    Cf = code_from(family_poly(f3, "new_fh", h))
-    assert codes_equivalent(Cf, Cf).equivalent
-    Cg = code_from(family_poly(f3, "pseudoregulus"))
-    assert not codes_equivalent(Cf, Cg).equivalent
+def mp_delta(F):
+    """The first g^e with x^q + g^e x^(q^4) scattered (csajbok_mp)."""
+    return {3: "g^5", 5: "g^1", 7: "g^2"}[F.q]
 
 
-def test_codes_equivalent_power5_exception(f5):
-    Cf = code_from(family_poly(f5, "new_fh", 2))
-    Cu4 = code_from(family_poly(f5, "csajbok_mz", u4_deltas(f5)[0]))
-    assert codes_equivalent(Cf, Cu4).equivalent
+def known_members(F):
+    """One member of each of the five families, f_h last, with its pinned
+    (dim L, dim R) over F_q."""
+    return [(family_poly(F, "pseudoregulus"), (6, 6)),
+            (family_poly(F, "lp", "g^1"), (6, 2)),
+            (family_poly(F, "csajbok_mp", mp_delta(F)), (6, 3)),
+            (family_poly(F, "csajbok_mz", u4_deltas(F)[0]), (6, 2)),
+            (family_poly(F, "new_fh", enumerate_h(F)[0]), (6, 2))]
 
 
-def test_left_idealiser(f3):
-    C = code_from(family_poly(f3, "new_fh", enumerate_h(f3)[0]))
-    assert left_idealiser_field_check(C, full=True)
+def dims(f):
+    return tuple(map(len, idealisers(code_from(f))))
+
+
+def in_code(C, w):
+    """Whether w is the codeword c f + d id whose (c, d) is read off w's
+    coefficients, built through RankCode.codeword."""
+    f = C.f.coeffs
+    i = next(i for i in range(1, 6) if not f[i].is_zero())
+    c = w.coeffs[i] / f[i]
+    return C.codeword(c, w.coeffs[0] - c * f[0]) == w
+
+
+def test_membership_rows_match_reference(f3):
+    """_membership_rows vanish exactly on C: on codewords, and on codewords
+    plus one e x^(q^j) for every j >= 1, against in_code.  Two of the f
+    have f_1 = 0, so the pivot is not slot 1 and slot 1 is an equation."""
+    rng = random.Random(59)
+    polys = [family_poly(f3, "new_fh", enumerate_h(f3)[0]),
+             family_poly(f3, "csajbok_mp", mp_delta(f3)).adjoint(),
+             QPoly(f3, ["g^3", 0, 0, "g^7", 0, "g^2"])]
+    assert [f.coeffs[1].is_zero() for f in polys] == [False, True, True]
+
+    def elem():
+        return f3.elem_at(rng.randrange(1, f3.order))
+    for f in polys:
+        C = code_from(f)
+        for _ in range(4):
+            w = C.codeword(elem(), elem())
+            for v in [w] + [w + QPoly.monomial(f3, j, elem()) for j in range(1, 6)]:
+                assert all(x.is_zero() for x in C._membership_rows(v)) == in_code(C, v)
+
+
+@pytest.mark.parametrize("fixture", ["f3", "f5", "f7"])
+def test_idealiser_dimensions_pinned(fixture, request):
+    F = request.getfixturevalue(fixture)
+    for f, expected in known_members(F) + [(family_poly(F, "case1"), (6, 2))]:
+        assert dims(f) == expected, f.tag
+
+
+def test_idealiser_dimensions_every_fh_q3(f3):
+    assert [dims(family_poly(f3, "new_fh", h)) for h in enumerate_h(f3)] == [(6, 2)] * 28
+
+
+def test_idealisers_agree_on_equivalent_pairs(f3, f5):
+    """The four trinomial pairs at q = 3 and the L4 pair at q = 5."""
+    pairs = [(family_poly(f3, "new_fh", h), family_poly(f3, "trinomial", h))
+             for h in enumerate_h(f3) if f3.in_subfield(h, 2)]
+    pairs.append((family_poly(f5, "new_fh", 2), family_poly(f5, "csajbok_mz", u4_deltas(f5)[0])))
+    assert len(pairs) == 5
+    for f, g in pairs:
+        assert dims(f) == dims(g) == (6, 2)
+
+
+@pytest.mark.parametrize("fixture", ["f3", "f5"])
+def test_idealisers_invariant_under_semilinear_images(fixture, request):
+    """C_g is equivalent to C_f when U_g is a semilinear image of U_f, and so
+    are the adjoint codes, so the dimensions agree."""
+    F = request.getfixturevalue(fixture)
+    rng = random.Random(F.q)
+    for f, expected in known_members(F):
+        g = None
+        while g is None:
+            g = semilinear_image(f, EquivWitness(rng.randrange(F.deg), *(
+                F.elem_at(rng.randrange(1, F.order)) for _ in range(4))))
+        assert dims(g) == expected, f.tag
+        assert dims(g.adjoint()) == dims(f.adjoint()), f.tag
+
+
+def test_idealiser_bases_checked_directly(f3):
+    """Every right basis element psi has f o psi in C, every left one phi has
+    phi o w in C for the 12 F_q-basis codewords w, both found through
+    RankCode.codeword; F_q id lies in R; and pairs outside the span of R
+    fail (dimension is exact on that side too)."""
+    rng = random.Random(58)
+    basis = [f3.from_exp(j) for j in range(6)]
+    for f, _ in known_members(f3):
+        C = code_from(f)
+        left, right = idealisers(C)
+        words = [C.codeword(x, 0) for x in basis] + [C.codeword(0, x) for x in basis]
+        for a, b in right:
+            assert in_code(C, f.compose(C.codeword(a, b)))
+        for a, b in left:
+            phi = C.codeword(a, b)
+            assert all(in_code(C, phi.compose(w)) for w in words)
+
+        def coords(a, b):
+            return C._coordinates(f3.element(a)) + C._coordinates(f3.element(b))
+        span = [coords(a, b) for a, b in right]
+        assert mat_rank(f3, span + [coords(0, 1)]) == len(right)
+        outside = 0
+        while outside < 8:
+            a, b = (f3.elem_at(rng.randrange(f3.order)) for _ in range(2))
+            if mat_rank(f3, span + [coords(a, b)]) > len(right):
+                assert not in_code(C, f.compose(C.codeword(a, b)))
+                outside += 1
+
+
+def test_left_idealiser(f3, f5):
+    """The left idealiser is exactly F_{q^6} id: six F_q-independent pairs,
+    all with a = 0, span the 6-dimensional {(0, b)}.  At q = 3 for f_h, at
+    q = 5 for case1, where the old scalar check only sampled."""
+    for f in (family_poly(f3, "new_fh", enumerate_h(f3)[0]), family_poly(f5, "case1")):
+        left, _ = idealisers(code_from(f))
+        assert len(left) == 6 and all(a.is_zero() for a, _ in left)
