@@ -172,8 +172,8 @@ def _cmd_equiv(args, ctx: Field) -> dict:
     payload = {"left": left.to_json(), "right": right.to_json()}
     if args.pgl:
         res = pgl_linear_sets_equivalent(left, right, right.tag, budget=args.budget)
-        verdict = ("equivalent" if res["equivalent"] else
-                   "not_equivalent" if res["exhausted"] else "budget_exceeded")
+        verdict = ("not_equivalent" if res["exhausted"] else
+                   "equivalent" if res["equivalent"] else "budget_exceeded")
         payload.update(verdict=verdict, branch=res["branch"], searched=res["searched"])
         if res["witness"] is not None:
             payload["witness"] = res["witness"].to_json()

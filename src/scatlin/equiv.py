@@ -219,9 +219,12 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
     the witness's position plus one, or the total decided.  A checkpoint
     carries the field (p, s) and a sha256 of the coefficient exponents of f
     and g; resuming one without them, against other inputs or at an
-    impossible position raises InvalidParameter.
+    impossible position raises InvalidParameter, and so does a negative
+    budget.
     """
     ctx = f.ctx
+    if budget is not None and budget < 0:
+        raise InvalidParameter("budget must be a nonnegative triple count")
     if g.ctx is not ctx:
         raise DegenerateInput("polynomials over different contexts")
     if f.is_zero() or g.is_zero():
@@ -275,23 +278,21 @@ def pgl_linear_sets_equivalent(f: QPoly, g: QPoly, g_family: str | None,
     L_f ~ L_g iff U_f is GammaL-equivalent to U_g or (except for the
     csajbok_mp family, where only the direct branch applies) to the adjoint
     graph U_{ghat}.  g_family is g's family tag; None (no family, as for an
-    adjoint or a polynomial given by its coefficients) searches both."""
+    adjoint or a polynomial given by its coefficients) searches both.
+    "exhausted" is True only when every branch was decided in full, so it is
+    False when a witness or the budget ended the search."""
     branches = [("direct", g)]
     if not (g_family or "").startswith("csajbok_mp"):
         branches.append(("adjoint", g.adjoint()))
     results = {}
-    searched = 0
     for name, target in branches:
-        res = gl_equivalent(f, target, budget=budget)
-        results[name] = res
-        searched += res.searched
+        results[name] = res = gl_equivalent(f, target, budget=budget)
         if res.equivalent:
-            return {"equivalent": True, "branch": name, "witness": res.witness,
-                    "results": results, "searched": searched}
-    budgeted = any(r.status == "budget_exceeded" for r in results.values())
-    return {"equivalent": False, "branch": None, "witness": None,
-            "results": results, "searched": searched,
-            "exhausted": not budgeted}
+            break
+    return {"equivalent": res.equivalent, "branch": name if res.equivalent else None,
+            "witness": res.witness, "results": results,
+            "searched": sum(r.searched for r in results.values()),
+            "exhausted": all(r.status == "not_equivalent" for r in results.values())}
 
 
 # ---------------------------------------------------------------------------

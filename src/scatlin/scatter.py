@@ -33,11 +33,17 @@ scales by lambda^k:
 
 Each T_k(g^r) is one Field.v_trace_lincomb over the orbit terms of size k:
 one gather from the field's trace table and one from a q x q addition table
-per term, no Zech gather.  Two (q - 1) x q^3 tables of F_q indices, one for
-k = 1..3 and one for c_0 and k = 4..6, then give the roots lambda = g^(R i)
-of that polynomial with one equality test per i.  The truncated determinant
-has no such symmetry; it stays a v_lincomb and is evaluated only at the
-roots g^(r + R i) of the full one, about 1/(q - 1) of the field, whose
+per term, no Zech gather.
+
+A point of weight >= 2 has rank M(m) <= 4, so adj M(m) = 0.  By Jacobi's
+formula, P(lambda) = det M(lambda m) = det(M(0) + lambda D), with
+D = diag(m^(q^v)), has the derivative tr(adj M(lambda m) D), so such a point
+sits at a multiple root: P(lambda) = P'(lambda) = 0, where
+P'(lambda) = sum(k lambda^(k-1) T_k(m)) with k read mod p.  Two
+(q - 1) x q^3 tables, one for k = 1..3 and one for c_0 and k = 4..6, give
+the multiple roots lambda = g^(R i) with one equality test per i, about R/q
+candidates in all.  The truncated determinant has no such symmetry; it stays
+a v_lincomb and is evaluated only at the multiple roots g^(r + R i), whose
 conjugate exponents are r q^v + R i mod N.  Within a slice the roots are
 taken i-major, which is enumeration order; the witnesses of several slices
 are merged by exponent, and once a witness is known a short-circuiting scan
@@ -296,36 +302,42 @@ def _orbit_terms(f: QPoly):
 
 
 @functools.lru_cache(maxsize=None)
-def _fq_root_tables(ctx: Field, const: int):
-    """(low, high): uint8 arrays of shape (q - 1, q^3) that find the roots
-    lambda in F_q^* of c0 + sum(lambda^k t_k for k in 1..6), a polynomial
-    over F_q in F_q indices, where c0 = Tr_{q^6/q}(g^const) (const = N for
-    zero).
+def _multiple_root_tables(ctx: Field, const: int):
+    """(low, high): uint8 arrays of shape (q - 1, q^3) that find the
+    multiple roots lambda in F_q^* of P(lambda) = c0 + sum(lambda^k t_k for
+    k in 1..6), a polynomial over F_q in F_q indices, where
+    c0 = Tr_{q^6/q}(g^const) (const = N for zero).
 
     For lambda = g^(R i) and indices (a, b, c) at flat position
-    (a q + b) q + c, low[i] holds the index of lambda a + lambda^2 b +
-    lambda^3 c and high[i] that of -(c0 + lambda^4 a + lambda^5 b +
-    lambda^6 c), so lambda is a root iff
-    low[i][(t_1 q + t_2) q + t_3] == high[i][(t_4 q + t_5) q + t_6].
-    Kept per (field, const), at most q pairs per field, and read-only.
+    (a q + b) q + c, low[i] holds x q + y, with x the index of
+    lambda a + lambda^2 b + lambda^3 c and y that of a + 2 lambda b +
+    3 lambda^2 c; high[i] holds the indices of -(c0 + lambda^4 a +
+    lambda^5 b + lambda^6 c) and -(4 lambda^3 a + 5 lambda^4 b +
+    6 lambda^5 c) in the same way.  So P(lambda) = P'(lambda) = 0 iff
+    low[i][(t_1 q + t_2) q + t_3] == high[i][(t_4 q + t_5) q + t_6].  The
+    integer factors k of P' are read mod p, so a term with p | k vanishes,
+    and x q + y < q^2 <= 256 fits a uint8.  Kept per (field, const), at most
+    q pairs per field (one per value of c0), and read-only.
     """
     q = ctx.q
     trace, add = ctx._trace_tables()
-    c0 = int(trace[const])
     add = add.reshape(q, q)
     a = np.arange(q)
     i = np.arange(q - 1)[:, None]
 
-    def times(j):  # index of a times g^(R j)
-        return np.where(a == 0, 0, 1 + (a - 1 + j) % (q - 1))
-
-    def sum3(k):  # index of lambda^k a + lambda^(k+1) b + lambda^(k+2) c
-        s = [times(i * (k + j)) for j in range(3)]
+    def half(terms):  # index of the sum of k lambda^e t_j over (k, e) in terms
+        s = []
+        for k, e in terms:
+            u = ctx.fq_index(ctx.from_int(k))  # k mod p, 0 when p | k
+            s.append(np.where((a == 0) | (u == 0), 0, 1 + (a + u - 2 + i * e) % (q - 1)))
         ab = add[s[0][:, :, None], s[1][:, None, :]]
         return add[ab[:, :, :, None], s[2][:, None, None, :]].reshape(q - 1, -1)
 
-    minus = ctx.fq_index(-ctx.one()) - 1
-    tables = sum3(1).astype(np.uint8), times(minus)[add[c0, sum3(4)]].astype(np.uint8)
+    minus_c0 = ctx.fq_index(-ctx.fq_elem(int(trace[const])))
+    tables = ((half([(1, k) for k in (1, 2, 3)]) * q +
+               half([(k, k - 1) for k in (1, 2, 3)])).astype(np.uint8),
+              (add[minus_c0, half([(-1, k) for k in (4, 5, 6)])] * q +
+               half([(-k, k - 1) for k in (4, 5, 6)])).astype(np.uint8))
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -347,7 +359,7 @@ def is_scattered_dickson(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
     # det M(g^(r + R i)) = c0 + sum(lambda^k T_k(g^r)) with lambda = g^(R i);
     # c0 is the trace of the one constant orbit term
     by_size = [[t for t in terms6 if len(t[1]) == k] for k in range(TOWER + 1)]
-    low, high = _fq_root_tables(ctx, by_size[0][0][0] if by_size[0] else N)
+    low, high = _multiple_root_tables(ctx, by_size[0][0][0] if by_size[0] else N)
     shift = R * np.arange(q - 1, dtype=EXP)  # exponent of lambda, row i
     rows = 0 if witnesses and not exhaustive else q - 1
     found = []  # witness exponents, ascending within each slice
@@ -362,7 +374,7 @@ def is_scattered_dickson(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
             key *= q
             if by_size[k]:
                 key += ctx.v_trace_lincomb(by_size[k], bases)
-        # candidates (i, r), i-major: the roots of det M among the g^(r + R i)
+        # candidates (i, r), i-major: the multiple roots lambda of det M
         hit = np.flatnonzero(low[:rows].take(key_low, axis=1) ==
                              high[:rows].take(key_high, axis=1))
         if not hit.size:

@@ -91,6 +91,39 @@ def test_budget_and_resume(f3):
     assert second.searched == f3.deg * f3.order**2
 
 
+def test_negative_budget_raises(f3):
+    """A negative budget is refused before any search, by gl_equivalent and
+    through it by pgl_linear_sets_equivalent; budget 0 still stops at once
+    with a checkpoint."""
+    f, ps = family_poly(f3, "case1"), family_poly(f3, "pseudoregulus")
+    with pytest.raises(InvalidParameter):
+        gl_equivalent(f, ps, budget=-5)
+    with pytest.raises(InvalidParameter):
+        pgl_linear_sets_equivalent(f, ps, ps.tag, budget=-5)
+    res = gl_equivalent(f, ps, budget=0)
+    assert res.status == "budget_exceeded" and res.searched == 0
+
+
+def test_pgl_result_has_one_shape(f3):
+    """Every pgl_linear_sets_equivalent result carries the same keys, and
+    "exhausted" is False unless every branch was decided in full: a witness
+    (the trinomial pair for h = g^91) and a budget both end the search."""
+    h = f3.from_exp(91)
+    fh = family_poly(f3, "new_fh", h)
+    tri = family_poly(f3, "trinomial", h)
+    keys = {"branch", "equivalent", "exhausted", "results", "searched", "witness"}
+    res = pgl_linear_sets_equivalent(fh, tri, tri.tag)
+    assert set(res) == keys
+    assert res["equivalent"] and res["exhausted"] is False
+    assert res["branch"] == "direct" and verify_witness(fh, tri, res["witness"])
+    ps = family_poly(f3, "pseudoregulus")
+    res = pgl_linear_sets_equivalent(fh, ps, ps.tag, budget=1000)
+    assert set(res) == keys
+    assert not res["equivalent"] and res["exhausted"] is False
+    assert res["branch"] is None and res["witness"] is None
+    assert res["searched"] == 2000 and set(res["results"]) == {"direct", "adjoint"}
+
+
 def test_chunk_determinism(f3, monkeypatch):
     """The block size equiv._BLOCK sets the block layout (many rows, one
     row, a row and a part, a slice of one row) but not the witness,

@@ -343,20 +343,23 @@ def whole_field_dickson_reference(f, exhaustive):
     return witnesses if exhaustive else witnesses[:1]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_coset_scan_matches_whole_field_reference(q, with_chunk):
     """The scan over the coset representatives finds the same exhaustive
     witnesses and the same first witness as the whole-field scan: case1, a
-    seeded new_fh, the pseudoregulus and seeded sparse random polynomials
-    (most of them not scattered), under the default slice size and under
-    one that splits the representatives into several slices."""
-    p = {4: 2, 9: 3}.get(q, q)
-    F = make_field(p, 1 if p == q else 2)
+    seeded new_fh, the pseudoregulus, x^(q^2) and x^q + x^(q^3) (many points
+    of weight >= 2) and seeded sparse random polynomials (most of them not
+    scattered), under the default slice size and under one that splits the
+    representatives into several slices."""
+    p, s = {4: (2, 2), 8: (2, 3), 9: (3, 2)}.get(q, (q, 1))
+    F = make_field(p, s)
     rng = random.Random(200 + q)
+    one = F.one()
     polys = [family_poly(F, "case1"), family_poly(F, "pseudoregulus"),
-             family_poly(F, "new_fh", rng.choice(enumerate_h(F)))]
+             family_poly(F, "new_fh", rng.choice(enumerate_h(F))),
+             QPoly(F, [0, 0, one]), QPoly(F, [0, one, 0, one])]
     polys += [sparse_poly(F, rng) for _ in range(30 if q < 7 else 4)]
-    chunks = [None, 1 << 5] if q == 2 else [None, 1 << 7]
+    chunks = [None, {2: 1 << 5, 8: 1 << 12}.get(q, 1 << 7)]
     refs = [(whole_field_dickson_reference(f, True),
              whole_field_dickson_reference(f, False)) for f in polys]
     assert sum(bool(full) for full, _ in refs) > len(polys) // 2
@@ -366,3 +369,87 @@ def test_coset_scan_matches_whole_field_reference(q, with_chunk):
             assert is_scattered_dickson(f, exhaustive=True).witnesses == full, f
             v = is_scattered_dickson(f)
             assert ([] if v.witness is None else [v.witness]) == first, f
+
+
+def test_truncated_determinant_only_at_multiple_roots(f7, monkeypatch):
+    """Only the multiple roots lambda of det M(lambda g^r) reach the
+    truncated determinant: at q = 7 its v_lincomb receives at most R/4
+    elements, R = (q^6 - 1)/(q - 1), for case1 and a seeded new_fh in
+    exhaustive mode, where testing every root of det M gives about R."""
+    F = f7
+    R = F.N // (F.q - 1)
+    F._trace_tables()  # built once per field, by a v_lincomb of its own
+    sizes = []
+    real = gf.Field.v_lincomb
+
+    def counted(self, terms, bases, out=None):
+        sizes.append(max(np.size(b) for b in bases))
+        return real(self, terms, bases, out=out)
+
+    monkeypatch.setattr(gf.Field, "v_lincomb", counted)
+    fh = family_poly(F, "new_fh", random.Random(7).choice(enumerate_h(F)))
+    for f, witnesses in ((family_poly(F, "case1"), CASE1[7][1]), (fh, [])):
+        sizes.clear()
+        v = is_scattered_dickson(f, exhaustive=True)
+        assert [F.format(w) for w in v.witnesses] == witnesses
+        assert 0 < sum(sizes) <= R // 4, (f, sum(sizes), R)
+
+
+def scalar_p_and_derivative(F, lam, c0, t):
+    """P(lam) and P'(lam) for P = c0 + sum(lam^k t_k for k in 1..6) over F_q,
+    by scalar field arithmetic; the integer k of k lam^(k-1) t_k is the
+    field element k mod p."""
+    P = c0 + sum((lam ** k * t[k - 1] for k in range(1, 7)), F.zero())
+    dP = sum((F.from_int(k) * lam ** (k - 1) * t[k - 1] for k in range(1, 7)), F.zero())
+    return P, dP
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                 (3, 2), (13, 1)])
+def test_multiple_root_tables_match_scalar_arithmetic(p, s):
+    """low[i] and high[i] match at (t_1..t_3), (t_4..t_6) exactly when
+    lambda_i = g^(R i) is a multiple root of c0 + sum(lambda^k t_k), for
+    every value of c0.  Every (i, c0, t_1..t_6) at q <= 3; above that, a
+    seeded sample with a third of the tuples made multiple roots (t_1 and
+    t_2 solved from P = P' = 0) and a third made roots (t_1 from P = 0)."""
+    F = make_field(p, s)
+    q = F.q
+    trace, _ = F._trace_tables()
+    fq = [F.fq_elem(k) for k in range(q)]
+    rng = random.Random(300 + q)
+    matches = 0
+    for c in range(q):
+        c0 = fq[c]
+        low, high = scatter._multiple_root_tables(F, int(np.flatnonzero(trace == c)[0]))
+        assert low.shape == high.shape == (q - 1, q ** 3)
+        if q <= 3:
+            cases = [(i, list(t)) for i in range(q - 1)
+                     for t in itertools.product(fq, repeat=6)]
+        else:
+            cases = []
+            for n in range(60):
+                i = rng.randrange(q - 1)
+                lam, t = fq[1 + i], [rng.choice(fq) for _ in range(6)]
+                if n % 3:
+                    rest = c0 + sum((lam ** k * t[k - 1] for k in range(3, 7)), F.zero())
+                    if n % 3 == 1:  # P = 0: t_1 lam = -(c0 + sum over k >= 2)
+                        t[0] = -(rest + lam ** 2 * t[1]) / lam
+                    else:  # P = P' = 0: solve for t_1, t_2 (determinant lam^2)
+                        drest = sum((F.from_int(k) * lam ** (k - 1) * t[k - 1]
+                                     for k in range(3, 7)), F.zero())
+                        t[1] = (drest * lam - rest) / lam ** 2
+                        t[0] = -drest - F.from_int(2) * lam * t[1]
+                cases.append((i, t))
+        for i, t in cases:
+            x = [F.fq_index(v) for v in t]
+            P, dP = scalar_p_and_derivative(F, fq[1 + i], c0, t)
+            hit = low[i, (x[0] * q + x[1]) * q + x[2]] == high[i, (x[3] * q + x[4]) * q + x[5]]
+            assert hit == (P.is_zero() and dP.is_zero()), (q, c, i, x)
+            matches += int(hit)
+        if p in (2, 3):  # k t_k vanishes from P' when p | k
+            parts = [(low % q).reshape(q - 1, q, q, q), (high % q).reshape(q - 1, q, q, q)]
+            for k in range(p, 7, p):
+                part = parts[k > 3]
+                axis = 1 + (k - 1) % 3
+                assert (part == np.take(part, [0], axis=axis)).all(), (q, k)
+    assert matches >= q
