@@ -29,7 +29,7 @@ for q in (5, 3):
     F = make_field(q, 1)
     f = family_poly(F, "case1")      # x^q - x^(q^2) + x^(q^4) + x^(q^5)
     oracle = is_scattered_oracle(f)
-    dickson = is_scattered_dickson(f, exhaustive=True)
+    dickson = is_scattered_dickson(f)
     print(f"q = {q} ({'1' if q % 4 == 1 else '3'} mod 4):")
     print(f"  oracle verdict   : scattered={oracle.scattered}")
     print(f"  criterion verdict: scattered={dickson.scattered}")
@@ -59,7 +59,7 @@ F4 = make_field(2, 2)
 h = enumerate_h(F4)[3]
 f = family_poly(F4, "new_fh", h)
 mbar = h.frob(2) + h.frob(1)
-verdict = is_scattered_dickson(f, exhaustive=True)
+verdict = is_scattered_dickson(f)
 print(f"q = 4, h = {h}: scattered={verdict.scattered};"
       f" h^(q^2) + h^q = {mbar} is a witness:"
       f" {any(w == mbar for w in verdict.witnesses)}")

@@ -26,7 +26,8 @@ from . import __version__
 from .equiv import gl_equivalent, pgl_linear_sets_equivalent
 from .errors import (HypothesisViolated, InternalInvariant, InvalidParameter,
                      ScatlinError, UsageError)
-from .family import enumerate_h, family_poly, lemma1_checks, lemma_roots
+from .family import (FAMILY_PARAMS, enumerate_h, family_poly, lemma1_checks,
+                     lemma_roots)
 from .geom import intn, vertex
 from .gf import Field, make_field, parse_field_spec
 from .mrd import code_from, mrd_report
@@ -34,12 +35,8 @@ from .qpoly import QPoly
 from .reproduce import TAGS, run_tag
 from .scatter import is_scattered, weight_spectrum
 
-_FAMILY_ALIASES = {
-    "u1": "pseudoregulus", "u2": "lp", "u3": "csajbok_mp", "u4": "csajbok_mz",
-    "pseudoregulus": "pseudoregulus", "lp": "lp", "csajbok_mp": "csajbok_mp",
-    "csajbok_mz": "csajbok_mz", "new_fh": "new_fh", "case1": "case1",
-    "trinomial": "trinomial",
-}
+_FAMILY_ALIASES = {"u1": "pseudoregulus", "u2": "lp", "u3": "csajbok_mp", "u4": "csajbok_mz",
+                   **{tag: tag for tag in FAMILY_PARAMS}}
 
 
 def parse_poly_spec(ctx: Field, text: str) -> QPoly:
@@ -60,13 +57,11 @@ def parse_poly_spec(ctx: Field, text: str) -> QPoly:
     name = _FAMILY_ALIASES.get(name.lower())
     if name is None:
         raise UsageError("unknown polynomial spec %r" % text)
-    param = None
-    if arg:
-        key, _, val = arg.partition("=")
-        if key not in ("h", "delta"):
-            raise UsageError("family parameter must be h=... or delta=...")
-        param = _element(ctx, val)
-    return family_poly(ctx, name, param)
+    key, _, val = arg.partition("=")
+    want = FAMILY_PARAMS[name]
+    if key != (want or ""):
+        raise UsageError("family %s takes %s" % (name, want + "=..." if want else "no parameter"))
+    return family_poly(ctx, name, _element(ctx, val) if want else None)
 
 
 def _element(ctx: Field, text: str):
@@ -111,13 +106,16 @@ def _print_table(obj, prefix: str = "") -> None:
 
 def _cmd_check(args, ctx: Field) -> dict:
     f = parse_poly_spec(ctx, args.poly)
-    v = is_scattered(f, exhaustive=args.exhaustive)
+    v = is_scattered(f)
     oracle = v["oracle"]
     payload = {"poly": f.to_json(), "oracle": oracle.to_json(),
                "spectrum": oracle.spectrum.to_json(),
                "dickson": v["dickson"].to_json(), "scattered": oracle.scattered}
     if oracle.witness is not None:
         payload["witness"] = ctx.format(oracle.witness)
+    if not args.exhaustive:  # the lists are an output choice only
+        for name in ("oracle", "dickson"):
+            del payload[name]["witnesses"]
     return payload
 
 

@@ -149,9 +149,7 @@ def _rho_plan(ctx: Field, f: QPoly, g: QPoly, rho: int):
     slot_t - f^rho_t d: c for t = 0, a test that must vanish for t != tp.
     """
     fr = f.automorphism_image(rho).coeffs
-    tp = next((t for t in range(1, TOWER) if not fr[t].is_zero()), None)
-    if tp is None:
-        raise DegenerateInput("{id, f} are dependent; subspace is a line")
+    tp = f.first_q_term()  # f^rho has the zero pattern of f
     slot = [[g.coeffs[t] if i == t else ctx.zero() for i in range(TOWER)]
             + [g.coeffs[k] * ctx.frobenius(fr[(t - k) % TOWER], k)
                for k in range(TOWER)] for t in range(TOWER)]

@@ -98,10 +98,21 @@ def u3_delta_samples(ctx: Field) -> list[FieldElem]:
     return deltas
 
 
+# each family's parameter name, None for a family without one
+FAMILY_PARAMS = {"pseudoregulus": None, "case1": None, "new_fh": "h", "trinomial": "h",
+                 "lp": "delta", "csajbok_mp": "delta", "csajbok_mz": "delta"}
+
+
 def family_poly(ctx: Field, tag: str, param=None) -> QPoly:
     """The exact coefficient vector of the family member tag (see above) with
     parameter param, an element spec; raises InvalidParameter for an unknown
-    tag or an inadmissible parameter."""
+    tag, a parameter given to a family without one or missing from a family
+    with one (FAMILY_PARAMS), or an inadmissible parameter."""
+    if tag not in FAMILY_PARAMS:
+        raise InvalidParameter("unknown family tag %r" % tag)
+    if (param is None) != (FAMILY_PARAMS[tag] is None):
+        raise InvalidParameter("family %r takes %s" % (
+            tag, "no parameter" if param is not None else "the parameter " + FAMILY_PARAMS[tag]))
     prm = None if param is None else ctx.element(param)
     one, zero = ctx.one(), ctx.zero()
 
@@ -110,9 +121,6 @@ def family_poly(ctx: Field, tag: str, param=None) -> QPoly:
 
     if tag == "case1":
         return QPoly(ctx, [zero, one, -one, zero, one, one], tag=tag)
-
-    if prm is None:
-        raise InvalidParameter("family %r is unknown or needs a parameter" % tag)
 
     if tag == "new_fh":
         if not h_is_valid(ctx, prm):
@@ -141,15 +149,13 @@ def family_poly(ctx: Field, tag: str, param=None) -> QPoly:
             raise InvalidParameter("U4 needs delta^2 + delta = 1")
         return QPoly(ctx, [zero, one, zero, one, zero, prm], tag=tag)
 
-    if tag == "trinomial":
-        if not ctx.in_subfield(prm, 2):
-            raise InvalidParameter("trinomial needs h in F_{q^2}")
-        if prm ** (ctx.q + 1) != -one:
-            raise InvalidParameter("trinomial needs h^(q+1) = -1")
-        hinv = prm.inv()
-        return QPoly(ctx, [zero, hinv - one, zero, one, zero, prm - one], tag=tag)
-
-    raise InvalidParameter("unknown family tag %r" % tag)
+    # trinomial
+    if not ctx.in_subfield(prm, 2):
+        raise InvalidParameter("trinomial needs h in F_{q^2}")
+    if prm ** (ctx.q + 1) != -one:
+        raise InvalidParameter("trinomial needs h^(q+1) = -1")
+    hinv = prm.inv()
+    return QPoly(ctx, [zero, hinv - one, zero, one, zero, prm - one], tag=tag)
 
 
 # ---------------------------------------------------------------------------

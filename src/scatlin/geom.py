@@ -26,7 +26,7 @@ is a bug; intn refuses a subspace that lies in no coordinate hyperplane.
 
 from __future__ import annotations
 
-from .errors import CtxMismatch, DegenerateInput, InternalInvariant, PreconditionFailed
+from .errors import CtxMismatch, InternalInvariant, PreconditionFailed
 from .family import family_poly
 from .gf import TOWER, Field, FieldElem
 from .linalg import nullspace, rref
@@ -114,8 +114,7 @@ def vertex(f: QPoly) -> ProjSubspace:
     a_0 x_0 + ... + a_5 x_5 = 0.  It needs one of a_1 .. a_5 nonzero, or
     U_f is a line (DegenerateInput)."""
     ctx = f.ctx
-    if all(c.is_zero() for c in f.coeffs[1:]):
-        raise DegenerateInput("f is a multiple of x, so U_f is a line with no vertex")
+    f.first_q_term()  # a multiple of x has a line for U_f, and no vertex
     one, zero = ctx.one(), ctx.zero()
     G = ProjSubspace.from_constraints(ctx, [[one] + [zero] * (TOWER - 1), f.coeffs])
     if G.pdim != 3:

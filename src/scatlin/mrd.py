@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, DegenerateInput, InternalInvariant
+from .errors import BudgetExceeded, InternalInvariant
 from .gf import TOWER, Field
 from .linalg import mat_inv, nullspace, rank as mat_rank
 from .qpoly import QPoly
@@ -54,9 +54,8 @@ class RankCode:
     """The 2-dimensional F_{q^6}-span {a f + b id} as a rank-metric code."""
 
     def __init__(self, ctx: Field, f: QPoly):
-        self._pivot = next((i for i in range(1, TOWER) if not f.coeffs[i].is_zero()), None)
-        if self._pivot is None:  # f = f_0 x: C_f = F_{q^6} x has q^6 maps
-            raise DegenerateInput("f is a multiple of x, so {f, id} are dependent")
+        # raises for f = f_0 x, whose C_f = F_{q^6} x has only q^6 maps
+        self._pivot = f.first_q_term()
         self.ctx = ctx
         self.f = f
         self._dual = None

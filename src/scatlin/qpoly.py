@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .errors import CtxMismatch
+from .errors import CtxMismatch, DegenerateInput
 from .gf import TOWER, Field, FieldElem
 
 
@@ -166,6 +166,16 @@ class QPoly:
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] - m
         return QPoly(ctx, coeffs)
+
+    def first_q_term(self) -> int:
+        """The first i >= 1 with a_i != 0.  Raises DegenerateInput when there
+        is none: f is then a multiple of x, {f, id} are dependent and the
+        graph U_f is a line."""
+        i = next((i for i in range(1, TOWER) if not self.coeffs[i].is_zero()), None)
+        if i is None:
+            raise DegenerateInput("f is a multiple of x, so {f, id} are dependent "
+                                  "and U_f is a line")
+        return i
 
     # -- Dickson matrices ----------------------------------------------------------
 

@@ -15,8 +15,7 @@ from .family import enumerate_h, family_poly, lemma_roots, u4_deltas
 from .geom import gamma_of, intn
 from .gf import make_field
 from .mrd import code_from, idealisers, mrd_report
-from .scatter import (dickson_dets_at, is_scattered_dickson,
-                      is_scattered_oracle, point_weight)
+from .scatter import dickson_dets_at, is_scattered, point_weight
 
 
 class Run:
@@ -47,8 +46,8 @@ def _case1_positive(tag: str, q: int) -> dict:
     run = Run(tag)
     ctx = make_field(q, 1)
     f = family_poly(ctx, "case1")
-    vo = is_scattered_oracle(f)
-    vd = is_scattered_dickson(f)
+    v = is_scattered(f)
+    vo, vd = v["oracle"], v["dickson"]
     run.check("oracle scattered", vo.scattered, vo.scattered, True)
     run.check("dickson scattered", vd.scattered, vd.scattered, True)
     expect = (q**6 - 1) // (q - 1)
@@ -61,8 +60,8 @@ def _case1_negative(tag: str, q: int) -> dict:
     run = Run(tag)
     ctx = make_field(q, 1)
     f = family_poly(ctx, "case1")
-    vo = is_scattered_oracle(f)
-    vd = is_scattered_dickson(f)
+    v = is_scattered(f)
+    vo, vd = v["oracle"], v["dickson"]
     run.check("oracle non-scattered", not vo.scattered)
     run.check("dickson non-scattered", not vd.scattered)
     w = vd.witness
@@ -89,8 +88,8 @@ def _case2(tag: str, q: int, count: int, outside_fq: bool) -> dict:
         run.check("none lie in F_q", not any(ctx.in_subfield(h, 1) for h in hs))
     bad = []
     for h in hs:
-        f = family_poly(ctx, "new_fh", h)
-        if not (is_scattered_oracle(f).scattered and is_scattered_dickson(f).scattered):
+        v = is_scattered(family_poly(ctx, "new_fh", h))
+        if not (v["oracle"].scattered and v["dickson"].scattered):
             bad.append(str(h))
     run.check("all h scattered by both deciders", not bad, bad or "none", "none")
     return run.report()
@@ -106,10 +105,9 @@ def _even_negative(tag: str, p: int, s: int) -> dict:
         f = family_poly(ctx, "new_fh", h)
         mbar = h.frob(2) + h.frob(1)
         d6, d5 = dickson_dets_at(f, mbar)
-        ok = (d6.is_zero() and d5.is_zero()
-              and point_weight(f, mbar) >= 2
-              and not is_scattered_oracle(f).scattered
-              and not is_scattered_dickson(f).scattered)
+        # is_scattered checks that the oracle finds the point mbar certifies
+        ok = (d6.is_zero() and d5.is_zero() and point_weight(f, mbar) >= 2
+              and mbar in is_scattered(f)["dickson"].witnesses)
         if not ok:
             bad.append(str(h))
     run.check("every h: witness h^(q^2)+h^q accepted by both deciders",

@@ -11,10 +11,10 @@ simultaneously.  M(m) is QPoly.dickson() of f with a_0 replaced by m, so its
 diagonal slots hold m^(q^i).  A common root at m0 certifies a point of
 weight >= 2, namely <(1, a_0 - m0)>; no common root means scattered.
 
-Both deciders short-circuit on the first violation in enumeration order
-(m = 0 first, then g^0, g^1, ...) and offer an exhaustive mode that reports
-every violation, which the reproduction suite uses to match the known
-closed-form witnesses.
+Each decider returns every violation, in enumeration order (m = 0 first,
+then g^0, g^1, ...): the oracle the points of weight >= 2, the criterion the
+common roots m0.  is_scattered runs both and demands that the roots certify
+exactly the oracle's points.
 
 Both scans run on the field's Zech-table kernels (every field make_field
 builds has them) and walk the R = (q^6-1)/(q-1) coset representatives g^r,
@@ -44,11 +44,9 @@ P'(lambda) = sum(k lambda^(k-1) T_k(m)) with k read mod p.  Two
 the multiple roots lambda = g^(R i) with one equality test per i, about R/q
 candidates in all.  The truncated determinant has no such symmetry; it stays
 a v_lincomb and is evaluated only at the multiple roots g^(r + R i), whose
-conjugate exponents are r q^v + R i mod N.  Within a slice the roots are
-taken i-major, which is enumeration order; the witnesses of several slices
-are merged by exponent, and once a witness is known a short-circuiting scan
-tests only smaller i in later slices.  m = 0 is decided by the constant
-terms alone.  Results do not depend on the slice size.
+conjugate exponents are r q^v + R i mod N.  Every slice is scanned, and the
+witnesses are sorted by exponent.  m = 0 is decided by the constant terms
+alone.  Results do not depend on the slice size.
 """
 
 from __future__ import annotations
@@ -101,18 +99,26 @@ class WeightSpectrum:
 
 @dataclass
 class ScatterVerdict:
-    scattered: bool
+    """One decider's answer: every witness it found, in enumeration order
+    (the oracle's points m, the criterion's roots m0)."""
+
     method: str
-    witness: FieldElem | None = None
-    witnesses: list | None = None
+    witnesses: list[FieldElem]
     spectrum: WeightSpectrum | None = None
 
+    @property
+    def scattered(self) -> bool:
+        return not self.witnesses
+
+    @property
+    def witness(self) -> FieldElem | None:
+        return self.witnesses[0] if self.witnesses else None
+
     def to_json(self):
-        out = {"scattered": self.scattered, "method": self.method}
+        out = {"scattered": self.scattered, "method": self.method,
+               "witnesses": [w.ctx.format(w) for w in self.witnesses]}
         if self.witness is not None:
             out["witness"] = self.witness.ctx.format(self.witness)
-        if self.witnesses is not None:
-            out["witnesses"] = [w.ctx.format(w) for w in self.witnesses]
         if self.spectrum is not None:
             out["spectrum"] = self.spectrum.to_json()
         return out
@@ -213,21 +219,11 @@ def weight_spectrum(f: QPoly) -> WeightSpectrum:
     return _spectrum(f.ctx, _buckets(f)[2])
 
 
-def is_scattered_oracle(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
-    """True iff no point has weight >= 2; witness = smallest offending m.
-
-    The verdict, the witnesses and the spectrum come from one bucketing pass.
-    """
-    ctx = f.ctx
+def is_scattered_oracle(f: QPoly) -> ScatterVerdict:
+    """Every m whose point <(1, m)> has weight >= 2, and the spectrum, from
+    one bucketing pass."""
     witnesses, _, cosets = _buckets(f)
-    scattered = not witnesses
-    return ScatterVerdict(
-        scattered=scattered,
-        method="oracle",
-        witness=None if scattered else witnesses[0],
-        witnesses=witnesses if exhaustive else None,
-        spectrum=_spectrum(ctx, cosets),
-    )
+    return ScatterVerdict("oracle", witnesses, _spectrum(f.ctx, cosets))
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +339,8 @@ def _multiple_root_tables(ctx: Field, const: int):
     return tables
 
 
-def is_scattered_dickson(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
-    """Scan all m in F_{q^6} for a common root of the two determinants."""
+def is_scattered_dickson(f: QPoly) -> ScatterVerdict:
+    """Every m in F_{q^6} where the two determinants vanish together."""
     ctx = f.ctx
     witnesses: list[FieldElem] = []
 
@@ -361,11 +357,8 @@ def is_scattered_dickson(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
     by_size = [[t for t in terms6 if len(t[1]) == k] for k in range(TOWER + 1)]
     low, high = _multiple_root_tables(ctx, by_size[0][0][0] if by_size[0] else N)
     shift = R * np.arange(q - 1, dtype=EXP)  # exponent of lambda, row i
-    rows = 0 if witnesses and not exhaustive else q - 1
-    found = []  # witness exponents, ascending within each slice
+    found = []  # witness exponents of each slice
     for lo, bases in ctx.conjugate_slices(R):
-        if not rows:
-            break
         # T_k(g^r) as F_q indices, three to a key; a degree without
         # terms adds nothing
         key_low, key_high = np.zeros((2, bases[0].size), dtype=np.uint16)
@@ -374,9 +367,8 @@ def is_scattered_dickson(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
             key *= q
             if by_size[k]:
                 key += ctx.v_trace_lincomb(by_size[k], bases)
-        # candidates (i, r), i-major: the multiple roots lambda of det M
-        hit = np.flatnonzero(low[:rows].take(key_low, axis=1) ==
-                             high[:rows].take(key_high, axis=1))
+        # candidates (i, r): the multiple roots lambda of det M
+        hit = np.flatnonzero(low.take(key_low, axis=1) == high.take(key_high, axis=1))
         if not hit.size:
             continue
         i = hit // key_low.size
@@ -389,33 +381,11 @@ def is_scattered_dickson(f: QPoly, exhaustive: bool = False) -> ScatterVerdict:
             c += conj[v]
             conj[v] = np.minimum(c, c - N)
         roots = ctx.v_lincomb(terms5, conj) == N
-        if np.any(roots):
-            i, r = i[roots], r[roots]
-            if not exhaustive:  # a later slice can only win with a smaller i
-                i, r, rows = i[:1], r[:1], int(i[0])
-                found.clear()
-            found.append(lo + r + R * i)
+        found.append(lo + r[roots] + R * i[roots])
     if found:
         e = np.sort(np.concatenate(found))
         witnesses.extend(ctx.from_exp(k) for k in e.tolist())
-
-    scattered = not witnesses
-    return ScatterVerdict(
-        scattered=scattered,
-        method="dickson",
-        witness=None if scattered else witnesses[0],
-        witnesses=witnesses if exhaustive else None,
-    )
-
-
-def is_scattered(f: QPoly, exhaustive: bool = False) -> dict:
-    """Run both deciders; raises if the two routes disagree."""
-    out = {"oracle": is_scattered_oracle(f, exhaustive=exhaustive),
-           "dickson": is_scattered_dickson(f, exhaustive=exhaustive)}
-    if out["oracle"].scattered != out["dickson"].scattered:
-        raise InternalInvariant("decider disagreement: oracle=%s dickson=%s (bug)" %
-                                (out["oracle"].scattered, out["dickson"].scattered))
-    return out
+    return ScatterVerdict("dickson", witnesses)
 
 
 def dickson_witness_point(f: QPoly, m0: FieldElem) -> FieldElem:
@@ -425,3 +395,17 @@ def dickson_witness_point(f: QPoly, m0: FieldElem) -> FieldElem:
     is nontrivial, so the offending point is <(1, a_0 - m0)>.
     """
     return f.coeffs[0] - m0
+
+
+def is_scattered(f: QPoly) -> dict:
+    """Run both deciders, {"oracle": ..., "dickson": ...}.  Raises
+    InternalInvariant unless the criterion's roots certify exactly the
+    oracle's points of weight >= 2."""
+    out = {"oracle": is_scattered_oracle(f), "dickson": is_scattered_dickson(f)}
+    points = set(out["oracle"].witnesses)
+    certified = {dickson_witness_point(f, m0) for m0 in out["dickson"].witnesses}
+    if points != certified:
+        raise InternalInvariant("decider disagreement: %d oracle points, %d certified "
+                                "by Dickson roots, %d in only one (bug)" %
+                                (len(points), len(certified), len(points ^ certified)))
+    return out

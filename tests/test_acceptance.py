@@ -66,7 +66,7 @@ def test_criterion_2_case1_negative_q3_q7():
         assert w * w == ctx.from_int(-4)
         assert ctx.in_subfield(w, 2) and not ctx.in_subfield(w, 1)
         # every criterion root matches the closed-form witness shape
-        for w in is_scattered_dickson(f, exhaustive=True).witnesses:
+        for w in is_scattered_dickson(f).witnesses:
             assert w * w == ctx.from_int(-4)
     _announce(2, "case1 non-scattered at q=3, q=7 (m^2=-4)", time.time() - t0)
 
@@ -229,8 +229,8 @@ def test_criterion_10_property_suites():
     polys = [rand_poly() for _ in range(200)]
     polys += [family_poly(ctx, "new_fh", h) for h in enumerate_h(ctx)]
     for f in polys:
-        a = is_scattered_oracle(f, exhaustive=True)
-        b = is_scattered_dickson(f, exhaustive=True)
+        a = is_scattered_oracle(f)
+        b = is_scattered_dickson(f)
         assert a.scattered == b.scattered
         if not a.scattered:
             assert point_weight(f, a.witnesses[0]) >= 2

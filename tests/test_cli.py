@@ -154,14 +154,16 @@ def test_internal_invariant_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(RankCode, "codeword_rank", lambda C, a, b: 4)
     assert cli.main(["mrd", "--field", "3^1", "--poly", "case1"]) == 3
     assert json.loads(capsys.readouterr().out)["error"] == "InternalInvariant"
-    # so is a disagreement of the two scatteredness deciders
+    # so is a disagreement of the two scatteredness deciders, even one that
+    # leaves both verdicts "not scattered": case1 at q = 3 has two Dickson
+    # witnesses, and the point of the one dropped is then certified by neither
     real = scatter.is_scattered_dickson
 
-    def flipped(f, **kw):
-        v = real(f, **kw)
-        v.scattered = not v.scattered
+    def dropped(f):
+        v = real(f)
+        v.witnesses.pop()
         return v
-    monkeypatch.setattr(scatter, "is_scattered_dickson", flipped)
+    monkeypatch.setattr(scatter, "is_scattered_dickson", dropped)
     capsys.readouterr()
     assert cli.main(["check", "--field", "3^1", "--poly", "case1"]) == 3
     assert json.loads(capsys.readouterr().out)["error"] == "InternalInvariant"
@@ -174,11 +176,11 @@ import sys
 from scatlin import family_poly, make_field, scatter
 from scatlin.errors import InternalInvariant
 real = scatter.is_scattered_dickson
-def flipped(f, **kw):
-    v = real(f, **kw)
-    v.scattered = not v.scattered
+def dropped(f):
+    v = real(f)
+    v.witnesses.pop()
     return v
-scatter.is_scattered_dickson = flipped
+scatter.is_scattered_dickson = dropped
 try:
     scatter.is_scattered(family_poly(make_field(3, 1), "case1"))
 except InternalInvariant as exc:
@@ -345,6 +347,13 @@ def test_golden_reports(chunk, f3, f5, with_chunk, capsys):
     "equiv --field 3^1 --left case1 --right pseudoregulus --resume TMP/missing.json",
     "equiv --field 3^1 --left case1 --right pseudoregulus --resume TMP/list.json",
     "equiv --field 3^1 --left case1 --right pseudoregulus --budget -5",
+    # a family takes its own parameter only: none, h or delta
+    "linset --field 3^1 --poly new_fh",
+    "linset --field 3^1 --poly case1:h=g^2",
+    "linset --field 3^1 --poly pseudoregulus:delta=g^1",
+    "linset --field 3^1 --poly new_fh:delta=g^13",
+    "linset --field 3^1 --poly lp:h=g^1",
+    "linset --field 3^1 --poly u4:h=g^455",
 ])
 def test_malformed_input_is_usage_error(argv, tmp_path, capsys):
     """Malformed field, element, polynomial, budget and checkpoint input

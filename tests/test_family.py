@@ -6,7 +6,7 @@ import pytest
 
 from scatlin import make_field
 from scatlin.errors import HypothesisViolated, InvalidParameter
-from scatlin.family import (LEMMA_POLYS, enumerate_h, family_poly, h_is_valid,
+from scatlin.family import (FAMILY_PARAMS, LEMMA_POLYS, enumerate_h, family_poly, h_is_valid,
                             lemma1_checks, lemma_roots, lp_delta_samples,
                             u3_delta_samples, u4_deltas)
 from scatlin.scatter import is_scattered_dickson, is_scattered_oracle
@@ -73,6 +73,10 @@ def test_build_validation(f3, f5):
     for param in (None, 1):
         with pytest.raises(InvalidParameter):
             family_poly(f3, "no_such_family", param)
+    # a parameter given to a family without one, or missing from one with one
+    for tag, name in FAMILY_PARAMS.items():
+        with pytest.raises(InvalidParameter):
+            family_poly(f3, tag, None if name else "g^2")
 
 
 def test_u3_tagged_unverified(f3):

@@ -3,7 +3,10 @@ determinants, and kernel dimensions (all against enumeration oracles)."""
 
 import random
 
+import pytest
+
 from scatlin import QPoly
+from scatlin.errors import DegenerateInput
 from scatlin.linalg import det, rank
 from scatlin.family import family_poly
 from scatlin.scatter import _criterion_matrices
@@ -199,6 +202,18 @@ def test_kernel_dim_counts_roots(f3):
         f = rand_poly(f3, rng)
         k = f.kernel_dim()
         assert sum(1 for x in f3.elements() if f(x).is_zero()) == 3**k
+
+
+def test_first_q_term(f3):
+    """The first i >= 1 with a_i != 0, whatever a_0 is; a multiple of x has
+    none."""
+    for i in range(1, 6):
+        for a0 in (f3.zero(), f3.gen()):
+            f = QPoly.monomial(f3, i, "g^2") + QPoly.monomial(f3, 5) + QPoly(f3, [a0])
+            assert f.first_q_term() == i
+    for coeffs in ([], ["g^1"]):
+        with pytest.raises(DegenerateInput):
+            QPoly(f3, coeffs).first_q_term()
 
 
 def test_json_roundtrip(f3):

@@ -13,7 +13,7 @@ from scatlin.scatter import (dickson_dets_at, dickson_witness_point,
                              is_scattered_dickson, is_scattered_oracle,
                              is_scattered, point_weight, weight_spectrum)
 
-# exhaustive case1 answers: q -> (spectrum, oracle witnesses = Dickson witnesses)
+# case1 answers: q -> (spectrum, oracle witnesses = Dickson witnesses)
 CASE1 = {
     3: ({1: 338, 3: 2}, ["g^182", "g^546"]),
     5: ({1: 3906}, []),
@@ -48,8 +48,8 @@ def test_case1_q5_scattered(f5):
 
 def test_case1_q3_not_scattered(f3):
     f = family_poly(f3, "case1")
-    vo = is_scattered_oracle(f, exhaustive=True)
-    vd = is_scattered_dickson(f, exhaustive=True)
+    vo = is_scattered_oracle(f)
+    vd = is_scattered_dickson(f)
     assert not vo.scattered and not vd.scattered
     minus4 = f3.from_int(-4)
     assert len(vd.witnesses) == 2
@@ -65,11 +65,11 @@ def test_case1_q3_not_scattered(f3):
 
 def test_witness_is_smallest_in_enumeration_order(f3):
     f = family_poly(f3, "case1")
-    vd = is_scattered_dickson(f, exhaustive=True)
+    vd = is_scattered_dickson(f)
     idx = [f3.enum_index(w) for w in vd.witnesses]
     assert idx == sorted(idx)
     assert is_scattered_dickson(f).witness == vd.witnesses[0]
-    vo = is_scattered_oracle(f, exhaustive=True)
+    vo = is_scattered_oracle(f)
     assert is_scattered_oracle(f).witness == vo.witnesses[0]
 
 
@@ -77,8 +77,8 @@ def test_decider_agreement_random(f3):
     rng = random.Random(42)
     for _ in range(50):
         f = rand_poly(f3, rng)
-        a = is_scattered_oracle(f, exhaustive=True)
-        b = is_scattered_dickson(f, exhaustive=True)
+        a = is_scattered_oracle(f)
+        b = is_scattered_dickson(f)
         assert a.scattered == b.scattered
         if not a.scattered:
             # witness sets correspond under m -> a_0 - m
@@ -109,8 +109,8 @@ def test_degenerate_polys(f3):
     assert not is_scattered_oracle(zero).scattered
     assert not is_scattered_dickson(zero).scattered
     scalar = QPoly(f3, [f3.gen()])
-    a = is_scattered_oracle(scalar, exhaustive=True)
-    b = is_scattered_dickson(scalar, exhaustive=True)
+    a = is_scattered_oracle(scalar)
+    b = is_scattered_dickson(scalar)
     assert not a.scattered and not b.scattered
     assert a.witnesses == [f3.gen()]  # the single weight-6 point sits at m = g
 
@@ -130,6 +130,31 @@ def test_is_scattered_both(f3):
     assert res["oracle"].scattered and res["dickson"].scattered
 
 
+@pytest.mark.parametrize("field", ["f2", "f3", "f4", "f5"])
+def test_is_scattered_compares_points(field, request, monkeypatch):
+    """is_scattered accepts seeded sparse polynomials, most of them not
+    scattered, with the Dickson roots certifying exactly the oracle's
+    points; a root moved to another m raises InternalInvariant although
+    both verdicts and both witness counts stay the same."""
+    F = request.getfixturevalue(field)
+    rng = random.Random(400 + F.q)
+    polys = [sparse_poly(F, rng) for _ in range(12)]
+    verdicts = [is_scattered(f) for f in polys]
+    assert sum(not v["oracle"].scattered for v in verdicts) > len(polys) // 2
+    f = next(f for f, v in zip(polys, verdicts) if not v["oracle"].scattered)
+    points = set(verdicts[polys.index(f)]["oracle"].witnesses)
+    elsewhere = next(m for m in F.elements() if dickson_witness_point(f, m) not in points)
+    real = scatter.is_scattered_dickson
+
+    def moved(g):
+        v = real(g)
+        v.witnesses[-1] = elsewhere
+        return v
+    monkeypatch.setattr(scatter, "is_scattered_dickson", moved)
+    with pytest.raises(InternalInvariant):
+        is_scattered(f)
+
+
 def test_oracle_buckets_once(monkeypatch):
     calls = []
     real = scatter._coset_counts
@@ -139,7 +164,7 @@ def test_oracle_buckets_once(monkeypatch):
         F = make_field(q, 1)
         f = family_poly(F, "case1")
         calls.clear()
-        v = is_scattered_oracle(f, exhaustive=True)
+        v = is_scattered_oracle(f)
         assert len(calls) == 1
         assert v.scattered == (not witnesses)
         assert v.spectrum.counts == spectrum
@@ -223,8 +248,8 @@ def test_exhaustive_witnesses_independent_of_chunk(q, with_chunk):
     runs = []
     for chunk in (None, 1 << 7):
         with_chunk(F, chunk)
-        vo = is_scattered_oracle(f, exhaustive=True)
-        vd = is_scattered_dickson(f, exhaustive=True)
+        vo = is_scattered_oracle(f)
+        vd = is_scattered_dickson(f)
         runs.append(([F.format(w) for w in vo.witnesses],
                       [F.format(w) for w in vd.witnesses], vo.spectrum.counts))
     assert runs[0] == runs[1]
@@ -237,7 +262,7 @@ def _certified_points(f, witnesses):
 
 @pytest.mark.parametrize("field", ["f4", "f9"])
 def test_dickson_witnesses_match_oracle_p2_and_s2(field, request, with_chunk):
-    """At q = 4 (p = 2) and q = 9 (s = 2) the exhaustive Dickson witnesses
+    """At q = 4 (p = 2) and q = 9 (s = 2) the Dickson witnesses
     certify exactly the oracle's points, under two slice sizes: case1, a
     seeded new_fh, and sparse random polynomials."""
     F = request.getfixturevalue(field)
@@ -246,12 +271,12 @@ def test_dickson_witnesses_match_oracle_p2_and_s2(field, request, with_chunk):
              family_poly(F, "new_fh", rng.choice(enumerate_h(F)))]
     polys += [sparse_poly(F, rng) for _ in range(3)]
     for f in polys:
-        vo = is_scattered_oracle(f, exhaustive=True)
+        vo = is_scattered_oracle(f)
         points = sorted(F.enum_index(w) for w in vo.witnesses)
         runs = []
         for chunk in (None, 1 << 9):
             with_chunk(F, chunk)
-            vd = is_scattered_dickson(f, exhaustive=True)
+            vd = is_scattered_dickson(f)
             runs.append([F.enum_index(w) for w in vd.witnesses])
             assert _certified_points(f, vd.witnesses) == points
         assert runs[0] == runs[1] == sorted(runs[0])
@@ -293,7 +318,7 @@ def test_m_zero_decided_by_constant_terms(f3, f5):
                  QPoly(F, [0, 0, one, 0, 0, one])]
         for f in cases:
             d6, d5 = dickson_dets_at(f, F.zero())
-            vd = is_scattered_dickson(f, exhaustive=True)
+            vd = is_scattered_dickson(f)
             first_is_zero = bool(vd.witnesses) and vd.witnesses[0].is_zero()
             assert first_is_zero == (d6.is_zero() and d5.is_zero())
             assert (is_scattered_dickson(f).witness == F.zero()) == first_is_zero
@@ -345,8 +370,8 @@ def whole_field_dickson_reference(f, exhaustive):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_coset_scan_matches_whole_field_reference(q, with_chunk):
-    """The scan over the coset representatives finds the same exhaustive
-    witnesses and the same first witness as the whole-field scan: case1, a
+    """The scan over the coset representatives finds the same witnesses,
+    and so the same first witness, as the whole-field scan: case1, a
     seeded new_fh, the pseudoregulus, x^(q^2) and x^q + x^(q^3) (many points
     of weight >= 2) and seeded sparse random polynomials (most of them not
     scattered), under the default slice size and under one that splits the
@@ -366,16 +391,16 @@ def test_coset_scan_matches_whole_field_reference(q, with_chunk):
     for chunk in chunks:
         with_chunk(F, chunk)
         for f, (full, first) in zip(polys, refs):
-            assert is_scattered_dickson(f, exhaustive=True).witnesses == full, f
             v = is_scattered_dickson(f)
+            assert v.witnesses == full, f
             assert ([] if v.witness is None else [v.witness]) == first, f
 
 
 def test_truncated_determinant_only_at_multiple_roots(f7, monkeypatch):
     """Only the multiple roots lambda of det M(lambda g^r) reach the
     truncated determinant: at q = 7 its v_lincomb receives at most R/4
-    elements, R = (q^6 - 1)/(q - 1), for case1 and a seeded new_fh in
-    exhaustive mode, where testing every root of det M gives about R."""
+    elements, R = (q^6 - 1)/(q - 1), for case1 and a seeded new_fh, where
+    testing every root of det M gives about R."""
     F = f7
     R = F.N // (F.q - 1)
     F._trace_tables()  # built once per field, by a v_lincomb of its own
@@ -390,7 +415,7 @@ def test_truncated_determinant_only_at_multiple_roots(f7, monkeypatch):
     fh = family_poly(F, "new_fh", random.Random(7).choice(enumerate_h(F)))
     for f, witnesses in ((family_poly(F, "case1"), CASE1[7][1]), (fh, [])):
         sizes.clear()
-        v = is_scattered_dickson(f, exhaustive=True)
+        v = is_scattered_dickson(f)
         assert [F.format(w) for w in v.witnesses] == witnesses
         assert 0 < sum(sizes) <= R // 4, (f, sum(sizes), R)
 
