@@ -214,11 +214,12 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
     ``searched``, ``budget`` and the checkpoint's ``flat`` and ``tried``
     count positions in the full space: a skipped triple counts as decided
     by its representative, and skips stop at the budget.  ``searched`` is
-    the witness's position plus one, or the total decided.  A checkpoint
-    carries the field (p, s) and a sha256 of the coefficient exponents of f
-    and g; resuming one without them, against other inputs or at an
-    impossible position raises InvalidParameter, and so does a negative
-    budget.
+    the witness's position plus one, or the total decided, so a checkpoint's
+    ``tried`` is always rho * q^12 + flat.  A checkpoint carries the field
+    (p, s) and a sha256 of the coefficient exponents of f and g; resuming
+    one without them, against other inputs or at an impossible position (a
+    bool, a ``tried`` other than rho * q^12 + flat) raises InvalidParameter,
+    and so does a negative budget.
     """
     ctx = f.ctx
     if budget is not None and budget < 0:
@@ -234,14 +235,16 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
     binding = {"field": [ctx.p, ctx.s],
                "inputs_sha256": hashlib.sha256(json.dumps(exps).encode()).hexdigest()}
 
-    rho_start, flat_start, tried = 0, 0, 0
+    rho_start, flat_start = 0, 0
     if resume:
         pos = [resume.get(k) for k in ("rho", "flat", "tried")]
         if (any(resume.get(k) != v for k, v in binding.items())
-                or not all(isinstance(x, int) for x in pos)
-                or not (0 <= pos[0] < ctx.deg and 0 <= pos[1] < E * E)):
+                or not all(isinstance(x, int) and not isinstance(x, bool) for x in pos)
+                or not (0 <= pos[0] < ctx.deg and 0 <= pos[1] < E * E)
+                or pos[2] != pos[0] * E * E + pos[1]):
             raise InvalidParameter("checkpoint does not belong to this field, f and g")
-        rho_start, flat_start, tried = pos
+        rho_start, flat_start = pos[:2]
+    tried = rho_start * E * E + flat_start  # every position before the start
 
     work = np.empty((2, min(_BLOCK, E * E)), dtype=bool)  # see _scan_block
     for rho in range(rho_start, ctx.deg):

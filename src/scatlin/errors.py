@@ -3,7 +3,9 @@
 Every error raised by scatlin is a subclass of ScatlinError, so callers can
 catch the whole family with one except clause.  The CLI maps UsageError to
 exit code 2, InternalInvariant (a bug signal) to exit code 3, and every other
-ScatlinError, ClassificationGap included, to exit code 1.
+ScatlinError, ClassificationGap included, to exit code 1.  A search that
+cannot come up empty, such as the modulus and generator search of a field,
+raises InternalInvariant when it does.
 Only HypothesisViolated, which says that a lemma does not apply to its
 input, is reported as "skipped" (by `scatlin lemmas`) instead of as an error.
 """
@@ -19,10 +21,6 @@ class NotPrime(ScatlinError):
 
 class TooLarge(ScatlinError):
     """The requested field or scan exceeds the configured desk-scale budget."""
-
-
-class NoIrreducibleFound(ScatlinError):
-    """The modulus scan ran out of candidates; indicates a scan bug."""
 
 
 class DivisionByZero(ScatlinError, ZeroDivisionError):

@@ -10,6 +10,13 @@ carries one padding entry Z[N] = 0 = log(1 + 0), so the sentinel is a valid
 index.  make_field refuses fields above DEFAULT_ZECH_LIMIT elements with
 TooLarge, before any table is built.
 
+Field construction works on one representation: an element of
+F_p[X]/(modulus) is its k x k matrix of multiplication over F_p (k = 6s,
+_mult_matrix), and powers are matrix powers (_matpow).  The same pair runs
+Rabin's irreducibility test of each modulus candidate, the order test of
+each generator candidate, and the squarings g^m -> g^(2m) of the orbit
+doubling; there is no F_p[X] polynomial arithmetic.
+
 The tables also power the vectorised exponent kernels (v_lincomb and its thin
 wrappers v_add, v_mul, ...) used by the exhaustive scans.  v_trace_lincomb
 sums traces Tr_{q^6/q} instead; its uint8 trace table is built from the Zech
@@ -45,7 +52,6 @@ from .errors import (
     CtxMismatch,
     DivisionByZero,
     InternalInvariant,
-    NoIrreducibleFound,
     NotPrime,
     TooLarge,
 )
@@ -126,90 +132,64 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] helpers (coefficient tuples, low degree first, no trailing zeros)
+# F_p-linear algebra of F_p[X]/(mod): every element is its k x k matrix of
+# multiplication, so the modulus test, the generator test and the orbit
+# doubling all run on one multiply-and-power pair
 # ---------------------------------------------------------------------------
 
 def _ptrim(c: list[int]) -> tuple[int, ...]:
+    """Coefficient tuple, low degree first, without trailing zeros."""
     i = len(c)
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return tuple(c[:i])
 
 
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _ptrim([c % p for c in out])
-
-
-def _pdivmod(a, b, p):
-    """Polynomial division; b need not be monic."""
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - db, 1)
-    for da in range(len(a) - 1, db - 1, -1):  # clear a[da], top down
-        coef = a[da] * inv_lead % p
-        a[da] = 0
-        if coef:
-            q[da - db] = coef
-            for i in range(db):
-                a[da - db + i] = (a[da - db + i] - coef * b[i]) % p
-    return _ptrim(q), _ptrim(a)
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _pmulmod(a, b, mod, p):
-    return _pmod(_pmul(a, b, p), mod, p)
-
-
-def _ppowmod(a, e, mod, p):
-    result = (1,)
-    base = _pmod(a, mod, p)
-    while e > 0:
+def _matpow(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    """M^e over F_p (e >= 0) by repeated squaring.  Entries are reduced
+    below p, and every field here has p <= 13 and k <= 24, so the int64
+    products stay below 24 * 12^2."""
+    out = np.eye(len(M), dtype=np.int64)
+    while e:
         if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
+            out = out @ M % p
+        M = M @ M % p
         e >>= 1
-    return result
+    return out
 
 
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = _ptrim([c * inv % p for c in a])
-    return a
+def _mult_matrix(mod, coeffs, p: int) -> np.ndarray:
+    """k x k matrix over F_p of multiplication by sum c_i X^i on
+    F_p[X]/(mod), mod monic of degree k and len(coeffs) <= k.  Column j
+    holds the element times X^j, so it is the companion matrix of mod
+    times column j - 1."""
+    k = len(mod) - 1
+    comp = np.eye(k, k, -1, dtype=np.int64)  # X^j -> X^(j+1) ...
+    comp[:, -1] = [-c % p for c in mod[:k]]  # ... and X^(k-1) -> X^k mod mod
+    M = np.zeros((k, k), dtype=np.int64)
+    M[:len(coeffs), 0] = coeffs
+    for j in range(1, k):
+        M[:, j] = comp @ M[:, j - 1] % p
+    return M
 
 
-def _is_irreducible(mod, p, k):
-    """Degree-k monic mod is irreducible over F_p.
+def _is_irreducible(mod, p: int) -> bool:
+    """Monic mod of degree k is irreducible over F_p (Rabin's test).
 
-    Test: x^(p^k) == x (mod f) and gcd(x^(p^(k/l)) - x, f) = 1 for every prime
-    l | k.  The gcd conditions at the maximal proper divisors k/l imply the
-    same for every proper divisor of k.
+    Once X^(p^k) = X, mod divides X^(p^k) - X, so F_p[X]/(mod) is a product
+    of fields F_(p^d) with d | k, and u is a unit exactly when
+    u^(p^k - 1) = 1.  mod is then irreducible iff D = X^(p^(k/l)) - X is a
+    unit, gcd(D, mod) = 1, for every prime l | k: no factor has a degree
+    dividing k/l, and these maximal proper divisors cover all of k's.
     """
-    x = (0, 1)
-    if _ppowmod(x, p**k, mod, p) != x:
+    k = len(mod) - 1
+    X = _mult_matrix(mod, (0, 1), p)
+    if not np.array_equal(_matpow(X, p**k, p), X):
         return False
+    one = np.eye(k, dtype=np.int64)
     for ell in _prime_factors(k):
-        xe = _ppowmod(x, p ** (k // ell), mod, p)
-        if len(_pgcd(mod, _psub(xe, x, p), p)) != 1:
+        D = (_matpow(X, p ** (k // ell), p) - X) % p
+        if not np.array_equal(_matpow(D, p**k - 1, p), one):
             return False
     return True
 
@@ -339,29 +319,20 @@ class Field:
             if v % p == 0:  # constant term 0 => divisible by x
                 continue
             cand = _ptrim(_digits(v, p, k) + [1])
-            if _is_irreducible(cand, p, k):
+            if _is_irreducible(cand, p):
                 return cand
-        raise NoIrreducibleFound("no irreducible of degree %d over F_%d" % (k, p))
+        raise InternalInvariant("no irreducible of degree %d over F_%d (bug)" % (k, p))
 
     def _find_generator(self) -> tuple[int, ...]:
         p, k, N = self.p, self.deg, self.N
         checks = [N // ell for ell in _prime_factors(N)]
+        one = np.eye(k, dtype=np.int64)
         for v in range(2, self.order):
             cand = _ptrim(_digits(v, p, k))
-            if all(_ppowmod(cand, c, self.modulus, p) != (1,) for c in checks):
+            M = _mult_matrix(self.modulus, cand, p)
+            if not any(np.array_equal(_matpow(M, c, p), one) for c in checks):
                 return cand
-        raise NoIrreducibleFound("no primitive element found (impossible)")
-
-    def _mult_matrix(self, coeffs) -> np.ndarray:
-        """k x k matrix over F_p of multiplication by the given element."""
-        k, p = self.deg, self.p
-        M = np.zeros((k, k), dtype=np.int64)
-        cur = coeffs
-        for j in range(k):
-            for i, c in enumerate(cur):
-                M[i, j] = c
-            cur = _pmulmod(cur, (0, 1), self.modulus, p)
-        return M
+        raise InternalInvariant("no primitive element of F_%d^%d (bug)" % (p, k))
 
     def _build_tables(self) -> None:
         """Power, log and Zech tables from the g-orbit, built by doubling.
@@ -369,9 +340,10 @@ class Field:
         The orbit g^0 .. g^(N-1) is held as carry-free packed words (see
         _wide_layout): digit j of an element sits in its own B-bit field.  A
         doubling step writes g^(m + i) = g^m * g^i for i < min(m, N - m);
-        multiplication by g^m is F_p-linear, so each word's image is a sum of
-        gathers from per-chunk tables (_chunk_tables), reduced digit by digit
-        mod p after every add (_wide_map).  One more gather per chunk, from
+        multiplication by g^m is F_p-linear, with matrix Gm, squared after
+        each step, so each word's image is a sum of gathers from per-chunk
+        tables of Gm (_chunk_tables), reduced digit by digit mod p after
+        every add (_wide_map).  One more gather per chunk, from
         tables of base-p digit weights, turns the words into packed values
         (two gathers at q = 13).  The log table inverts the power table, and
         Z is log gathered at 1 + g^k, both slice by slice (_spans), so the
@@ -384,14 +356,14 @@ class Field:
         wide = 1 << B * np.arange(k, dtype=np.int64)  # packed digit weights
         W = np.empty(N, dtype=word)
         W[0] = 1
-        gm, m = self.gen_coeffs, 1  # gm = g^m
+        Gm, m = _mult_matrix(self.modulus, self.gen_coeffs, p), 1  # times g^m
         while m < N:
             b = min(m, N - m)
-            tables = _chunk_tables(p, B, chunks, self._mult_matrix(gm), wide, word)
+            tables = _chunk_tables(p, B, chunks, Gm, wide, word)
             for lo, hi in _spans(b):
                 _wide_map(W[lo:hi], tables, W[m + lo:m + hi], reduce)
             m += b
-            gm = _pmulmod(gm, gm, self.modulus, p)
+            Gm = Gm @ Gm % p
         tables = _chunk_tables(p, B, chunks, np.eye(k, dtype=np.int64),
                                p ** np.arange(k, dtype=np.int64), EXP)
         pow_packed = np.empty(N, dtype=EXP)

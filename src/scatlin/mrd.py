@@ -6,7 +6,7 @@ RankCode raises DegenerateInput).
 
 Ranks are computed through 6x6 Dickson matrices over F_{q^6} (constant-size
 exact elimination) and cross-checkable against an explicit 6x6 matrix over
-F_q built in a fixed basis with trace-dual coordinate extraction.
+F_q built in a fixed basis with trace coordinates Tr(y g^i).
 
 The full rank distribution is read off the oracle's bucketing pass: ranks are
 constant on the F_{q^6}*-orbits (0, 0), (0, 1), (1, b), and f + b id has rank
@@ -16,7 +16,8 @@ eliminations, not q.  The minimum distance is
 rank_distribution(C).min_distance().
 
 idealisers(C) gives F_q-bases of the left and right idealisers, the code's
-invariants (Lunardon-Trombetti-Zhou), in the same trace-dual coordinates.
+invariants (Lunardon-Trombetti-Zhou), as (a, b) pairs with coordinates in
+the basis 1, g, ..., g^5.
 Code equivalence is GammaL-equivalence of U_f (Sheekey): equiv.gl_equivalent.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InternalInvariant
 from .gf import TOWER, Field
-from .linalg import mat_inv, nullspace, rank as mat_rank
+from .linalg import nullspace, rank as mat_rank
 from .qpoly import QPoly
 from . import scatter as _scatter
 
@@ -58,7 +59,7 @@ class RankCode:
         self._pivot = f.first_q_term()
         self.ctx = ctx
         self.f = f
-        self._dual = None
+        self._basis = [ctx.from_exp(j) for j in range(TOWER)]  # F_q-basis: g is primitive
 
     def codeword(self, a, b) -> QPoly:
         ctx = self.ctx
@@ -69,40 +70,25 @@ class RankCode:
         """Rank of x -> a f(x) + b x via its Dickson matrix."""
         return self.codeword(a, b).rank()
 
-    def _basis_and_dual(self):
-        """The F_q-basis 1, g, ..., g^5 and its trace-dual (cached).
-
-        g has degree 6 over F_q (it is primitive), so the powers are a basis;
-        the dual comes from inverting the Gram matrix Tr(g^i g^j)."""
-        if self._dual is None:
-            ctx = self.ctx
-            basis = [ctx.from_exp(j) for j in range(TOWER)]
-            gram = [[ctx.trace(basis[i] * basis[j], 1) for j in range(TOWER)]
-                    for i in range(TOWER)]
-            ginv = mat_inv(ctx, gram)
-            dual = [sum((ginv[j][k] * basis[k] for k in range(TOWER)),
-                        start=ctx.zero()) for j in range(TOWER)]
-            self._dual = (basis, dual)
-        return self._dual
-
     def _coordinates(self, y) -> list:
-        """The F_q-coordinates Tr(y dual_i) of y in the basis 1, g, ..., g^5."""
-        return [self.ctx.trace(y * d, 1) for d in self._basis_and_dual()[1]]
+        """F_q-coordinates Tr(y g^i) of y: the trace form is nondegenerate, so
+        they are y's coordinates in the trace-dual basis of 1, g, ..., g^5."""
+        return [self.ctx.trace(y * x, 1) for x in self._basis]
 
     def codeword_matrix(self, a, b):
-        """Explicit 6x6 matrix over F_q in the basis 1, g, ..., g^5.
+        """Explicit 6x6 matrix over F_q of the codeword.
 
-        Column j holds the coordinates of the image of g^j; the cross-check
-        route for codeword_rank.
+        Column j holds the trace coordinates of the image of g^j; the
+        cross-check route for codeword_rank.
         """
         word = self.codeword(a, b)
-        cols = [self._coordinates(word(x)) for x in self._basis_and_dual()[0]]
+        cols = [self._coordinates(word(x)) for x in self._basis]
         return [list(row) for row in zip(*cols)]
 
     def _membership_rows(self, w: QPoly) -> list:
         """24 values in F_q, all zero iff w is in C: with i = self._pivot, the
         first i >= 1 where f_i != 0, w = c f + d id iff w_j f_i = w_i f_j for
-        the four j outside {0, i}, 6 trace-dual coordinates each."""
+        the four j outside {0, i}, 6 trace coordinates each."""
         f, i = self.f.coeffs, self._pivot
         return [x for j in range(1, TOWER) if j != i
                 for x in self._coordinates(w.coeffs[j] * f[i] - w.coeffs[i] * f[j])]
@@ -171,7 +157,7 @@ def idealisers(C: RankCode) -> tuple[list, list]:
     iff f o psi lies in C (24 rows), and phi in the left one iff phi o w does
     for the 12 F_q-basis codewords w = g^j f, g^j id (288 rows).
     """
-    ctx, basis = C.ctx, C._basis_and_dual()[0]
+    ctx, basis = C.ctx, C._basis
     zero = ctx.zero()
     words = [C.codeword(x, zero) for x in basis] + [C.codeword(zero, x) for x in basis]
 

@@ -153,7 +153,8 @@ def test_chunk_determinism(f3, monkeypatch):
 
 def test_checkpoint_bound_to_inputs(f3, f5):
     """A checkpoint names its field and hashes f and g; resuming it without
-    that binding, against other inputs or at an impossible position raises."""
+    that binding, against other inputs or at an impossible position (a bool,
+    or a tried count other than rho E^2 + flat) raises."""
     fh = family_poly(f3, "new_fh", general_hs(f3)[0])
     ps = family_poly(f3, "pseudoregulus")
     ck = gl_equivalent(fh, ps, budget=1000).checkpoint
@@ -165,6 +166,12 @@ def test_checkpoint_bound_to_inputs(f3, f5):
                (fh, ps, {k: ck[k] for k in ("rho", "flat", "tried")}),
                (fh, ps, dict(ck, rho=f3.deg)),
                (fh, ps, dict(ck, flat="1000")),
+               (fh, ps, dict(ck, tried=-5)),
+               (fh, ps, dict(ck, tried=True)),
+               (fh, ps, dict(ck, tried=10**15)),
+               (fh, ps, dict(ck, rho=True)),
+               (fh, ps, dict(ck, rho=False)),
+               (fh, ps, dict(ck, flat=5, tried=3)),
                (family_poly(f5, "pseudoregulus"), family_poly(f5, "pseudoregulus"), ck)]
     for f, g, resume in foreign:
         with pytest.raises(InvalidParameter):

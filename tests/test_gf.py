@@ -11,8 +11,8 @@ import pytest
 from scatlin import gf, make_field, parse_field_spec
 from scatlin.errors import (BadSubfield, CtxMismatch, DivisionByZero,
                             InternalInvariant, NotPrime, TooLarge)
-from scatlin.gf import (EXP, Field, _digits, _pack_digits, _pmulmod, _ppowmod,
-                        _wide_layout)
+from scatlin.gf import (EXP, Field, _digits, _is_irreducible, _matpow,
+                        _mult_matrix, _pack_digits, _wide_layout)
 
 
 def test_make_field_sizes(f3, f5, f4):
@@ -35,6 +35,22 @@ def test_make_field_guards(monkeypatch):
     for p, s in ((9, 1), (1, 1), (0, -1)):
         with pytest.raises(NotPrime):
             make_field(p, s)
+
+
+@pytest.mark.parametrize("p,k,count", [(2, 6, 9), (3, 6, 116), (2, 12, 335)])
+def test_irreducible_count_is_gauss(p, k, count):
+    """Of all p^k monic candidates of degree k, those with constant term 0
+    included, _is_irreducible accepts exactly Gauss's number
+    (1/k) sum_{d | k} mu(d) p^(k/d)."""
+    assert sum(_is_irreducible(tuple(_digits(v, p, k)) + (1,), p)
+               for v in range(p**k)) == count
+
+
+def test_search_without_a_result_is_a_bug(monkeypatch):
+    """A modulus search that finds nothing is a bug signal, not bad input."""
+    monkeypatch.setattr(gf, "_is_irreducible", lambda mod, p: False)
+    with pytest.raises(InternalInvariant):
+        gf.Field(3, 1)
 
 
 def test_one_context_per_field():
@@ -61,13 +77,14 @@ def _matmul_tables(F):
     """Reference power, log and Zech tables: the g-orbit doubled as an int8
     digit matrix by int64 matmuls, then packed with the base-p weights."""
     p, k, N = F.p, F.deg, F.N
+    G = _mult_matrix(F.modulus, F.gen_coeffs, p)
     C = np.zeros((N, k), dtype=np.int8)
     C[0, 0] = 1
     m = 1
     while m < N:
         b = min(m, N - m)
-        gm = _pmulmod(tuple(int(c) for c in C[m - 1]), F.gen_coeffs, F.modulus, p)
-        T = F._mult_matrix(gm).T  # row-vector action
+        gm = _mult_matrix(F.modulus, C[m - 1], p) @ G % p  # g^(m-1) g
+        T = gm.T  # row-vector action
         C[m:m + b] = (C[:b].astype(np.int64) @ T) % p
         m += b
     pow_packed = (C.astype(np.int64) @ p ** np.arange(k)).astype(EXP)
@@ -268,7 +285,7 @@ def test_element_parsing(f3):
 
 class VectorArith:
     """Reference arithmetic of F on coefficient vectors mod F.modulus, with
-    gf's own F_p[x] helpers; elements are packed base-p values."""
+    gf's own multiplication matrices; elements are packed base-p values."""
 
     def __init__(self, F):
         self.p, self.k, self.mod = F.p, F.deg, F.modulus
@@ -282,6 +299,9 @@ class VectorArith:
     def _vec(self, u):
         return _digits(u, self.p, self.k)
 
+    def _matrix(self, u):
+        return _mult_matrix(self.mod, self._vec(u), self.p)
+
     def add(self, u, v):
         return _pack_digits([(a + b) % self.p for a, b in
                              zip(self._vec(u), self._vec(v))], self.p)
@@ -290,10 +310,10 @@ class VectorArith:
         return _pack_digits([-a % self.p for a in self._vec(u)], self.p)
 
     def mul(self, u, v):
-        return _pack_digits(_pmulmod(self._vec(u), self._vec(v), self.mod, self.p), self.p)
+        return _pack_digits(self._matrix(u) @ self._vec(v) % self.p, self.p)
 
     def pow(self, u, e):
-        return _pack_digits(_ppowmod(self._vec(u), e, self.mod, self.p), self.p)
+        return _pack_digits(_matpow(self._matrix(u), e, self.p)[:, 0], self.p)
 
     def inv(self, u):
         return self.pow(u, self.order - 2)
