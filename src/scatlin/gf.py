@@ -15,7 +15,9 @@ F_p[X]/(modulus) is its k x k matrix of multiplication over F_p (k = 6s,
 _mult_matrix), and powers are matrix powers (_matpow).  The same pair runs
 Rabin's irreducibility test of each modulus candidate, the order test of
 each generator candidate, and the squarings g^m -> g^(2m) of the orbit
-doubling; there is no F_p[X] polynomial arithmetic.
+doubling; there is no F_p[X] polynomial arithmetic.  At the primes l | p - 1
+the order test needs no power: a^(N/l) is the norm det M(a), taken by
+elimination over F_p (_det_mod_p), to the power (p - 1)/l.
 
 The tables also power the vectorised exponent kernels (v_lincomb and its thin
 wrappers v_add, v_mul, ...) used by the exhaustive scans.  v_trace_lincomb
@@ -26,10 +28,11 @@ field (2^(B-1) >= p), so multiplying a block of powers by g^m is a sum of
 gathers from per-chunk tables of that F_p-linear map, reduced mod p digit by
 digit with two bit operations after every add.  Every whole-field scan (the
 scatteredness deciders, the trace table, the lemma roots, the L4 system)
-takes its exponent ranges from Field.conjugate_slices: the conjugates
-e q^v mod N, slice by slice.  The table build and the scans share one slice
-size, _CHUNK, so no pass allocates N-element temporaries beyond the tables
-themselves.
+takes its exponent ranges from Field.conjugate_slices: the progressions
+e K mod N for the multipliers K a scan names (by default the conjugates
+e q^v), slice by slice, in 32-bit adds.  The table build and the scans
+share one slice size, _CHUNK, so no pass allocates N-element temporaries
+beyond the tables themselves.
 
 Determinism: the modulus is the first irreducible in ascending packed
 coefficient order (constant term is the least significant base-p digit), the
@@ -62,6 +65,10 @@ DEFAULT_ZECH_LIMIT = 1 << 24  # largest field order make_field builds
 EXP = np.uint32  # dtype of exponent arrays and of the Zech tables
 _ACC_ZERO = 1 << 31  # zero inside a v_lincomb accumulator; see v_lincomb
 _CHUNK = 1 << 16  # elements per slice of every whole-field pass; see _spans
+# terms of each progression e K mod N that conjugate_slices forms by int64
+# division before it doubles in 32-bit; below about this length a doubling
+# step costs more in call overhead than the divisions it saves
+_SEED = 1 << 10
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -72,6 +79,14 @@ def _spans(n: int):
     slice, so a slice's working set stays in L2 and no pass allocates
     N-element temporaries."""
     return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+
+
+def _add_reduce(x, y, N: int, out, tmp) -> None:
+    """out <- x + y mod N for exponents x, y < N, in 32-bit, by the one
+    conditional subtraction described at the exponent kernels."""
+    np.add(x, y, out=out)
+    np.subtract(out, N, out=tmp)
+    np.minimum(out, tmp, out=out)
 
 
 def _exp_arrays(bases) -> list:
@@ -156,6 +171,26 @@ def _matpow(M: np.ndarray, e: int, p: int) -> np.ndarray:
         M = M @ M % p
         e >>= 1
     return out
+
+
+def _det_mod_p(M: np.ndarray, p: int) -> int:
+    """det M over F_p by exact elimination on Python integers, each row
+    operation reduced mod p and each pivot inverted by Fermat."""
+    A = [[x % p for x in row] for row in M.tolist()]
+    k, det = len(A), 1
+    for c in range(k):
+        piv = next((r for r in range(c, k) if A[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            A[c], A[piv], det = A[piv], A[c], -det
+        det = det * A[c][c] % p
+        inv = pow(A[c][c], p - 2, p)
+        for r in range(c + 1, k):
+            f = A[r][c] * inv % p
+            if f:
+                A[r] = [(x - f * y) % p for x, y in zip(A[r], A[c])]
+    return det % p
 
 
 def _mult_matrix(mod, coeffs, p: int) -> np.ndarray:
@@ -324,12 +359,23 @@ class Field:
         raise InternalInvariant("no irreducible of degree %d over F_%d (bug)" % (k, p))
 
     def _find_generator(self) -> tuple[int, ...]:
+        """The first candidate a with a^(N/l) != 1 for every prime l | N.
+
+        For l | p - 1 the power is N(a)^((p-1)/l), where the norm
+        N(a) = a^((p^k - 1)/(p - 1)) is det M(a) in F_p, so those tests take
+        one elimination; the other primes take a matrix power each.
+        """
         p, k, N = self.p, self.deg, self.N
-        checks = [N // ell for ell in _prime_factors(N)]
+        by_norm = [(p - 1) // ell for ell in _prime_factors(p - 1)]
+        checks = [N // ell for ell in _prime_factors(N) if (p - 1) % ell]
         one = np.eye(k, dtype=np.int64)
         for v in range(2, self.order):
             cand = _ptrim(_digits(v, p, k))
             M = _mult_matrix(self.modulus, cand, p)
+            if by_norm:
+                norm = _det_mod_p(M, p)
+                if any(pow(norm, c, p) == 1 for c in by_norm):
+                    continue
             if not any(np.array_equal(_matpow(M, c, p), one) for c in checks):
                 return cand
         raise InternalInvariant("no primitive element of F_%d^%d (bug)" % (p, k))
@@ -648,9 +694,10 @@ class Field:
     # Products in int64, sums in 32-bit.  A sum or difference of two reduced
     # exponents lies in [0, 2N) (after adding N to a difference) and is reduced
     # by one conditional subtraction, np.minimum(x, x - N): for x < N the
-    # uint32 subtraction wraps to a huge value and the minimum keeps x.  A
-    # product e * K (Frobenius, p-powers, inverses, the Dickson terms) can
-    # exceed 2^32; it is formed in int64, reduced mod N, then cast.
+    # uint32 subtraction wraps to a huge value and the minimum keeps x
+    # (_add_reduce).  A product e * K (Frobenius, p-powers, inverses, the
+    # first terms of a conjugate_slices progression, the truncated Dickson
+    # terms) can exceed 2^32; it is formed in int64, reduced mod N, then cast.
     #
     # All additive work goes through v_lincomb; v_add, v_sub, v_mul,
     # v_mul_const and v_neg are thin uses of it.
@@ -707,9 +754,7 @@ class Field:
             # acc <- t + Z[d] (mod N), zero where the two summands cancel
             Z.take(d, None, z, "clip")  # clip: d > N reads Z[N]
             np.equal(z, N, out=cancel)
-            np.add(z, te, out=out)
-            np.subtract(out, N, out=d)
-            np.minimum(out, d, out=out)
+            _add_reduce(z, te, N, out, d)
             np.copyto(out, _ACC_ZERO, where=cancel)
             if zero is not None:
                 out[zero] = kept
@@ -727,12 +772,9 @@ class Field:
             return c
         if c == 0 and len(factors) == 1:
             return factors[0]
-        N = self.N
         src = factors[0]
         for addend in list(factors[1:]) + ([c] if c else []):
-            np.add(src, addend, out=t)
-            np.subtract(t, N, out=tmp)
-            np.minimum(t, tmp, out=t)
+            _add_reduce(src, addend, self.N, t, tmp)
             src = t
         return t
 
@@ -785,31 +827,45 @@ class Field:
             self._frob_exps = rows
         return self._frob_exps
 
-    def conjugate_slices(self, stop: int):
+    def conjugate_slices(self, stop: int, mults=None):
         """Yield (lo, bases) for the _CHUNK slices [lo, hi) of the exponents
-        e < stop (stop <= N), where bases[v] holds e q^v mod N, the exponent
-        of m^(q^v) at m = g^e.  Every whole-field scan takes its exponent
-        ranges from here.
+        e < stop (stop <= N), where bases[j] holds e K mod N for the j-th
+        multiplier K of mults (integers >= 0), the exponent of m^K at
+        m = g^e.  The default multipliers are the six q^v, so bases[v] is
+        the exponent of the conjugate m^(q^v).  Every whole-field scan takes
+        its exponent ranges from here.
 
-        A field with N <= _CHUNK yields views of the rows of frob_exps, so
-        repeated scans of it allocate none.  Otherwise the six arrays are
-        formed in int64 for the first slice only, and each later slice adds
-        _CHUNK q^v to them in 32-bit; they are overwritten by the next
-        slice, so a caller copies what it keeps.
+        With the default multipliers, a field with N <= _CHUNK yields views
+        of the rows of frob_exps, so repeated scans of it allocate none.
+        Otherwise the first _SEED entries of each array are int64 products
+        reduced mod N, and the rest is 32-bit adds, each reduced by one
+        conditional subtraction (_add_reduce): the first slice doubles,
+        [m, 2m) being [0, m) plus m K, and each later slice adds _CHUNK K.
+        The arrays are overwritten by the next slice, so a caller copies
+        what it keeps.
         """
-        N, n = self.N, _CHUNK
-        if N <= n:
-            yield 0, [row[:stop] for row in self.frob_exps()]
-            return
-        bases = [self.v_frob(np.arange(min(n, stop)), v) for v in range(TOWER)]
-        steps = [n * self._qpow[v] % N for v in range(TOWER)]
-        tmp = np.empty(bases[0].size, dtype=EXP)
+        N = self.N
+        if mults is None:
+            if N <= _CHUNK:
+                yield 0, [row[:stop] for row in self.frob_exps()]
+                return
+            mults = self._qpow
+        n = min(_CHUNK, stop)
+        m = min(_SEED, n)
+        e = np.arange(m, dtype=np.int64)
+        bases = [np.empty(n, dtype=EXP) for _ in mults]
+        for b, K in zip(bases, mults):
+            b[:m] = e * K % N
+        tmp = np.empty(n, dtype=EXP)
+        while m < n:
+            w = min(m, n - m)
+            for b, K in zip(bases, mults):
+                _add_reduce(b[:w], m * K % N, N, b[m:m + w], tmp[:w])
+            m += w
         for lo, hi in _spans(stop):
             yield lo, [b[:hi - lo] for b in bases]
-            for b, step in zip(bases, steps):
-                np.add(b, step, out=b)
-                np.subtract(b, N, out=tmp)
-                np.minimum(b, tmp, out=b)
+            for b, K in zip(bases, mults):
+                _add_reduce(b, n * K % N, N, b, tmp)
 
     def v_trace_lincomb(self, terms, bases):
         """F_q indices of the sum of Tr_{q^6/q}(g^c * prod(g^bases[i] for i in
@@ -818,7 +874,9 @@ class Field:
         Terms and bases are as in v_lincomb (the sentinel N is allowed).  The
         constant terms are summed once, and every other term costs its
         exponent sum, one gather from the trace table and one from the q x q
-        addition table; no Zech gather.
+        addition table; no Zech gather.  While the sum is still the constant
+        0, a term's trace is gathered straight into it, so a lone term costs
+        one gather.
         """
         trace, add = self._trace_tables()
         N, q = self.N, self.q
@@ -832,6 +890,7 @@ class Field:
         acc = np.full(shape, const, dtype=np.uint8)
         tr, pair = (np.empty(shape, dtype=np.uint8) for _ in range(2))
         t, d = (np.empty(shape, dtype=EXP) for _ in range(2))
+        fresh = const == 0  # acc is still 0, so acc + Tr(x) is Tr(x)
         for c, idx in terms:
             if c == N or not idx:
                 continue
@@ -839,6 +898,10 @@ class Field:
             zero = [xs[i] == N for i in idx if i in has_zero]
             if zero:
                 te = np.where(np.logical_or.reduce(zero), N, te)
+            if fresh:
+                trace.take(te, None, acc, "clip")
+                fresh = False
+                continue
             trace.take(te, None, tr, "clip")
             np.multiply(acc, q, out=pair)
             np.add(pair, tr, out=pair)

@@ -18,9 +18,12 @@ exactly the oracle's points.
 
 Both scans run on the field's Zech-table kernels (every field make_field
 builds has them) and walk the R = (q^6-1)/(q-1) coset representatives g^r,
-slice by slice, on the uint32 conjugate exponents r q^v mod N that
-Field.conjugate_slices yields.  The oracle sums a_j x^(q^j) over them with
-one call of the fused kernel Field.v_lincomb per slice, then divides by x.
+slice by slice, on uint32 exponent progressions r K mod N that
+Field.conjugate_slices yields, one per multiplier K the scan names.  The
+oracle writes f(x)/x = a_0 + sum(a_j x^(q^j - 1) for j >= 1), so it reads
+one progression per nonzero a_j (K = q^j - 1) with one call of the fused
+kernel Field.v_lincomb per slice, then sorts the values in place and counts
+their runs.
 
 The criterion expands det M(m) in the six conjugates m^(q^v): the coefficient
 c_S of prod(m^(q^v) for v in S) is a principal minor of M(0), and
@@ -31,22 +34,24 @@ scales by lambda^k:
 
     det M(lambda m) = c_0 + sum(lambda^k T_k(m) for k in 1..6),  T_k(m) in F_q.
 
-Each T_k(g^r) is one Field.v_trace_lincomb over the orbit terms of size k:
-one gather from the field's trace table and one from a q x q addition table
-per term, no Zech gather.
+Each orbit term reads one progression, K = e_S, and each T_k(g^r) is one
+Field.v_trace_lincomb over the orbit terms of size k: one gather from the
+field's trace table per term, and one from a q x q addition table per term
+after the first, no Zech gather.
 
 A point of weight >= 2 has rank M(m) <= 4, so adj M(m) = 0.  By Jacobi's
 formula, P(lambda) = det M(lambda m) = det(M(0) + lambda D), with
 D = diag(m^(q^v)), has the derivative tr(adj M(lambda m) D), so such a point
 sits at a multiple root: P(lambda) = P'(lambda) = 0, where
 P'(lambda) = sum(k lambda^(k-1) T_k(m)) with k read mod p.  Two
-(q - 1) x q^3 tables, one for k = 1..3 and one for c_0 and k = 4..6, give
-the multiple roots lambda = g^(R i) with one equality test per i, about R/q
+q^3 x (q - 1) tables, one for k = 1..3 and one for c_0 and k = 4..6, give
+the multiple roots lambda = g^(R i): a key (T_1, T_2, T_3) or (T_4, T_5,
+T_6) gathers one contiguous row, with one equality test per i, about R/q
 candidates in all.  The truncated determinant has no such symmetry; it stays
-a v_lincomb and is evaluated only at the multiple roots g^(r + R i), whose
-conjugate exponents are r q^v + R i mod N.  Every slice is scanned, and the
-witnesses are sorted by exponent.  m = 0 is decided by the constant terms
-alone.  Results do not depend on the slice size.
+a v_lincomb and is evaluated only at the multiple roots g^e, e = r + R i,
+each term's exponent c + e e_S formed directly from e.  Every slice is
+scanned, and the witnesses are sorted by exponent.  m = 0 is decided by the
+constant terms alone.  Results do not depend on the slice size.
 """
 
 from __future__ import annotations
@@ -135,26 +140,35 @@ def point_weight(f: QPoly, m) -> int:
 
 def _coset_counts(f: QPoly):
     """(keys, cosets): every value of f(x)/x as its exponent key (N for the
-    zero element), ascending, with the number of F_q*-cosets x mapping to it.
+    zero element), ascending, with the number of F_q*-cosets x mapping to it
+    (uint32).
 
-    At x = g^e, f(x) = sum_j a_j g^(e q^j) is one v_lincomb over the
-    conjugates of the coset representatives e < (q^6 - 1)/(q - 1), slice by
-    slice (Field.conjugate_slices), and f(x)/x subtracts e from its
-    exponent; a zero value keeps the sentinel N.
+    At x = g^e, f(x)/x = a_0 + sum(a_j g^(e (q^j - 1)) for j >= 1), one
+    v_lincomb per slice of the coset representatives e < (q^6 - 1)/(q - 1)
+    over the progressions e (q^j - 1) mod N of the nonzero a_j
+    (Field.conjugate_slices); a zero value keeps the sentinel N.  The values
+    are sorted in place and counted between their run boundaries.
     """
     ctx = f.ctx
-    N = ctx.N
-    terms = [(a.val, (j,)) for j, a in enumerate(f.coeffs)]
-    vals = np.empty(N // (ctx.q - 1), dtype=EXP)
-    for lo, bases in ctx.conjugate_slices(vals.size):
-        out = vals[lo:lo + bases[0].size]
-        ctx.v_lincomb(terms, bases, out=out)
-        zero = out == N
-        np.add(out, N, out=out)  # out <= N, so out + N - e lies in (0, 2N)
-        np.subtract(out, bases[0], out=out)
-        np.minimum(out, out - N, out=out)
-        np.copyto(out, N, where=zero)
-    return np.unique(vals, return_counts=True)
+    N, q = ctx.N, ctx.q
+    live = [j for j in range(1, TOWER) if not f.coeffs[j].is_zero()]
+    terms = [(f.coeffs[0].val, ())] + [(f.coeffs[j].val, (i,)) for i, j in enumerate(live)]
+    vals = np.empty(N // (q - 1), dtype=EXP)
+    # with f = a_0 x, the multiplier 0 still gives each slice its length
+    for lo, bases in ctx.conjugate_slices(vals.size, [q**j - 1 for j in live] or [0]):
+        ctx.v_lincomb(terms, bases, out=vals[lo:lo + bases[0].size])
+    del bases  # the walker's last slice, not needed for the counting
+    vals.sort()
+    start = np.empty(vals.size, dtype=bool)  # where a run of equal values starts
+    start[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=start[1:])
+    keys = vals[start]
+    del vals
+    pos = np.arange(start.size, dtype=np.uint32)[start]
+    cosets = np.empty_like(pos)
+    np.subtract(pos[1:], pos[:-1], out=cosets[:-1])
+    cosets[-1] = start.size - pos[-1]
+    return keys, cosets
 
 
 def _buckets(f: QPoly):
@@ -210,8 +224,16 @@ def _weight_of(ctx: Field, cosets: int) -> int:
 
 
 def _spectrum(ctx: Field, cosets) -> WeightSpectrum:
-    sizes, points = np.unique(cosets, return_counts=True)
-    counts = {_weight_of(ctx, c): n for c, n in zip(sizes.tolist(), points.tolist())}
+    q, counts, left = ctx.q, {}, cosets.size
+    for w in range(1, TOWER + 1):
+        if not left:
+            break
+        n = int(np.count_nonzero(cosets == (q**w - 1) // (q - 1)))
+        if n:
+            counts[w], left = n, left - n
+    if left:  # a count that is no (q^w - 1)/(q - 1)
+        sizes = [(q**w - 1) // (q - 1) for w in range(1, TOWER + 1)]
+        _weight_of(ctx, int(cosets[~np.isin(cosets, sizes)][0]))
     return WeightSpectrum(counts=counts, q=ctx.q, order=ctx.order)
 
 
@@ -299,21 +321,22 @@ def _orbit_terms(f: QPoly):
 
 @functools.lru_cache(maxsize=None)
 def _multiple_root_tables(ctx: Field, const: int):
-    """(low, high): uint8 arrays of shape (q - 1, q^3) that find the
+    """(low, high): uint8 arrays of shape (q^3, q - 1) that find the
     multiple roots lambda in F_q^* of P(lambda) = c0 + sum(lambda^k t_k for
     k in 1..6), a polynomial over F_q in F_q indices, where
     c0 = Tr_{q^6/q}(g^const) (const = N for zero).
 
-    For lambda = g^(R i) and indices (a, b, c) at flat position
-    (a q + b) q + c, low[i] holds x q + y, with x the index of
-    lambda a + lambda^2 b + lambda^3 c and y that of a + 2 lambda b +
-    3 lambda^2 c; high[i] holds the indices of -(c0 + lambda^4 a +
-    lambda^5 b + lambda^6 c) and -(4 lambda^3 a + 5 lambda^4 b +
-    6 lambda^5 c) in the same way.  So P(lambda) = P'(lambda) = 0 iff
-    low[i][(t_1 q + t_2) q + t_3] == high[i][(t_4 q + t_5) q + t_6].  The
-    integer factors k of P' are read mod p, so a term with p | k vanishes,
-    and x q + y < q^2 <= 256 fits a uint8.  Kept per (field, const), at most
-    q pairs per field (one per value of c0), and read-only.
+    For lambda = g^(R i) and indices (a, b, c) at row (a q + b) q + c,
+    low[row, i] holds x q + y, with x the index of lambda a + lambda^2 b +
+    lambda^3 c and y that of a + 2 lambda b + 3 lambda^2 c; high[row, i]
+    holds the indices of -(c0 + lambda^4 a + lambda^5 b + lambda^6 c) and
+    -(4 lambda^3 a + 5 lambda^4 b + 6 lambda^5 c) in the same way.  So
+    P(lambda) = P'(lambda) = 0 iff low[(t_1 q + t_2) q + t_3, i] ==
+    high[(t_4 q + t_5) q + t_6, i], and a lookup gathers one contiguous
+    row per key.  The integer factors k of P' are read mod p, so a term
+    with p | k vanishes, and x q + y < q^2 <= 256 fits a uint8.  Kept per
+    (field, const), at most q pairs per field (one per value of c0), and
+    read-only.
     """
     q = ctx.q
     trace, add = ctx._trace_tables()
@@ -330,13 +353,20 @@ def _multiple_root_tables(ctx: Field, const: int):
         return add[ab[:, :, :, None], s[2][:, None, None, :]].reshape(q - 1, -1)
 
     minus_c0 = ctx.fq_index(-ctx.fq_elem(int(trace[const])))
-    tables = ((half([(1, k) for k in (1, 2, 3)]) * q +
-               half([(k, k - 1) for k in (1, 2, 3)])).astype(np.uint8),
-              (add[minus_c0, half([(-1, k) for k in (4, 5, 6)])] * q +
-               half([(-k, k - 1) for k in (4, 5, 6)])).astype(np.uint8))
+    tables = (half([(1, k) for k in (1, 2, 3)]) * q +
+              half([(k, k - 1) for k in (1, 2, 3)]),
+              add[minus_c0, half([(-1, k) for k in (4, 5, 6)])] * q +
+              half([(-k, k - 1) for k in (4, 5, 6)]))
+    tables = tuple(np.ascontiguousarray(t.T, dtype=np.uint8) for t in tables)
     for t in tables:
         t.flags.writeable = False
     return tables
+
+
+def _key_exp(ctx: Field, key) -> int:
+    """e_key = sum(q^v for v in key) mod N: m^(e_key) is the product of the
+    conjugates m^(q^v) that an expansion key names."""
+    return sum(pow(ctx.q, v, ctx.N) for v in key) % ctx.N
 
 
 def is_scattered_dickson(f: QPoly) -> ScatterVerdict:
@@ -348,17 +378,21 @@ def is_scattered_dickson(f: QPoly) -> ScatterVerdict:
     R = N // (q - 1)
     terms6 = _orbit_terms(f)
     terms5 = _expansion_terms(f, 1)
-    used5 = sorted({v for _, key in terms5 for v in key})
     # at m = 0 only the constant terms (empty key) survive
     if not any(key == () for terms in (terms6, terms5) for _, key in terms):
         witnesses.append(ctx.zero())
     # det M(g^(r + R i)) = c0 + sum(lambda^k T_k(g^r)) with lambda = g^(R i);
-    # c0 is the trace of the one constant orbit term
-    by_size = [[t for t in terms6 if len(t[1]) == k] for k in range(TOWER + 1)]
-    low, high = _multiple_root_tables(ctx, by_size[0][0][0] if by_size[0] else N)
-    shift = R * np.arange(q - 1, dtype=EXP)  # exponent of lambda, row i
+    # c0 is the trace of the one constant orbit term, and every other term
+    # reads one progression r e_S (the S = {0..5} term is always there)
+    live = [(c, key) for c, key in terms6 if key]
+    by_size = [[(c, (j,)) for j, (c, key) in enumerate(live) if len(key) == k]
+               for k in range(TOWER + 1)]
+    low, high = _multiple_root_tables(ctx, next((c for c, key in terms6 if not key), N))
+    # the truncated terms as (c, e_key), each read at exponents e as c + e e_key
+    trunc = [(c, _key_exp(ctx, key)) for c, key in terms5]
+    trunc_terms = [(0, (j,)) for j in range(len(trunc))]
     found = []  # witness exponents of each slice
-    for lo, bases in ctx.conjugate_slices(R):
+    for lo, bases in ctx.conjugate_slices(R, [_key_exp(ctx, key) for _, key in live]):
         # T_k(g^r) as F_q indices, three to a key; a degree without
         # terms adds nothing
         key_low, key_high = np.zeros((2, bases[0].size), dtype=np.uint16)
@@ -367,21 +401,18 @@ def is_scattered_dickson(f: QPoly) -> ScatterVerdict:
             key *= q
             if by_size[k]:
                 key += ctx.v_trace_lincomb(by_size[k], bases)
-        # candidates (i, r): the multiple roots lambda of det M
-        hit = np.flatnonzero(low.take(key_low, axis=1) == high.take(key_high, axis=1))
+        # candidates (r, i): the multiple roots lambda of det M, one
+        # contiguous table row per key
+        hit = np.flatnonzero(low.take(key_low, axis=0) == high.take(key_high, axis=0))
         if not hit.size:
             continue
-        i = hit // key_low.size
-        r = hit - key_low.size * i
-        # (r + R i) q^v = r q^v + R i (mod N), for the conjugates that the
-        # truncated terms read; the other slots keep a placeholder
-        conj = [shift[i]] * TOWER
-        for v in used5:
-            c = bases[v][r]
-            c += conj[v]
-            conj[v] = np.minimum(c, c - N)
-        roots = ctx.v_lincomb(terms5, conj) == N
-        found.append(lo + r[roots] + R * i[roots])
+        r, i = np.divmod(hit, q - 1)
+        e = lo + r + R * i
+        # the truncated determinant at the candidates g^e; out= keeps the
+        # shape when it has no terms (f = 0)
+        exps = [((c + e * k) % N).astype(EXP) for c, k in trunc]
+        roots = ctx.v_lincomb(trunc_terms, exps, out=np.empty(e.size, dtype=EXP)) == N
+        found.append(e[roots])
     if found:
         e = np.sort(np.concatenate(found))
         witnesses.extend(ctx.from_exp(k) for k in e.tolist())

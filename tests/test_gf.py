@@ -11,8 +11,8 @@ import pytest
 from scatlin import gf, make_field, parse_field_spec
 from scatlin.errors import (BadSubfield, CtxMismatch, DivisionByZero,
                             InternalInvariant, NotPrime, TooLarge)
-from scatlin.gf import (EXP, Field, _digits, _is_irreducible, _matpow,
-                        _mult_matrix, _pack_digits, _wide_layout)
+from scatlin.gf import (EXP, Field, _det_mod_p, _digits, _is_irreducible,
+                        _matpow, _mult_matrix, _pack_digits, _wide_layout)
 
 
 def test_make_field_sizes(f3, f5, f4):
@@ -130,6 +130,21 @@ def test_tables_pinned_digests(p, s):
     got = tuple(hashlib.sha256(getattr(F, name).tobytes()).hexdigest()
                 for name in ("_pow_packed", "_log", "_Z"))
     assert (F.summary()["fingerprint"],) + got == PINNED_TABLES[p, s]
+
+
+def test_norm_is_determinant(f3, f5, f7, f9):
+    """det M(a) over F_p, by elimination, is the norm a^((p^k-1)/(p-1)) of
+    a = sum c_i X^i to F_p, the identity behind the generator search's
+    tests at the primes dividing p - 1: seeded candidates, zero included,
+    at p = 3, 5, 7 and at q = 9 (k = 12)."""
+    rng = random.Random(17)
+    for F in (f3, f5, f7, f9):
+        p, k = F.p, F.deg
+        cands = [[0] * k] + [[rng.randrange(p) for _ in range(k)] for _ in range(20)]
+        for c in cands:
+            M = _mult_matrix(F.modulus, c, p)
+            norm = _matpow(M, (p**k - 1) // (p - 1), p)
+            assert np.array_equal(norm, _det_mod_p(M, p) * np.eye(k, dtype=np.int64))
 
 
 def test_wide_layout():
@@ -498,6 +513,30 @@ def test_conjugate_slices_match_v_frob(f3, f4, with_chunk):
                 assert [lo for lo, _ in spans] == list(range(0, stop, gf._CHUNK))
                 if chunk is not None and stop % chunk:
                     assert spans[-1][1] == stop % chunk < chunk
+
+
+def test_conjugate_slices_any_multiplier(f2, f3, f4, with_chunk, monkeypatch):
+    """conjugate_slices(stop, mults) yields e K mod N, as int64 arithmetic
+    gives it, for K in {0, 1, q^j - 1, e_S, R} (e_S = sum(q^v for v in
+    S)): at q = 2, 3, 4 across several slices, with the doubling started
+    from one or a few direct terms, and at q = 13 over its default slices."""
+    runs = [(f2, 1 << 4, 1), (f3, 1 << 6, 1), (f3, None, 5), (f4, 1 << 6, 3),
+            (f4, None, gf._SEED), (make_field(13, 1), None, gf._SEED)]
+    for F, chunk, seed in runs:
+        N, q = F.N, F.q
+        R = N // (q - 1)
+        mults = [0, 1, q - 1, q**3 - 1, q**5 - 1, 1 + q**2, 1 + q + q**3, R]
+        monkeypatch.setattr(gf, "_SEED", seed)
+        with_chunk(F, chunk)
+        for stop in (R, N, 250) if F.order < 10**4 else (R,):
+            spans = []
+            for lo, bases in F.conjugate_slices(stop, mults):
+                e = np.arange(lo, min(lo + gf._CHUNK, stop), dtype=np.int64)
+                assert len(bases) == len(mults)
+                for b, K in zip(bases, mults):
+                    assert b.dtype == EXP and np.array_equal(b, e * K % N), (F, K)
+                spans.append(lo)
+            assert spans == list(range(0, stop, gf._CHUNK))
 
 
 def test_trace_tables_independent_of_chunk(with_chunk):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,25 @@ def test_degenerate_polys(f3):
     assert a.witnesses == [f3.gen()]  # the single weight-6 point sits at m = g
 
 
+def test_decider_peak_memory_q13():
+    """Once the trace table is built, neither decider on a q = 13 f_h peaks
+    at 6 MiB of traced allocations: no table and no temporary of q^6
+    entries, nor more R-entry arrays than the oracle's values, keys and
+    counts (R = (q^6 - 1)/(q - 1), 1.5 MiB each in 32-bit)."""
+    F = make_field(13, 1)
+    h = random.Random(13).choice([h for h in enumerate_h(F) if not F.in_subfield(h, 1)])
+    f = family_poly(F, "new_fh", h)
+    F._trace_tables()
+    for decide in (is_scattered_oracle, is_scattered_dickson):
+        tracemalloc.start()
+        try:
+            assert decide(f).scattered
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20, (decide.__name__, peak)
+
+
 def test_scan_budget_guard():
     """q = 17 is above the scan limit (17^6 > 2^24): make_field refuses it
     with TooLarge, so no decider is ever handed a field it cannot scan.
@@ -134,9 +154,18 @@ def test_is_scattered_both(f3):
 def test_is_scattered_compares_points(field, request, monkeypatch):
     """is_scattered accepts seeded sparse polynomials, most of them not
     scattered, with the Dickson roots certifying exactly the oracle's
-    points; a root moved to another m raises InternalInvariant although
-    both verdicts and both witness counts stay the same."""
+    points, and the degenerate f = 0 and f = x (one point, of weight 6)
+    and g x + x^(q^3) (all (q^6 - 1)/(q^3 - 1) points of weight 3: 9 at
+    q = 2, 28 at q = 3); a root moved to another m raises InternalInvariant
+    although both verdicts and both witness counts stay the same."""
     F = request.getfixturevalue(field)
+    one = F.one()
+    lines = (F.order - 1) // (F.q ** 3 - 1)
+    for f, spectrum in ((QPoly.zero(F), {6: 1}), (QPoly(F, [one]), {6: 1}),
+                        (QPoly(F, [F.gen(), 0, 0, one]), {3: lines})):
+        v = is_scattered(f)
+        assert v["oracle"].spectrum.counts == spectrum
+        assert len(v["dickson"].witnesses) == sum(spectrum.values())
     rng = random.Random(400 + F.q)
     polys = [sparse_poly(F, rng) for _ in range(12)]
     verdicts = [is_scattered(f) for f in polys]
@@ -446,7 +475,8 @@ def test_multiple_root_tables_match_scalar_arithmetic(p, s):
     for c in range(q):
         c0 = fq[c]
         low, high = scatter._multiple_root_tables(F, int(np.flatnonzero(trace == c)[0]))
-        assert low.shape == high.shape == (q - 1, q ** 3)
+        assert low.shape == high.shape == (q ** 3, q - 1)
+        low, high = low.T, high.T  # indexed [i, key] below
         if q <= 3:
             cases = [(i, list(t)) for i in range(q - 1)
                      for t in itertools.product(fq, repeat=6)]
