@@ -7,8 +7,9 @@ A witness is an automorphism rho together with an invertible matrix
 
 (c, d) are solved from two coefficient slots and verified on the rest, so the
 scan only enumerates (rho, a, b): 6s * q^12 triples, all chunk-vectorised.
-Against x^q + x^(q^3) + delta x^(q^5) the same slot identity is also solved
-for a = A(b), which leaves equations in b alone: a Theta(q^6) scan.
+The slot identity is F_q-linear, so against x^q + x^(q^3) + delta x^(q^5)
+no scan is needed: the (a, b) that pass the other slots form an F_p-subspace
+W_rho, one small nullspace per rho.
 
 Run:  python demos/03_equivalence_hunt.py
 """
@@ -71,7 +72,7 @@ hit = check_system_L4(h5, delta, "trin")
 if not hit["solvable"]:
     hit = check_system_L4(h5, delta, "trin2")
 k = hit["k"]
-print(f"q = 5, h = 2: the system in b ({hit['variant']}) is solvable;")
+print(f"q = 5, h = 2: the U^4 system ({hit['variant']}) is solvable;")
 print(f"  k = h^rho = {k} satisfies 9k^2 - 3k + 5 ="
       f" {F5.from_int(9) * k * k - F5.from_int(3) * k + F5.from_int(5)}")
 print("  (solvable exactly because q is a power of 5 and h lies in F_q)")

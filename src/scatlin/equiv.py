@@ -25,12 +25,12 @@ Slot t of the left side is g_t a^(q^t) plus a q-polynomial in b, so a block
 of a rows times a b range is tested by comparing terms in the row bases
 a^(q^t) with terms in the column bases b^(q^k), broadcast.
 
-check_system_L4 solves the same slot rows for a = A(b) (_b_system), which
-leaves equations in b alone: Theta(q^6) per rho, complete by construction.
+The identity is F_q-linear, so the (a, b) that solve it at one rho form an
+F_p-nullspace W_rho (witness_space), and check_system_L4 needs no scan.
 
-The triple scan, the U^4 system scan and the pointwise half of
-verify_witness all run on exponent arrays through the field's Zech-table
-kernels (Field.v_lincomb); make_field builds no field too large for them.
+The triple scan and the pointwise half of verify_witness run on exponent
+arrays through the field's Zech-table kernels (Field.v_lincomb); make_field
+builds no field too large for them.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .errors import (DegenerateInput, HypothesisViolated, InternalInvariant,
                      InvalidParameter)
 from .family import family_poly, h_is_valid
 from .gf import TOWER, Field, FieldElem
+from .linalg import nullspace_mod_p
 from .qpoly import QPoly
 
 _FULL_VERIFY_LIMIT = 1 << 16
@@ -163,6 +164,14 @@ def _terms(row):
     return [(x.val, (i,)) for i, x in enumerate(row) if not x.is_zero()]
 
 
+def _solve_cd(ctx: Field, d_terms, c_terms, bases):
+    """c, d and ad - bc as exponent arrays, for the pairs (a, b) whose
+    conjugate exponents are bases: a^(q^i) at index i, b^(q^k) at 6 + k."""
+    d, c = ctx.v_lincomb(d_terms, bases), ctx.v_lincomb(c_terms, bases)
+    det = ctx.v_lincomb([(0, (0, 12)), (ctx._half, (6, 13))], bases + [d, c])  # ad - bc
+    return c, d, det
+
+
 def _scan_block(ctx: Field, plan, lo: int, hi: int, R: int, work):
     """First witness (flat, c, d exponents) among the flats [lo, hi) of one
     rho, or None.  The block is the rows [lo, hi) meets times the b range it
@@ -194,8 +203,7 @@ def _scan_block(ctx: Field, plan, lo: int, hi: int, R: int, work):
     keep = (flat >= lo) & (flat < hi) & ((flat >= E) | ((flat > 0) & (flat <= R)))
     i, j, flat = i[keep], j[keep], flat[keep]
     bases = [x[i, 0] for x in abases] + [x[0, j] for x in bbases]
-    d, c = ctx.v_lincomb(d_terms, bases), ctx.v_lincomb(c_terms, bases)
-    det = ctx.v_lincomb([(0, (0, 12)), (ctx._half, (6, 13))], bases + [d, c])  # ad - bc
+    c, d, det = _solve_cd(ctx, d_terms, c_terms, bases)
     good = np.flatnonzero(det != ctx.N)
     if good.size == 0:
         return None
@@ -297,30 +305,24 @@ def pgl_linear_sets_equivalent(f: QPoly, g: QPoly, g_family: str | None,
 
 
 # ---------------------------------------------------------------------------
-# the slot identity solved for a = A(b): the U^4 (csajbok_mz) systems
+# W_rho as an F_p-nullspace: the U^4 (csajbok_mz) systems
 # ---------------------------------------------------------------------------
 
-def _b_system(ctx: Field, f: QPoly, g: QPoly, rho: int):
-    """The rows of _rho_plan as q-polynomials in b: (A, C, D, eqs), with
-    a, c, d = A(b), C(b), D(b) and E(b) = 0 for each nonzero E in eqs.
-
-    A test row with one a term, p_i a^(q^i) = -sum_k p_(6+k) b^(q^k), gives
-    A = x^(q^(6-i)) o (-p_b / p_i), and a row r becomes (r_a o A) + r_b.
-    Every witness satisfies that row, so no witness is lost; b = 0 forces
-    a = 0, so ad - bc = 0.  None when no test row has a single a term.
-    """
-    d_row, c_row, tests = _rho_plan(ctx, f, g, rho)
-    pivot = next((r for r in tests if sum(not x.is_zero() for x in r[:TOWER]) == 1), None)
-    if pivot is None:
-        return None
-    i = next(i for i in range(TOWER) if not pivot[i].is_zero())
-    A = QPoly.monomial(ctx, TOWER - i).compose(QPoly(ctx, [-x / pivot[i] for x in pivot[TOWER:]]))
-
-    def in_b(row):
-        return QPoly(ctx, row[:TOWER]).compose(A) + QPoly(ctx, row[TOWER:])
-
-    eqs = [in_b(r) for r in tests if r is not pivot]
-    return A, in_b(c_row), in_b(d_row), [E for E in eqs if not E.is_zero()]
+def witness_space(f: QPoly, g: QPoly, rho: int) -> np.ndarray:
+    """An F_p-basis of W_rho = {(a, b) : g o (a id + b f^rho) = c id + d f^rho},
+    rows of the base-p digits of a (digit j: the coefficient of X^j, as in
+    Field.packed), then of b.  W_rho is where the four test rows of
+    _rho_plan vanish; a row's value at a or b = X^j is a sum of six terms,
+    so its digits are the sums of theirs mod p: 6s equations per row."""
+    ctx = f.ctx
+    k, p, N = ctx.deg, ctx.p, ctx.N
+    place = p ** np.arange(k)  # the packed value of X^j
+    xq = np.stack([ctx.v_frob(ctx._log[place], t) for t in range(TOWER)])  # (X^j)^(q^t)
+    tests = np.array([[x.val for x in row] for row in _rho_plan(ctx, f, g, rho)[2]])
+    coef = tests.reshape(len(tests), 2, TOWER, 1)  # the a and b halves of each row
+    terms = np.where(coef == N, 0, ctx._pow_packed[(coef + xq) % N])  # by (row, half, t, j)
+    digits = (terms[..., None] // place % p).sum(axis=2) % p  # by (row, half, j, digit)
+    return nullspace_mod_p(digits.transpose(0, 3, 1, 2).reshape(-1, 2 * k), p)
 
 
 def l4_target(ctx: Field, delta: FieldElem, variant: str) -> QPoly:
@@ -337,10 +339,9 @@ def l4_target(ctx: Field, delta: FieldElem, variant: str) -> QPoly:
 def check_system_L4(h: FieldElem, delta: FieldElem, variant: str) -> dict:
     """Is U_h GammaL-equivalent to the U^4_delta target of variant?
 
-    For each rho (k = h^rho) the equations of _b_system are scanned over
-    b = g^e != 0, slice by slice (Field.conjugate_slices); the first b with
-    ad - bc != 0, in ascending e within the first rho that has one, gives
-    the witness.  Theta(q^6) per rho instead of the general Theta(q^12).
+    The witness lies at the first rho (k = h^rho) whose W_rho has a nonzero
+    vector with ad - bc != 0 (c, d from the slot rows), and it is the one
+    whose b has the smallest exponent: one small nullspace per rho.
     """
     ctx = h.ctx
     if delta * delta + delta != ctx.one():
@@ -349,28 +350,26 @@ def check_system_L4(h: FieldElem, delta: FieldElem, variant: str) -> dict:
         raise HypothesisViolated("need h^(q^3+1) = -1")
     fh = family_poly(ctx, "new_fh", h)
     target = l4_target(ctx, delta, variant)
-    N = ctx.N
+    k, p, N = ctx.deg, ctx.p, ctx.N
 
     for rho in range(ctx.deg):
-        system = _b_system(ctx, fh, target, rho)
-        if system is None:  # the t = 3 row always qualifies: f_h^rho_3 = 0, g_3 = 1
-            raise InternalInvariant("no slot row solves for a against U^4 (bug)")
-        A, C, D, eqs = system
-        eq_terms = [_terms(E.coeffs) for E in eqs]
-        for lo, bases in ctx.conjugate_slices(N):
-            mask = np.ones(bases[0].size, dtype=bool)
-            for terms in eq_terms:
-                mask &= ctx.v_lincomb(terms, bases) == N
-                if not mask.any():
-                    break
-            for e in np.flatnonzero(mask).tolist():
-                b = ctx.from_exp(lo + e)
-                w = EquivWitness(rho, A(b), b, C(b), D(b))
-                if w.determinant().is_zero():
-                    continue
-                if not verify_witness(fh, target, w):
-                    raise InternalInvariant("L4 system produced a bad witness (bug)")
-                return {"solvable": True, "variant": variant, "rho": rho,
-                        "k": ctx.p_power(h, rho), "witness": w}
+        basis = witness_space(fh, target, rho)
+        if not basis.size:
+            continue
+        coef = np.indices((p,) * len(basis)).reshape(len(basis), -1).T[1:]
+        vecs = coef @ basis % p  # every nonzero vector of W_rho
+        ea, eb = ctx._log[vecs.reshape(-1, 2, k) @ p ** np.arange(k)].T
+        d_row, c_row, _ = _rho_plan(ctx, fh, target, rho)
+        c, d, det = _solve_cd(ctx, _terms(d_row), _terms(c_row),
+                              [ctx.v_frob(x, t) for x in (ea, eb) for t in range(TOWER)])
+        good = np.flatnonzero(det != N)
+        if good.size == 0:
+            continue
+        j = good[np.argmin(eb[good])]
+        w = EquivWitness(rho, *(ctx.elem_of_exp(x[j]) for x in (ea, eb, c, d)))
+        if not verify_witness(fh, target, w):
+            raise InternalInvariant("L4 system produced a bad witness (bug)")
+        return {"solvable": True, "variant": variant, "rho": rho,
+                "k": ctx.p_power(h, rho), "witness": w}
     return {"solvable": False, "variant": variant, "rho": None, "k": None,
             "witness": None}

@@ -27,8 +27,8 @@ the g-orbit on carry-free packed words: each F_p digit gets its own B-bit
 field (2^(B-1) >= p), so multiplying a block of powers by g^m is a sum of
 gathers from per-chunk tables of that F_p-linear map, reduced mod p digit by
 digit with two bit operations after every add.  Every whole-field scan (the
-scatteredness deciders, the trace table, the lemma roots, the L4 system)
-takes its exponent ranges from Field.conjugate_slices: the progressions
+scatteredness deciders, the trace table, the lemma roots) takes its
+exponent ranges from Field.conjugate_slices: the progressions
 e K mod N for the multipliers K a scan names (by default the conjugates
 e q^v), slice by slice, in 32-bit adds.  The table build and the scans
 share one slice size, _CHUNK, so no pass allocates N-element temporaries
@@ -341,7 +341,6 @@ class Field:
         self._half = self.N // 2 if p != 2 else 0  # g^half = -1 for odd p
 
         self._fq_tables = None  # (trace, add), see _trace_tables
-        self._frob_exps = None  # see frob_exps
         self._build_tables()
         self._zero = FieldElem(self, self.N)
         self._one = FieldElem(self, 0)
@@ -813,20 +812,6 @@ class Field:
         self._fq_tables = (trace, add)
         return self._fq_tables
 
-    def frob_exps(self):
-        """Read-only (TOWER, N) EXP array whose row v holds e q^v mod N for
-        every e < N, the exponent of m^(q^v) at m = g^e.  Built on first use
-        and kept on the context.  It takes 24 N bytes, so conjugate_slices
-        reads it only on fields that fit in one slice; there it spares every
-        scan the rebuild, and the page faults of memory that is freed to the
-        system after one call and taken back by the next."""
-        if self._frob_exps is None:
-            e = np.arange(self.N, dtype=np.int64)
-            rows = np.stack([self.v_frob(e, v) for v in range(TOWER)])
-            rows.flags.writeable = False
-            self._frob_exps = rows
-        return self._frob_exps
-
     def conjugate_slices(self, stop: int, mults=None):
         """Yield (lo, bases) for the _CHUNK slices [lo, hi) of the exponents
         e < stop (stop <= N), where bases[j] holds e K mod N for the j-th
@@ -835,21 +820,14 @@ class Field:
         the exponent of the conjugate m^(q^v).  Every whole-field scan takes
         its exponent ranges from here.
 
-        With the default multipliers, a field with N <= _CHUNK yields views
-        of the rows of frob_exps, so repeated scans of it allocate none.
-        Otherwise the first _SEED entries of each array are int64 products
-        reduced mod N, and the rest is 32-bit adds, each reduced by one
-        conditional subtraction (_add_reduce): the first slice doubles,
-        [m, 2m) being [0, m) plus m K, and each later slice adds _CHUNK K.
-        The arrays are overwritten by the next slice, so a caller copies
-        what it keeps.
+        The first _SEED entries of each array are int64 products reduced
+        mod N, and the rest is 32-bit adds, each reduced by one conditional
+        subtraction (_add_reduce): the first slice doubles, [m, 2m) being
+        [0, m) plus m K, and each later slice adds _CHUNK K.  The arrays are
+        overwritten by the next slice, so a caller copies what it keeps.
         """
         N = self.N
-        if mults is None:
-            if N <= _CHUNK:
-                yield 0, [row[:stop] for row in self.frob_exps()]
-                return
-            mults = self._qpow
+        mults = self._qpow if mults is None else mults
         n = min(_CHUNK, stop)
         m = min(_SEED, n)
         e = np.arange(m, dtype=np.int64)

@@ -1,10 +1,12 @@
 """Exact dense linear algebra over a Field (no tolerances, first-pivot rule).
 
-Matrices are lists of lists of FieldElem.  Everything here is used on tiny
-matrices (6x6 and stacked variants), so clarity beats asymptotics.
+Matrices are lists of lists of FieldElem, or numpy integers over F_p in
+nullspace_mod_p.  All are tiny (6x6 to 24x12), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .gf import Field, FieldElem
 
@@ -112,3 +114,27 @@ def mat_inv(ctx: Field, A):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in rows]
+
+
+def nullspace_mod_p(A, p: int) -> np.ndarray:
+    """nullspace over F_p of an integer matrix A, as the rows of an int64
+    array.  The reduced echelon form of [A^T | I] ends in the rows whose
+    A^T part is zero, and their I parts are the canonical basis."""
+    A = np.asarray(A, dtype=np.int64)
+    m, n = A.shape
+    M = np.hstack([A.T % p, np.eye(n, dtype=np.int64)])
+    pivots: list[int] = []
+    for col in range(m + n):
+        r = len(pivots)
+        nz = np.flatnonzero(M[r:, col])
+        if nz.size == 0:
+            continue
+        pivot = M[r + nz[0]] * pow(int(M[r + nz[0], col]), -1, p) % p
+        M[r + nz[0]] = M[r]  # the swap: row r is the pivot row after the clearing
+        M -= np.outer(M[:, col], pivot)  # entries stay below p^2
+        M %= p
+        M[r] = pivot
+        pivots.append(col)
+        if len(pivots) == n:
+            break
+    return M[sum(c < m for c in pivots):, m:]

@@ -50,12 +50,6 @@ class QPoly:
         return cls(ctx, [ctx.one()])
 
     @classmethod
-    def monomial(cls, ctx: Field, i: int, c=1) -> "QPoly":
-        coeffs = [ctx.zero()] * TOWER
-        coeffs[i % TOWER] = ctx.element(c)
-        return cls(ctx, coeffs)
-
-    @classmethod
     def from_json(cls, ctx: Field, data) -> "QPoly":
         """From {"coeffs": [...]} or a bare list of element literals; any
         other shape raises ValueError."""

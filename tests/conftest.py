@@ -50,6 +50,11 @@ def with_chunk(monkeypatch):
     return set_chunk
 
 
+def monomial(F, i, c=1):
+    """c x^(q^i), c an element or anything F.element reads."""
+    return QPoly(F, [F.element(c) if j == i % 6 else F.zero() for j in range(6)])
+
+
 def compose_inverse(P):
     """The inverse of an invertible q-polynomial: solve Q o P = id, which is
     linear in Q's six coefficients."""

@@ -1,5 +1,5 @@
 """Exhaustive semilinear equivalence: witnesses, budgets, and the csajbok_mz
-systems derived from the slot identity."""
+systems read off W_rho, the F_p-nullspace of the slot identity."""
 
 import json
 import random
@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from scatlin import equiv, make_field
-from scatlin.equiv import (EquivResult, EquivWitness, _b_system, apply_witness,
+from scatlin.equiv import (EquivResult, EquivWitness, apply_witness,
                            check_system_L4, gl_equivalent, l4_target,
-                           pgl_linear_sets_equivalent, verify_witness)
+                           pgl_linear_sets_equivalent, verify_witness,
+                           witness_space)
 from scatlin.errors import DegenerateInput, HypothesisViolated, InvalidParameter
-from scatlin.family import enumerate_h, family_poly, u4_deltas
+from scatlin.family import (enumerate_h, family_poly, lp_delta_samples,
+                            u3_delta_samples, u4_deltas)
 from scatlin.qpoly import QPoly
 
 from conftest import semilinear_image
@@ -393,27 +395,99 @@ def frobenius_orbit_reps(F):
     return reps
 
 
-def test_b_system_contains_search_witnesses(f3, f5):
-    """Completeness: the witness the exhaustive search finds satisfies the
-    system derived at its rho, for the four trinomial pairs at q = 3 and
-    for f_h, h = 2, against both U^4 targets at q = 5."""
+def digits(F, x):
+    """The base-p digits of x, as witness_space orders them."""
+    v = F.packed(x)
+    return [v // F.p**j % F.p for j in range(F.deg)]
+
+
+def in_span(basis, v, p):
+    """Is v an F_p-combination of the rows of basis (reduced echelon form)?"""
+    pivots = [int(np.flatnonzero(row)[0]) for row in basis]
+    return not ((np.array(v) - np.array(v)[pivots] @ basis) % p).any()
+
+
+def space_members(F, basis):
+    """Every nonzero (a, b) in the F_p-span of the rows of basis."""
+    if not len(basis):
+        return []
+    k, place = F.deg, F.p ** np.arange(F.deg)
+    coef = np.indices((F.p,) * len(basis)).reshape(len(basis), -1).T[1:]
+    return [(F.from_packed(int(v[:k] @ place)), F.from_packed(int(v[k:] @ place)))
+            for v in coef @ basis % F.p]
+
+
+def test_witness_space_contains_search_witnesses(f3, f5):
+    """Completeness: the witness the exhaustive search finds lies in W_rho
+    at its rho, for the four trinomial pairs at q = 3 and for f_h, h = 2,
+    against both U^4 targets at q = 5."""
     delta = u4_deltas(f5)[0]
     pairs = [(family_poly(f3, "new_fh", h), family_poly(f3, "trinomial", h))
              for h in trinomial_hs(f3)]
     pairs += [(family_poly(f5, "new_fh", f5.from_int(2)), l4_target(f5, delta, v))
               for v in ("trin", "trin2")]
     for f, g in pairs:
+        F = f.ctx
         w = gl_equivalent(f, g).witness
-        A, C, D, eqs = _b_system(f.ctx, f, g, w.rho)
-        assert (A(w.b), C(w.b), D(w.b)) == (w.a, w.c, w.d)
-        assert eqs and all(E(w.b).is_zero() for E in eqs)
+        basis = witness_space(f, g, w.rho)
+        assert basis.dtype == np.int64 and basis.shape[1] == 2 * F.deg
+        assert in_span(basis, digits(F, w.a) + digits(F, w.b), F.p)
 
 
-def test_b_system_none_without_a_pivot_row(f3):
+def test_witness_space_needs_no_pivot_row(f3):
     """With f = g = x^q + ... + x^(q^5), test row t has the two a terms
-    g_t a^(q^t) and -(f_t / f_1) g_1 a^q, so no row solves for a."""
+    g_t a^(q^t) and -(f_t / f_1) g_1 a^q, so no row solves for a alone;
+    the nullspace still holds the identity, (a, b) = (1, 0), at rho = 0."""
     f = QPoly(f3, [f3.zero()] + [f3.one()] * 5)
-    assert _b_system(f3, f, f, 0) is None
+    assert in_span(witness_space(f, f, 0), digits(f3, f3.one()) + [0] * f3.deg, f3.p)
+
+
+def kernel_route(f, g):
+    """gl_equivalent's JSON read off W_rho: the first rho with W_rho != 0,
+    the member (a, b) there with ad - bc != 0 of smallest flat index, and
+    c, d from the coefficients of g o (a id + b f^rho) = c id + d f^rho."""
+    F = f.ctx
+    E = F.order
+    for rho in range(F.deg):
+        members = space_members(F, witness_space(f, g, rho))
+        if not members:
+            continue
+        fr, tp = f.automorphism_image(rho), f.first_q_term()
+        ident = QPoly.identity(F)
+        best = None
+        for a, b in members:
+            left = g.compose(ident.scale(a) + fr.scale(b)).coeffs
+            d = left[tp] / fr.coeffs[tp]
+            w = EquivWitness(rho, a, b, left[0] - d * fr.coeffs[0], d)
+            flat = F.enum_index(a) * E + F.enum_index(b)
+            if not w.determinant().is_zero() and (best is None or flat < best[0]):
+                best = (flat, w)
+        assert best is not None, "W_rho != 0 holds no witness"
+        return {"verdict": "equivalent", "searched": rho * E * E + best[0] + 1,
+                "witness": best[1].to_json()}
+    return {"verdict": "not_equivalent", "searched": F.deg * E * E}
+
+
+def test_kernel_route_matches_scan(f3, f5):
+    """The kernel route gives gl_equivalent's JSON, the first witness of
+    the scan included: every pair of acceptance criterion 7 on both
+    branches (W_rho = 0 at every rho), the four trinomial pairs at q = 3,
+    and f_h, h = 2, against both U^4 targets at q = 5."""
+    h = next(h for h in enumerate_h(f3) if not f3.in_subfield(h, 2))
+    fh = family_poly(f3, "new_fh", h)
+    targets = ([family_poly(f3, "pseudoregulus")]
+               + [family_poly(f3, "lp", d) for d in lp_delta_samples(f3)]
+               + [family_poly(f3, "csajbok_mp", d) for d in u3_delta_samples(f3)]
+               + [family_poly(f3, "csajbok_mz", d) for d in u4_deltas(f3)])
+    pairs = [(fh, g) for t in targets for g in (t, t.adjoint())]
+    pairs += [(family_poly(f3, "new_fh", h), family_poly(f3, "trinomial", h))
+              for h in trinomial_hs(f3)]
+    pairs += [(family_poly(f5, "new_fh", f5.from_int(2)), l4_target(f5, u4_deltas(f5)[0], v))
+              for v in ("trin", "trin2")]
+    scans = [gl_equivalent(f, g).to_json() for f, g in pairs]
+    assert [s["verdict"] for s in scans] == (["not_equivalent"] * 2 * len(targets)
+                                             + ["equivalent"] * 6)
+    assert [kernel_route(f, g) for f, g in pairs] == scans
 
 
 def test_l4_q5_solvable_h_pinned(f5):

@@ -480,23 +480,10 @@ def test_trace_table_is_lazy():
     assert F._fq_tables is not None
 
 
-def test_frob_exps(f2, f3, f4):
-    """Row v of frob_exps is e q^v mod N for every e < N; the array is built
-    once per context and cannot be written to."""
-    for F in (f2, f3, f4):
-        rows = F.frob_exps()
-        assert F.frob_exps() is rows
-        assert rows.shape == (6, F.N) and rows.dtype == EXP
-        assert not rows.flags.writeable
-        e = np.arange(F.N, dtype=np.int64)
-        for v in range(6):
-            assert np.array_equal(rows[v], e * F.q**v % F.N)
-
-
 def test_conjugate_slices_match_v_frob(f3, f4, with_chunk):
-    """Slice by slice, bases[v] is v_frob of the slice's exponents: views of
-    frob_exps in one slice, or the 32-bit walk over several with a partial
-    last slice, up to N or to a shorter stop."""
+    """Slice by slice, bases[v] is v_frob of the slice's exponents, from the
+    32-bit walk in one slice or over several with a partial last slice, up
+    to N or to a shorter stop."""
     for F in (f3, f4):
         for chunk in (None, 100):
             with_chunk(F, chunk)

@@ -14,7 +14,7 @@ from scatlin.mrd import (CROSS_CHECKS, RankCode, code_from, idealisers, mrd_repo
 from scatlin.qpoly import QPoly
 from scatlin.scatter import is_scattered_oracle, point_weight
 
-from conftest import semilinear_image
+from conftest import monomial, semilinear_image
 
 
 def elimination_distribution(C):
@@ -41,7 +41,7 @@ def test_code_construction_guards(f3):
         with pytest.raises(DegenerateInput):
             code_from(QPoly(f3, coeffs))
     for i in range(1, 6):
-        C = code_from(QPoly.monomial(f3, i, "g^2"))
+        C = code_from(monomial(f3, i, "g^2"))
         assert rank_distribution(C).size == 3**12
 
 
@@ -242,7 +242,7 @@ def test_membership_rows_match_reference(f3):
         C = code_from(f)
         for _ in range(4):
             w = C.codeword(elem(), elem())
-            for v in [w] + [w + QPoly.monomial(f3, j, elem()) for j in range(1, 6)]:
+            for v in [w] + [w + monomial(f3, j, elem()) for j in range(1, 6)]:
                 assert all(x.is_zero() for x in C._membership_rows(v)) == in_code(C, v)
 
 

@@ -11,6 +11,8 @@ from scatlin.linalg import det, rank
 from scatlin.family import family_poly
 from scatlin.scatter import _criterion_matrices
 
+from conftest import monomial
+
 
 def mat_mul(ctx, A, B):
     """The matrix product A B over ctx, the reference for compose."""
@@ -27,7 +29,7 @@ def rand_poly(F, rng):
 
 
 def test_evaluate_monomial(f3):
-    xq = QPoly.monomial(f3, 1)
+    xq = monomial(f3, 1)
     x = f3.from_exp(5)
     assert xq(x) == x.frob(1)
     assert xq(f3.zero()).is_zero()
@@ -50,11 +52,11 @@ def test_evaluate_is_linear(f3):
 
 
 def test_compose(f3):
-    xq = QPoly.monomial(f3, 1)
+    xq = monomial(f3, 1)
     idp = QPoly.identity(f3)
     assert xq.compose(idp) == xq
     assert idp.compose(xq) == xq
-    assert xq.compose(QPoly.monomial(f3, 5)) == idp  # exponents add mod 6
+    assert xq.compose(monomial(f3, 5)) == idp  # exponents add mod 6
     rng = random.Random(4)
     for _ in range(6):
         f, g = rand_poly(f3, rng), rand_poly(f3, rng)
@@ -74,7 +76,7 @@ def test_compose_double_evaluation_family(f3):
 
 
 def test_adjoint(f3):
-    assert QPoly.monomial(f3, 1).adjoint() == QPoly.monomial(f3, 5)
+    assert monomial(f3, 1).adjoint() == monomial(f3, 5)
     rng = random.Random(6)
     for _ in range(8):
         f = rand_poly(f3, rng)
@@ -164,7 +166,7 @@ def test_det_rank_basics(f3):
     M[3] = list(M[2])
     assert det(f3, M).is_zero()
     # x^q has a_0 = 0 = m: the 6-cycle permutation matrix, determinant -1
-    xq = QPoly.monomial(f3, 1)
+    xq = monomial(f3, 1)
     assert det(f3, xq.dickson()) == -one
 
 
@@ -188,7 +190,7 @@ def test_det_nonzero_iff_full_rank(f3):
 
 
 def test_kernel_dim(f3):
-    assert QPoly.monomial(f3, 1).kernel_dim() == 0
+    assert monomial(f3, 1).kernel_dim() == 0
     f = QPoly(f3, [-f3.one(), f3.one()])  # x^q - x has kernel F_q
     assert f.kernel_dim() == 1
     tr = QPoly(f3, [f3.one()] * 6)
@@ -209,7 +211,7 @@ def test_first_q_term(f3):
     none."""
     for i in range(1, 6):
         for a0 in (f3.zero(), f3.gen()):
-            f = QPoly.monomial(f3, i, "g^2") + QPoly.monomial(f3, 5) + QPoly(f3, [a0])
+            f = monomial(f3, i, "g^2") + monomial(f3, 5) + QPoly(f3, [a0])
             assert f.first_q_term() == i
     for coeffs in ([], ["g^1"]):
         with pytest.raises(DegenerateInput):
