@@ -518,7 +518,7 @@ def test_l4_hypothesis_guards(f3):
 
 
 def test_l4_consistency_with_general_search(f3):
-    """The Theta(q^6) system agrees with the Theta(q^12) search for every
+    """The kernel route agrees with the Theta(q^12) search for every
     Frobenius-orbit representative of h, both deltas and both variants."""
     reps = frobenius_orbit_reps(f3)
     assert len(reps) == 6
