@@ -55,14 +55,6 @@ for name, g in targets:
     print(f"  vs {name:18s}: {r.status:15s}"
           f" ({r.searched} triples, {time.time() - t0:.1f}s)")
 
-# -- budgets and checkpoints --------------------------------------------------
-
-ps = family_poly(F, "pseudoregulus")
-part = gl_equivalent(fh, ps, budget=1_000_000)
-print(f"\nwith budget 1e6: {part.status} at checkpoint {part.checkpoint}")
-rest = gl_equivalent(fh, ps, resume=part.checkpoint)
-print(f"resumed run completes: {rest.status} after {rest.searched} triples\n")
-
 # -- the power-of-5 exception -------------------------------------------------
 
 F5 = make_field(5, 1)
@@ -72,7 +64,7 @@ hit = check_system_L4(h5, delta, "trin")
 if not hit["solvable"]:
     hit = check_system_L4(h5, delta, "trin2")
 k = hit["k"]
-print(f"q = 5, h = 2: the U^4 system ({hit['variant']}) is solvable;")
+print(f"\nq = 5, h = 2: the U^4 system ({hit['variant']}) is solvable;")
 print(f"  k = h^rho = {k} satisfies 9k^2 - 3k + 5 ="
       f" {F5.from_int(9) * k * k - F5.from_int(3) * k + F5.from_int(5)}")
 print("  (solvable exactly because q is a power of 5 and h lies in F_q)")

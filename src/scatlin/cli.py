@@ -10,9 +10,9 @@ parse_poly_spec.  Exit codes: 0 success, 1 a reproduction/math mismatch or
 another library error (a ClassificationGap from `lemmas`, a DegenerateInput
 from `intn` or `mrd` and TooLarge for a field above 2^24 elements included),
 2 usage errors (an unknown flag, a missing required one such as `equiv
---right`, a negative `--budget`, or a malformed field, element, polynomial
-or checkpoint file), 3 an internal-invariant failure (a bug, never a
-property of the input, such as the two scatteredness deciders disagreeing).
+--right`, or a malformed field, element or polynomial), 3 an
+internal-invariant failure (a bug, never a property of the input, such as
+the two scatteredness deciders disagreeing).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import time
 
 from . import __version__
 from .equiv import gl_equivalent, pgl_linear_sets_equivalent
-from .errors import (HypothesisViolated, InternalInvariant, InvalidParameter,
-                     ScatlinError, UsageError)
+from .errors import (HypothesisViolated, InternalInvariant, ScatlinError,
+                     UsageError)
 from .family import (FAMILY_PARAMS, enumerate_h, family_poly, lemma1_checks,
                      lemma_roots)
 from .geom import intn, vertex
@@ -149,42 +149,16 @@ def _cmd_intn(args, ctx: Field) -> dict:
 
 def _cmd_equiv(args, ctx: Field) -> dict:
     left = parse_poly_spec(ctx, args.left)
-    if args.budget is not None and args.budget < 0:
-        raise UsageError("--budget must be a nonnegative triple count")
-    if args.pgl and (args.resume or args.checkpoint_out):
-        raise UsageError("--resume and --checkpoint-out apply to a single "
-                         "gl search, not to --pgl")
-    if args.checkpoint_out and args.budget is None:
-        raise UsageError("--checkpoint-out needs --budget: a search without "
-                         "one never stops early, so it leaves no checkpoint")
-    resume = None
-    if args.resume:
-        try:
-            with open(args.resume) as fh:
-                resume = json.load(fh)
-        except (OSError, ValueError) as exc:  # unreadable, or not JSON
-            raise UsageError("--resume %s: %s" % (args.resume, exc)) from exc
-        if not isinstance(resume, dict):
-            raise UsageError("--resume %s: not a checkpoint object" % args.resume)
     right = parse_poly_spec(ctx, args.right)
     payload = {"left": left.to_json(), "right": right.to_json()}
     if args.pgl:
-        res = pgl_linear_sets_equivalent(left, right, right.tag, budget=args.budget)
-        verdict = ("not_equivalent" if res["exhausted"] else
-                   "equivalent" if res["equivalent"] else "budget_exceeded")
-        payload.update(verdict=verdict, branch=res["branch"], searched=res["searched"])
+        res = pgl_linear_sets_equivalent(left, right, right.tag)
+        payload.update(verdict="equivalent" if res["equivalent"] else "not_equivalent",
+                       branch=res["branch"], searched=res["searched"])
         if res["witness"] is not None:
             payload["witness"] = res["witness"].to_json()
         return payload
-    try:
-        res = gl_equivalent(left, right, budget=args.budget, resume=resume)
-    except InvalidParameter as exc:  # only a checkpoint that does not fit
-        raise UsageError("--resume %s: %s" % (args.resume, exc)) from exc
-    payload.update(res.to_json())
-    if res.status == "budget_exceeded" and args.checkpoint_out:
-        with open(args.checkpoint_out, "w") as fh:
-            json.dump(res.checkpoint, fh)
-        payload["checkpoint_file"] = args.checkpoint_out
+    payload.update(gl_equivalent(left, right).to_json())
     return payload
 
 
@@ -248,10 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("equiv", _cmd_equiv, "semilinear equivalence search")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--budget", type=int, default=None,
-                   help="max (rho, a, b) triples to try")
-    p.add_argument("--resume", help="checkpoint file from a budget-exceeded run")
-    p.add_argument("--checkpoint-out", help="where to write a checkpoint")
     p.add_argument("--pgl", action="store_true",
                    help="decide linear-set equivalence via the adjoint reduction")
 

@@ -19,7 +19,9 @@ with the smallest index is a = g^e with e < R, or a = 0 and b = g^e with
 e < R; these representatives fill a prefix of each rho's range, less the
 tail of the a = 0 row.  Only they are evaluated, about 6s * q^12 / (q - 1)
 triples, and the first of them that is a witness is the first witness of
-the full order: the answer does not depend on the reduction or the chunks.
+the full order.  The search runs to that witness or to the end, and its
+``searched`` is a position in the full order, so neither the answer nor the
+count depends on the reduction or the blocks.
 
 Slot t of the left side is g_t a^(q^t) plus a q-polynomial in b, so a block
 of a rows times a b range is tested by comparing terms in the row bases
@@ -35,8 +37,6 @@ builds no field too large for them.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass
 
@@ -74,10 +74,9 @@ class EquivWitness:
 
 @dataclass
 class EquivResult:
-    status: str  # "equivalent" | "not_equivalent" | "budget_exceeded"
+    status: str  # "equivalent" | "not_equivalent"
     witness: EquivWitness | None = None
     searched: int = 0
-    checkpoint: dict | None = None
 
     @property
     def equivalent(self) -> bool:
@@ -87,8 +86,6 @@ class EquivResult:
         out = {"verdict": self.status, "searched": self.searched}
         if self.witness is not None:
             out["witness"] = self.witness.to_json()
-        if self.checkpoint is not None:
-            out["checkpoint"] = self.checkpoint
         return out
 
 
@@ -211,27 +208,16 @@ def _scan_block(ctx: Field, plan, lo: int, hi: int, R: int, work):
     return int(flat[k]), int(c[k]), int(d[k])
 
 
-def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
-                  resume: dict | None = None) -> EquivResult:
+def gl_equivalent(f: QPoly, g: QPoly) -> EquivResult:
     """Exhaustive GammaL(2, q^6)-equivalence of U_f and U_g.
 
-    Returns Equivalent with the first witness in (rho, a, b) order,
-    NotEquivalent only after deciding all 6s * q^12 triples, or
-    BudgetExceeded with a resume checkpoint.  Only F_q^*-orbit
+    Returns Equivalent with the first witness in (rho, a, b) order, or
+    NotEquivalent after deciding all 6s * q^12 triples.  Only F_q^*-orbit
     representatives are evaluated, at most _BLOCK per block, but
-    ``searched``, ``budget`` and the checkpoint's ``flat`` and ``tried``
-    count positions in the full space: a skipped triple counts as decided
-    by its representative, and skips stop at the budget.  ``searched`` is
-    the witness's position plus one, or the total decided, so a checkpoint's
-    ``tried`` is always rho * q^12 + flat.  A checkpoint carries the field
-    (p, s) and a sha256 of the coefficient exponents of f and g; resuming
-    one without them, against other inputs or at an impossible position (a
-    bool, a ``tried`` other than rho * q^12 + flat) raises InvalidParameter,
-    and so does a negative budget.
+    ``searched`` counts positions in the full space: rho * q^12 + flat + 1
+    for a witness at that flat, 6s * q^12 otherwise.
     """
     ctx = f.ctx
-    if budget is not None and budget < 0:
-        raise InvalidParameter("budget must be a nonnegative triple count")
     if g.ctx is not ctx:
         raise DegenerateInput("polynomials over different contexts")
     if f.is_zero() or g.is_zero():
@@ -239,69 +225,45 @@ def gl_equivalent(f: QPoly, g: QPoly, budget: int | None = None,
     E = ctx.order
     R = ctx.N // (ctx.q - 1)
     reps_end = E * (R + 1)  # no orbit representative lies at or past this flat
-    exps = [[cf.val for cf in poly.coeffs] for poly in (f, g)]
-    binding = {"field": [ctx.p, ctx.s],
-               "inputs_sha256": hashlib.sha256(json.dumps(exps).encode()).hexdigest()}
-
-    rho_start, flat_start = 0, 0
-    if resume:
-        pos = [resume.get(k) for k in ("rho", "flat", "tried")]
-        if (any(resume.get(k) != v for k, v in binding.items())
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in pos)
-                or not (0 <= pos[0] < ctx.deg and 0 <= pos[1] < E * E)
-                or pos[2] != pos[0] * E * E + pos[1]):
-            raise InvalidParameter("checkpoint does not belong to this field, f and g")
-        rho_start, flat_start = pos[:2]
-    tried = rho_start * E * E + flat_start  # every position before the start
-
     work = np.empty((2, min(_BLOCK, E * E)), dtype=bool)  # see _scan_block
-    for rho in range(rho_start, ctx.deg):
+    for rho in range(ctx.deg):
         d_row, c_row, tests = _rho_plan(ctx, f, g, rho)
         plan = (_terms(d_row), _terms(c_row),
                 [(_terms(r[:TOWER]), _terms([-x for x in r[TOWER:]])) for r in tests])
-        flat = flat_start if rho == rho_start else 0
-        while flat < E * E:
-            scan = flat < reps_end
-            hi = (min(flat + _BLOCK, (flat // E + max(1, _BLOCK // E)) * E, reps_end)
-                  if scan else E * E)
-            if budget is not None:
-                if tried >= budget:
-                    return EquivResult("budget_exceeded", searched=tried, checkpoint={
-                        "rho": rho, "flat": flat, "tried": tried, **binding})
-                hi = min(hi, flat + budget - tried)
-            if scan and (hit := _scan_block(ctx, plan, flat, hi, R, work)) is not None:
+        flat = 0
+        while flat < reps_end:
+            hi = min(flat + _BLOCK, (flat // E + max(1, _BLOCK // E)) * E, reps_end)
+            if (hit := _scan_block(ctx, plan, flat, hi, R, work)) is not None:
                 fl, c, d = hit
                 w = EquivWitness(rho=rho, a=ctx.elem_at(fl // E), b=ctx.elem_at(fl % E),
                                  c=ctx.elem_of_exp(c), d=ctx.elem_of_exp(d))
                 if not verify_witness(f, g, w):
                     raise InternalInvariant("scan produced a bad witness (bug)")
-                return EquivResult("equivalent", witness=w, searched=tried + fl - flat + 1)
-            tried += hi - flat
+                return EquivResult("equivalent", witness=w, searched=rho * E * E + fl + 1)
             flat = hi
-    return EquivResult("not_equivalent", searched=tried)
+    return EquivResult("not_equivalent", searched=ctx.deg * E * E)
 
 
-def pgl_linear_sets_equivalent(f: QPoly, g: QPoly, g_family: str | None,
-                               budget: int | None = None) -> dict:
+def pgl_linear_sets_equivalent(f: QPoly, g: QPoly, g_family: str | None) -> dict:
     """PGammaL-equivalence of the linear sets, via the reduction lemma:
     L_f ~ L_g iff U_f is GammaL-equivalent to U_g or (except for the
     csajbok_mp family, where only the direct branch applies) to the adjoint
     graph U_{ghat}.  g_family is g's family tag; None (no family, as for an
     adjoint or a polynomial given by its coefficients) searches both.
-    "exhausted" is True only when every branch was decided in full, so it is
-    False when a witness or the budget ended the search."""
+    "exhausted" is True when every branch was decided and none is
+    equivalent, so a witness on any branch makes it False."""
     branches = [("direct", g)]
     if not (g_family or "").startswith("csajbok_mp"):
         branches.append(("adjoint", g.adjoint()))
     results = {}
     for name, target in branches:
-        results[name] = res = gl_equivalent(f, target, budget=budget)
+        results[name] = res = gl_equivalent(f, target)
         if res.equivalent:
             break
     return {"equivalent": res.equivalent, "branch": name if res.equivalent else None,
             "witness": res.witness, "results": results,
             "searched": sum(r.searched for r in results.values()),
-            "exhausted": all(r.status == "not_equivalent" for r in results.values())}
+            "exhausted": not res.equivalent}
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +273,19 @@ def pgl_linear_sets_equivalent(f: QPoly, g: QPoly, g_family: str | None,
 def witness_space(f: QPoly, g: QPoly, rho: int) -> np.ndarray:
     """An F_p-basis of W_rho = {(a, b) : g o (a id + b f^rho) = c id + d f^rho},
     rows of the base-p digits of a (digit j: the coefficient of X^j, as in
-    Field.packed), then of b.  W_rho is where the four test rows of
-    _rho_plan vanish; a row's value at a or b = X^j is a sum of six terms,
-    so its digits are the sums of theirs mod p: 6s equations per row."""
-    ctx = f.ctx
+    Field.packed), then of b."""
+    return _test_kernel(f.ctx, _rho_plan(f.ctx, f, g, rho)[2])
+
+
+def _test_kernel(ctx: Field, tests) -> np.ndarray:
+    """The F_p-basis of witness_space: where the test rows of a _rho_plan
+    vanish.  A row's value at a or b = X^j is a sum of six terms, so its
+    digits are the sums of theirs mod p: 6s equations per row."""
     k, p, N = ctx.deg, ctx.p, ctx.N
     place = p ** np.arange(k)  # the packed value of X^j
     xq = np.stack([ctx.v_frob(ctx._log[place], t) for t in range(TOWER)])  # (X^j)^(q^t)
-    tests = np.array([[x.val for x in row] for row in _rho_plan(ctx, f, g, rho)[2]])
-    coef = tests.reshape(len(tests), 2, TOWER, 1)  # the a and b halves of each row
+    coef = np.array([[x.val for x in row] for row in tests])
+    coef = coef.reshape(len(tests), 2, TOWER, 1)  # the a and b halves of each row
     terms = np.where(coef == N, 0, ctx._pow_packed[(coef + xq) % N])  # by (row, half, t, j)
     digits = (terms[..., None] // place % p).sum(axis=2) % p  # by (row, half, j, digit)
     return nullspace_mod_p(digits.transpose(0, 3, 1, 2).reshape(-1, 2 * k), p)
@@ -353,13 +319,13 @@ def check_system_L4(h: FieldElem, delta: FieldElem, variant: str) -> dict:
     k, p, N = ctx.deg, ctx.p, ctx.N
 
     for rho in range(ctx.deg):
-        basis = witness_space(fh, target, rho)
+        d_row, c_row, tests = _rho_plan(ctx, fh, target, rho)
+        basis = _test_kernel(ctx, tests)
         if not basis.size:
             continue
         coef = np.indices((p,) * len(basis)).reshape(len(basis), -1).T[1:]
         vecs = coef @ basis % p  # every nonzero vector of W_rho
         ea, eb = ctx._log[vecs.reshape(-1, 2, k) @ p ** np.arange(k)].T
-        d_row, c_row, _ = _rho_plan(ctx, fh, target, rho)
         c, d, det = _solve_cd(ctx, _terms(d_row), _terms(c_row),
                               [ctx.v_frob(x, t) for x in (ea, eb) for t in range(TOWER)])
         good = np.flatnonzero(det != N)

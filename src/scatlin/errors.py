@@ -36,8 +36,8 @@ class BadSubfield(ScatlinError):
 
 
 class InvalidParameter(ScatlinError):
-    """A parameter violates its defining condition: a family parameter, or a
-    resume checkpoint that was made for another field, f or g."""
+    """A parameter violates its defining condition, such as a family
+    parameter or an unknown U^4 variant."""
 
 
 class HypothesisViolated(ScatlinError):
@@ -53,7 +53,7 @@ class PreconditionFailed(ScatlinError):
 
 
 class BudgetExceeded(ScatlinError):
-    """An exhaustive scan was stopped by its operation budget."""
+    """rank_distribution's budget is below its fixed number of cross-checks."""
 
 
 class DegenerateInput(ScatlinError):

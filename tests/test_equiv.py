@@ -1,7 +1,6 @@
-"""Exhaustive semilinear equivalence: witnesses, budgets, and the csajbok_mz
-systems read off W_rho, the F_p-nullspace of the slot identity."""
+"""Exhaustive semilinear equivalence: witnesses, the adjoint reduction, and
+the csajbok_mz systems read off W_rho, the F_p-nullspace of the slot identity."""
 
-import json
 import random
 
 import numpy as np
@@ -82,34 +81,10 @@ def test_not_equivalent_is_exhaustive(f3):
     assert res.searched == f3.deg * f3.order**2
 
 
-def test_budget_and_resume(f3):
-    fh = family_poly(f3, "new_fh", general_hs(f3)[0])
-    ps = family_poly(f3, "pseudoregulus")
-    first = gl_equivalent(fh, ps, budget=1_000_000)
-    assert first.status == "budget_exceeded"
-    assert first.checkpoint["tried"] == 1_000_000
-    second = gl_equivalent(fh, ps, resume=first.checkpoint)
-    assert second.status == "not_equivalent"
-    assert second.searched == f3.deg * f3.order**2
-
-
-def test_negative_budget_raises(f3):
-    """A negative budget is refused before any search, by gl_equivalent and
-    through it by pgl_linear_sets_equivalent; budget 0 still stops at once
-    with a checkpoint."""
-    f, ps = family_poly(f3, "case1"), family_poly(f3, "pseudoregulus")
-    with pytest.raises(InvalidParameter):
-        gl_equivalent(f, ps, budget=-5)
-    with pytest.raises(InvalidParameter):
-        pgl_linear_sets_equivalent(f, ps, ps.tag, budget=-5)
-    res = gl_equivalent(f, ps, budget=0)
-    assert res.status == "budget_exceeded" and res.searched == 0
-
-
 def test_pgl_result_has_one_shape(f3):
     """Every pgl_linear_sets_equivalent result carries the same keys, and
-    "exhausted" is False unless every branch was decided in full: a witness
-    (the trinomial pair for h = g^91) and a budget both end the search."""
+    "exhausted" is True exactly when every branch was decided with no
+    witness: a witness (the trinomial pair for h = g^91) ends the search."""
     h = f3.from_exp(91)
     fh = family_poly(f3, "new_fh", h)
     tri = family_poly(f3, "trinomial", h)
@@ -119,65 +94,27 @@ def test_pgl_result_has_one_shape(f3):
     assert res["equivalent"] and res["exhausted"] is False
     assert res["branch"] == "direct" and verify_witness(fh, tri, res["witness"])
     ps = family_poly(f3, "pseudoregulus")
-    res = pgl_linear_sets_equivalent(fh, ps, ps.tag, budget=1000)
+    res = pgl_linear_sets_equivalent(fh, ps, ps.tag)
     assert set(res) == keys
-    assert not res["equivalent"] and res["exhausted"] is False
+    assert not res["equivalent"] and res["exhausted"] is True
     assert res["branch"] is None and res["witness"] is None
-    assert res["searched"] == 2000 and set(res["results"]) == {"direct", "adjoint"}
+    assert res["searched"] == 2 * f3.deg * f3.order**2
+    assert set(res["results"]) == {"direct", "adjoint"}
 
 
 def test_chunk_determinism(f3, monkeypatch):
     """The block size equiv._BLOCK sets the block layout (many rows, one
-    row, a row and a part, a slice of one row) but not the witness,
-    searched or a budget checkpoint, nor what a resumed run finds.  Two
-    resumes start mid-row past the first witness (flat 1094): one just after
-    it, one late in the row before the next witness's row; a block must
-    neither rescan the flats before its start nor skip the columns of its
-    later rows."""
+    row, a row and a part, a slice of one row) but not the witness or
+    searched."""
     h = trinomial_hs(f3)[0]
     fh = family_poly(f3, "new_fh", h)
     tri = family_poly(f3, "trinomial", h)
     runs = []
     for block in (1 << 18, 729, 1000, 37):
         monkeypatch.setattr(equiv, "_BLOCK", block)
-        whole = gl_equivalent(fh, tri)
-        part = gl_equivalent(fh, tri, budget=1000)
-        assert part.status == "budget_exceeded" and part.checkpoint["tried"] == 1000
-        rest = gl_equivalent(fh, tri, resume=part.checkpoint)
-        assert rest.to_json() == whole.to_json()
-        later = [gl_equivalent(fh, tri, resume=dict(part.checkpoint, flat=flat, tried=flat))
-                 for flat in (whole.searched, 91 * 729 + 700)]
-        assert later[0].to_json() == later[1].to_json()
-        runs.append((whole.to_json(), part.to_json(), later[0].to_json()))
+        runs.append(gl_equivalent(fh, tri).to_json())
     assert all(r == runs[0] for r in runs)
-    assert runs[0][0]["searched"] == 1095 and runs[0][2]["searched"] == 92 * 729 + 457
-
-
-def test_checkpoint_bound_to_inputs(f3, f5):
-    """A checkpoint names its field and hashes f and g; resuming it without
-    that binding, against other inputs or at an impossible position (a bool,
-    or a tried count other than rho E^2 + flat) raises."""
-    fh = family_poly(f3, "new_fh", general_hs(f3)[0])
-    ps = family_poly(f3, "pseudoregulus")
-    ck = gl_equivalent(fh, ps, budget=1000).checkpoint
-    assert ck["field"] == [3, 1] and len(ck["inputs_sha256"]) == 64
-    again = gl_equivalent(fh, ps, budget=2000, resume=json.loads(json.dumps(ck)))
-    assert again.checkpoint["tried"] == 2000
-    foreign = [(fh, family_poly(f3, "new_fh", general_hs(f3)[1]), ck),
-               (ps, fh, ck),
-               (fh, ps, {k: ck[k] for k in ("rho", "flat", "tried")}),
-               (fh, ps, dict(ck, rho=f3.deg)),
-               (fh, ps, dict(ck, flat="1000")),
-               (fh, ps, dict(ck, tried=-5)),
-               (fh, ps, dict(ck, tried=True)),
-               (fh, ps, dict(ck, tried=10**15)),
-               (fh, ps, dict(ck, rho=True)),
-               (fh, ps, dict(ck, rho=False)),
-               (fh, ps, dict(ck, flat=5, tried=3)),
-               (family_poly(f5, "pseudoregulus"), family_poly(f5, "pseudoregulus"), ck)]
-    for f, g, resume in foreign:
-        with pytest.raises(InvalidParameter):
-            gl_equivalent(f, g, resume=resume)
+    assert runs[0]["searched"] == 1095
 
 
 def test_search_finds_random_semilinear_images(f3):
@@ -198,7 +135,7 @@ def test_search_finds_random_semilinear_images(f3):
         found += 1
 
 
-def reference_scan(f, g, budget=None, chunk=1 << 16):
+def reference_scan(f, g, chunk=1 << 16):
     """Reference: the un-reduced scan.  Every flat a_idx * E + b_idx of every
     rho is evaluated in order, with all twelve bases recomputed per element
     and (c, d) solved from slot tp = the first nonzero slot t >= 1 of f^rho."""
@@ -223,12 +160,6 @@ def reference_scan(f, g, budget=None, chunk=1 << 16):
         flat = 0
         while flat < E * E:
             size = min(chunk, E * E - flat)
-            if budget is not None:
-                if tried >= budget:
-                    return EquivResult("budget_exceeded", searched=tried,
-                                       checkpoint={"rho": rho, "flat": flat,
-                                                   "tried": tried})
-                size = min(size, budget - tried)
             idx = np.arange(flat, flat + size)
             ea = np.where(idx // E == 0, N, idx // E - 1)
             eb = np.where(idx % E == 0, N, idx % E - 1)
@@ -255,11 +186,11 @@ def reference_scan(f, g, budget=None, chunk=1 << 16):
 
 def test_reduced_scan_matches_reference(f3):
     """The orbit-reduced broadcast scan gives the un-reduced scan's status,
-    witness and searched: on the trinomial pair, on rho = 0 of an exhausted
-    pair (budget q^12), on random semilinear images of f_h, one with a = 0,
-    and on images of a random f planted at the non-representatives
-    a = g^(2R-1) and (0, g^(2R-1)), whose witnesses sit on the last
-    representative, g^(R-1), of the a rows and of the a = 0 row."""
+    witness and searched: on the trinomial pair, on an exhausted pair (all
+    six rho), on random semilinear images of f_h, one with a = 0, and on
+    images of a random f planted at the non-representatives a = g^(2R-1)
+    and (0, g^(2R-1)), whose witnesses sit on the last representative,
+    g^(R-1), of the a rows and of the a = 0 row."""
     R = f3.N // (f3.q - 1)
     rng = random.Random(3)
 
@@ -275,20 +206,18 @@ def test_reduced_scan_matches_reference(f3):
     fh = family_poly(f3, "new_fh", general_hs(f3)[0])
     rand_f = QPoly(f3, [f3.zero()] + [f3.elem_at(rng.randrange(1, f3.order)) for _ in range(5)])
     last = f3.from_exp(2 * R - 1)
-    cases = [(family_poly(f3, "new_fh", h), family_poly(f3, "trinomial", h), None),
-             (fh, family_poly(f3, "pseudoregulus"), f3.order ** 2),
-             (fh, image(fh, rng.randrange(f3.deg), a=f3.zero()), None),
-             (fh, image(fh, rng.randrange(f3.deg)), None),
-             (fh, image(fh, rng.randrange(f3.deg)), None),
-             (rand_f, image(rand_f, 0, a=last), None),
-             (rand_f, image(rand_f, 0, a=f3.zero(), b=last), None)]
+    cases = [(family_poly(f3, "new_fh", h), family_poly(f3, "trinomial", h)),
+             (fh, family_poly(f3, "pseudoregulus")),
+             (fh, image(fh, rng.randrange(f3.deg), a=f3.zero())),
+             (fh, image(fh, rng.randrange(f3.deg))),
+             (fh, image(fh, rng.randrange(f3.deg))),
+             (rand_f, image(rand_f, 0, a=last)),
+             (rand_f, image(rand_f, 0, a=f3.zero(), b=last))]
     found = []
-    for f, g, budget in cases:
-        ref = reference_scan(f, g, budget)
-        res = gl_equivalent(f, g, budget)
+    for f, g in cases:
+        ref = reference_scan(f, g)
+        res = gl_equivalent(f, g)
         assert (res.status, res.searched) == (ref.status, ref.searched)
-        if ref.checkpoint is not None:
-            assert {k: res.checkpoint[k] for k in ref.checkpoint} == ref.checkpoint
         if ref.witness is not None:
             w = res.witness
             assert w.to_json() == ref.witness.to_json()
@@ -362,20 +291,6 @@ def test_l4_system_q5_power_of_5(f5):
     assert k == f5.from_int(2)
     assert verify_witness(family_poly(f5, "new_fh", h),
                           l4_target(f5, delta, hit["variant"]), hit["witness"])
-
-
-def test_l4_witness_independent_of_chunk(f5, with_chunk):
-    """The first valid b in ascending exponent order is the witness,
-    whatever the slice size."""
-    h, delta = f5.from_int(2), u4_deltas(f5)[0]
-    runs = []
-    for chunk in (None, 1 << 10):
-        with_chunk(f5, chunk)
-        res = [check_system_L4(h, delta, v) for v in ("trin", "trin2")]
-        runs.append([(r["solvable"], r["rho"], r["k"],
-                      r["witness"] and r["witness"].to_json()) for r in res])
-    assert runs[0] == runs[1]
-    assert any(solvable for solvable, *_ in runs[0])
 
 
 def test_l4_system_insolvable_off_fq2(f3):
