@@ -8,7 +8,10 @@ codeword has rank at least 5, which meets the Singleton-like bound
 
 with equality: parameters (6, 6, q; 5).  The code's invariants are its left
 and right idealisers: the left one is exactly the scalar maps F_{q^6} id,
-and the right one has dimension 2 over F_q for every f_h.
+and the right one has dimension 2 over F_q for every f_h.  The right one is
+the set of (a, b) with f o (a f + b id) in C, and its basis prints in the
+canonical echelon form of the base-p digits of a and b (their coefficients
+of X^j, as in Field.packed).
 
 Run:  python demos/04_mrd_codes.py
 """

@@ -20,7 +20,8 @@ class NotPrime(ScatlinError):
 
 
 class TooLarge(ScatlinError):
-    """The requested field or scan exceeds the configured desk-scale budget."""
+    """The requested field has more than 2^24 elements (or s < 1); only
+    Field.__init__ raises it, before any table is built."""
 
 
 class DivisionByZero(ScatlinError, ZeroDivisionError):

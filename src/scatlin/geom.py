@@ -75,22 +75,14 @@ class ProjSubspace:
 
 
 def intersect(S: ProjSubspace, T: ProjSubspace) -> ProjSubspace:
-    """Zassenhaus intersection: rows [[A|A],[B|0]] reduced; rows whose left
-    half vanished have right halves spanning the intersection."""
+    """S cap T as the solution space of both operands' equations: the
+    constraint rows of each are the nullspace of its basis, and the
+    intersection is the nullspace of the two sets stacked."""
     if S.ctx is not T.ctx:
         raise CtxMismatch("subspaces over different contexts")
     ctx = S.ctx
-    zero = ctx.zero()
-    stacked = [list(r) + list(r) for r in S.rows]
-    stacked += [list(r) + [zero] * TOWER for r in T.rows]
-    if not stacked:
-        return ProjSubspace.empty(ctx)
-    reduced, _ = rref(ctx, stacked)
-    inter = []
-    for row in reduced:
-        if all(c.is_zero() for c in row[:TOWER]):
-            inter.append(row[TOWER:])
-    return ProjSubspace(ctx, inter)
+    return ProjSubspace(ctx, nullspace(ctx, nullspace(ctx, S.rows, TOWER)
+                                       + nullspace(ctx, T.rows, TOWER), TOWER))
 
 
 def sigma_hat_vector(ctx: Field, vec):

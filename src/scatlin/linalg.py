@@ -105,17 +105,6 @@ def nullspace(ctx: Field, mat, ncols: int) -> list[list[FieldElem]]:
     return basis
 
 
-def mat_inv(ctx: Field, A):
-    """Inverse of a square matrix (raises if singular)."""
-    n = len(A)
-    aug = [list(A[i]) + [ctx.one() if j == i else ctx.zero() for j in range(n)]
-           for i in range(n)]
-    rows, pivots = rref(ctx, aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
-
-
 def nullspace_mod_p(A, p: int) -> np.ndarray:
     """nullspace over F_p of an integer matrix A, as the rows of an int64
     array.  The reduced echelon form of [A^T | I] ends in the rows whose

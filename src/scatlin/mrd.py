@@ -5,8 +5,9 @@ Codewords are F_q-linear maps on F_{q^6}; the code is the F_{q^6}-span of
 RankCode raises DegenerateInput).
 
 Ranks are computed through 6x6 Dickson matrices over F_{q^6} (constant-size
-exact elimination) and cross-checkable against an explicit 6x6 matrix over
-F_q built in a fixed basis with trace coordinates Tr(y g^i).
+exact elimination) and cross-checkable against the explicit 6s x 6s matrix
+over F_p of the codeword: the base-p digits (Field.packed) of its images of
+X^j, whose F_p-rank is s times the F_q-rank.
 
 The full rank distribution is read off the oracle's bucketing pass: ranks are
 constant on the F_{q^6}*-orbits (0, 0), (0, 1), (1, b), and f + b id has rank
@@ -15,9 +16,10 @@ fixed sample of 32 codewords; rank_distribution's budget caps those
 eliminations, not q.  The minimum distance is
 rank_distribution(C).min_distance().
 
-idealisers(C) gives F_q-bases of the left and right idealisers, the code's
-invariants (Lunardon-Trombetti-Zhou), as (a, b) pairs with coordinates in
-the basis 1, g, ..., g^5.
+idealisers(C) gives F_p-bases of the left and right idealisers, the code's
+invariants (Lunardon-Trombetti-Zhou), as (a, b) pairs of a f + b id: the
+right one is the kernel W_0(f, f) of equiv.witness_space, and the left one
+is read off its dimension.
 Code equivalence is GammaL-equivalence of U_f (Sheekey): equiv.gl_equivalent.
 """
 
@@ -25,9 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .equiv import witness_space
 from .errors import BudgetExceeded, InternalInvariant
 from .gf import TOWER, Field
-from .linalg import nullspace, rank as mat_rank
+from .linalg import nullspace_mod_p
 from .qpoly import QPoly
 from . import scatter as _scatter
 
@@ -55,11 +60,9 @@ class RankCode:
     """The 2-dimensional F_{q^6}-span {a f + b id} as a rank-metric code."""
 
     def __init__(self, ctx: Field, f: QPoly):
-        # raises for f = f_0 x, whose C_f = F_{q^6} x has only q^6 maps
-        self._pivot = f.first_q_term()
+        f.first_q_term()  # raises for f = f_0 x, whose C_f = F_{q^6} x has only q^6 maps
         self.ctx = ctx
         self.f = f
-        self._basis = [ctx.from_exp(j) for j in range(TOWER)]  # F_q-basis: g is primitive
 
     def codeword(self, a, b) -> QPoly:
         ctx = self.ctx
@@ -70,31 +73,15 @@ class RankCode:
         """Rank of x -> a f(x) + b x via its Dickson matrix."""
         return self.codeword(a, b).rank()
 
-    def _coordinates(self, y) -> list:
-        """F_q-coordinates Tr(y g^i) of y: the trace form is nondegenerate, so
-        they are y's coordinates in the trace-dual basis of 1, g, ..., g^5."""
-        return [self.ctx.trace(y * x, 1) for x in self._basis]
-
-    def codeword_matrix(self, a, b):
-        """Explicit 6x6 matrix over F_q of the codeword.
-
-        Column j holds the trace coordinates of the image of g^j; the
-        cross-check route for codeword_rank.
-        """
-        word = self.codeword(a, b)
-        cols = [self._coordinates(word(x)) for x in self._basis]
-        return [list(row) for row in zip(*cols)]
-
-    def _membership_rows(self, w: QPoly) -> list:
-        """24 values in F_q, all zero iff w is in C: with i = self._pivot, the
-        first i >= 1 where f_i != 0, w = c f + d id iff w_j f_i = w_i f_j for
-        the four j outside {0, i}, 6 trace coordinates each."""
-        f, i = self.f.coeffs, self._pivot
-        return [x for j in range(1, TOWER) if j != i
-                for x in self._coordinates(w.coeffs[j] * f[i] - w.coeffs[i] * f[j])]
-
     def codeword_rank_explicit(self, a, b) -> int:
-        return mat_rank(self.ctx, self.codeword_matrix(a, b))
+        """Rank of the codeword's explicit matrix over F_p, whose row j holds
+        the base-p digits of the image of X^j, divided by s: the cross-check
+        route for codeword_rank."""
+        ctx, word = self.ctx, self.codeword(a, b)
+        k, p = ctx.deg, ctx.p
+        images = [ctx.packed(word(ctx.from_packed(p ** j))) for j in range(k)]
+        rows = [[v // p ** i % p for i in range(k)] for v in images]
+        return (k - len(nullspace_mod_p(rows, p))) // ctx.s
 
 
 def code_from(f: QPoly) -> RankCode:
@@ -144,30 +131,31 @@ def mrd_report(C: RankCode) -> dict:
         "cardinality": dist.size,
         "singleton_equality": singleton,
         "mrd": singleton,
-        "idealisers": {"left": len(left), "right": len(right)},
+        "idealisers": {"left": len(left) // ctx.s, "right": len(right) // ctx.s},
     }
 
 
 def idealisers(C: RankCode) -> tuple[list, list]:
-    """F_q-bases, as (a, b) pairs with psi = a f + b id, of the left idealiser
-    {phi in C : phi o C in C} and the right idealiser {psi in C : C o psi in C}.
+    """F_p-bases, as (a, b) pairs of a f + b id, of the left idealiser
+    {phi in C : phi o C in C} and the right idealiser {psi in C : C o psi in C};
+    each basis is canonical in the X^j digit coordinates of a and b, and its
+    length is s times the F_q-dimension.
 
-    Each is one nullspace over the 12 F_q-coordinates of (a, b).  C is closed
-    under left multiplication by F_{q^6}, so psi is in the right idealiser
-    iff f o psi lies in C (24 rows), and phi in the left one iff phi o w does
-    for the 12 F_q-basis codewords w = g^j f, g^j id (288 rows).
+    C is closed under left multiplication by F_{q^6} and contains id, so psi
+    is in the right idealiser iff f o psi lies in C: that is W_0(f, f), whose
+    rows write psi = a id + b f, so each row's halves are swapped here.  As
+    phi o w = a (f o w) + b w, phi = a f + b id is in the left idealiser iff
+    a = 0 or f o C lies in C, that is iff the right idealiser is all of C:
+    the left one is F_{q^6} id, or C when W_0 has dimension 12s.
     """
-    ctx, basis = C.ctx, C._basis
-    zero = ctx.zero()
-    words = [C.codeword(x, zero) for x in basis] + [C.codeword(zero, x) for x in basis]
+    ctx = C.ctx
+    k, p = ctx.deg, ctx.p
+    place = p ** np.arange(k)  # the packed value of X^j
 
-    def element(v):  # F_q-coordinates in the basis 1, g, ..., g^5
-        return sum((c * x for c, x in zip(v, basis)), start=zero)
+    def element(digits):
+        return ctx.from_packed(int(digits @ place))
 
-    def kernel(images):
-        cols = [[x for w in images(psi) for x in C._membership_rows(w)] for psi in words]
-        return [(element(v[:TOWER]), element(v[TOWER:]))
-                for v in nullspace(ctx, list(zip(*cols)), 2 * TOWER)]
-
-    return (kernel(lambda phi: [phi.compose(w) for w in words]),
-            kernel(lambda psi: [C.f.compose(psi)]))
+    right = [(element(v[k:]), element(v[:k])) for v in witness_space(C.f, C.f, 0)]
+    if len(right) == 2 * k:
+        return right, right
+    return [(ctx.zero(), ctx.from_packed(int(x))) for x in place], right

@@ -59,6 +59,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -75,13 +76,13 @@ class WeightSpectrum:
     """Weight w >= 1 -> number of points of PG(1,q^6) with that weight.
 
     The point <(0,1)> is not on the graph subspace U_f and always has weight
-    0; it is recorded separately instead of polluting the map.
+    0; that is the class constant infinity_weight, not an entry of the map.
     """
 
     counts: dict[int, int]
     q: int
     order: int
-    infinity_weight: int = 0
+    infinity_weight: ClassVar[int] = 0
 
     @property
     def size(self) -> int:

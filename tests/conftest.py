@@ -1,7 +1,7 @@
 import pytest
 
 from scatlin import QPoly, gf, make_field
-from scatlin.linalg import mat_inv
+from scatlin.linalg import rref
 
 
 @pytest.fixture(scope="session")
@@ -57,12 +57,14 @@ def monomial(F, i, c=1):
 
 def compose_inverse(P):
     """The inverse of an invertible q-polynomial: solve Q o P = id, which is
-    linear in Q's six coefficients."""
+    linear in Q's six coefficients.  The rref of [M | I] is [I | M^-1]."""
     ctx = P.ctx
-    M = [[ctx.frobenius(P.coeffs[(t - k) % 6], k) for k in range(6)]
-         for t in range(6)]
-    Minv = mat_inv(ctx, M)
-    return QPoly(ctx, [Minv[k][0] for k in range(6)])
+    one, zero = ctx.one(), ctx.zero()
+    aug = [[ctx.frobenius(P.coeffs[(t - k) % 6], k) for k in range(6)]
+           + [one if j == t else zero for j in range(6)] for t in range(6)]
+    rows, pivots = rref(ctx, aug)
+    assert pivots == list(range(6)), "P is not invertible"
+    return QPoly(ctx, [rows[k][6] for k in range(6)])
 
 
 def semilinear_image(f, w):

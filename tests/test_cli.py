@@ -109,6 +109,13 @@ def test_mrd_cli_q7_full_distribution():
     assert rep["result"]["mrd"] is True
 
 
+def test_mrd_cli_idealisers_over_f4():
+    """At q = 4 the idealisers are F_2-kernels, and the report gives their
+    F_q-dimensions, 6 and 6 for the Gabidulin-like code of x^q."""
+    rep = run_json("mrd", "--field", "2^2", "--poly", "pseudoregulus")
+    assert rep["result"]["idealisers"] == {"left": 6, "right": 6}
+
+
 def test_internal_invariant_exit_3(monkeypatch, capsys):
     """A failed cross-check is a bug signal: exit 3, not 1 or 2."""
     monkeypatch.setattr(RankCode, "codeword_rank", lambda C, a, b: 4)

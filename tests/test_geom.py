@@ -12,6 +12,7 @@ from scatlin.family import (enumerate_h, family_poly, lp_delta_samples,
                             u3_delta_samples, u4_deltas)
 from scatlin.geom import (ProjSubspace, disjoint_from_sigma, gamma_of,
                           intersect, intn, sigma_hat, sigma_hat_vector, vertex)
+from scatlin.linalg import rref
 
 
 def sigma_points(F):
@@ -167,6 +168,55 @@ def test_intersect_dimension_lower_bound(f3):
         got = intersect(A, B).pdim
         assert got >= A.pdim + B.pdim - 5
         assert got <= min(A.pdim, B.pdim)
+
+
+def zassenhaus_intersect(S, T):
+    """The reference route intersect replaced: reduce the rows [[A|A],[B|0]];
+    the rows whose left half vanished have right halves spanning S cap T."""
+    ctx, zero = S.ctx, S.ctx.zero()
+    stacked = [list(r) + list(r) for r in S.rows] + [list(r) + [zero] * 6 for r in T.rows]
+    if not stacked:
+        return ProjSubspace.empty(ctx)
+    reduced, _ = rref(ctx, stacked)
+    return ProjSubspace(ctx, [row[6:] for row in reduced
+                              if all(c.is_zero() for c in row[:6])])
+
+
+def random_subspace(F, rng, k):
+    """The span of k random vectors: k = 0 is the empty subspace, and k = 6
+    is nearly always the full space."""
+    return ProjSubspace(F, [[F.elem_at(rng.randrange(F.order)) for _ in range(6)]
+                            for _ in range(k)])
+
+
+def test_intersect_matches_zassenhaus(f3):
+    """600 pairs at q = 3 of every vector dimension 0..6, the empty and the
+    full space included; a third of them share a random subspace, so that
+    intersections of every dimension occur."""
+    rng = random.Random(78)
+    seen = set()
+    for n in range(600):
+        S, T = (random_subspace(f3, rng, rng.randrange(7)) for _ in range(2))
+        if n % 3 == 0:
+            common = random_subspace(f3, rng, rng.randrange(1, 4))
+            S = ProjSubspace(f3, list(S.rows) + list(common.rows))
+            T = ProjSubspace(f3, list(T.rows) + list(common.rows))
+        got = intersect(S, T)
+        assert got == zassenhaus_intersect(S, T)
+        seen.add((S.pdim, T.pdim, got.pdim))
+    assert {d for _, _, d in seen} == set(range(-1, 6))
+    assert {s for s, _, _ in seen} == set(range(-1, 6))
+
+
+@pytest.mark.parametrize("fixture", ["f3", "f5"])
+def test_intn_matches_zassenhaus(fixture, request, monkeypatch):
+    """intn of every vertex, under sigma_hat and sigma_hat^5, is the same
+    chain with the reference intersection."""
+    F = request.getfixturevalue(fixture)
+    vertices = [gamma_of(h) for h in enumerate_h(F)]
+    got = [(intn(G, 1), intn(G, 5)) for G in vertices]
+    monkeypatch.setattr(geom, "intersect", zassenhaus_intersect)
+    assert got == [(intn(G, 1), intn(G, 5)) for G in vertices]
 
 
 def test_intn_chain_q3(f3):

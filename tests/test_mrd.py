@@ -8,7 +8,7 @@ from scatlin import scatter
 from scatlin.equiv import EquivWitness
 from scatlin.errors import BudgetExceeded, DegenerateInput, InternalInvariant
 from scatlin.family import enumerate_h, family_poly, u4_deltas
-from scatlin.linalg import rank as mat_rank
+from scatlin.linalg import nullspace, nullspace_mod_p
 from scatlin.mrd import (CROSS_CHECKS, RankCode, code_from, idealisers, mrd_report,
                          rank_distribution)
 from scatlin.qpoly import QPoly
@@ -226,24 +226,102 @@ def in_code(C, w):
     return C.codeword(c, w.coeffs[0] - c * f[0]) == w
 
 
-def test_membership_rows_match_reference(f3):
-    """_membership_rows vanish exactly on C: on codewords, and on codewords
-    plus one e x^(q^j) for every j >= 1, against in_code.  Two of the f
-    have f_1 = 0, so the pivot is not slot 1 and slot 1 is an equation."""
-    rng = random.Random(59)
-    polys = [family_poly(f3, "new_fh", enumerate_h(f3)[0]),
-             family_poly(f3, "csajbok_mp", mp_delta(f3)).adjoint(),
-             QPoly(f3, ["g^3", 0, 0, "g^7", 0, "g^2"])]
-    assert [f.coeffs[1].is_zero() for f in polys] == [False, True, True]
+def pair_digits(F, a, b) -> list:
+    """The base-p digits of a, then of b (Field.packed), as one F_p-vector."""
+    return [F.packed(F.element(x)) // F.p ** i % F.p for x in (a, b) for i in range(F.deg)]
 
-    def elem():
-        return f3.elem_at(rng.randrange(1, f3.order))
-    for f in polys:
+
+def fp_rank(rows, p) -> int:
+    return len(rows[0]) - len(nullspace_mod_p(rows, p))
+
+
+def fp_span(F, pairs, scalars=(1,)):
+    """The canonical F_p-basis of the span of the pairs times the scalars:
+    the nullspace of the nullspace."""
+    rows = [pair_digits(F, F.element(c) * a, F.element(c) * b)
+            for a, b in pairs for c in scalars]
+    if not rows:
+        return []
+    return nullspace_mod_p(nullspace_mod_p(rows, F.p), F.p).tolist()
+
+
+def reference_idealisers(C):
+    """The scalar route the W_0 kernel replaced: F_q-bases, as (a, b) pairs
+    of a f + b id in the basis 1, g, ..., g^5, each one nullspace over the
+    12 F_q-coordinates of (a, b).  w = c f + d id iff w_j f_i = w_i f_j for
+    the four j outside {0, i} (i the first slot >= 1 with f_i != 0), read in
+    the trace coordinates Tr(y g^l): 24 rows per image.  psi is in R iff
+    f o psi is in C (24 rows); phi is in L iff phi o w is, for the 12
+    F_q-basis codewords w (288 rows)."""
+    ctx, f = C.ctx, C.f.coeffs
+    basis = [ctx.from_exp(j) for j in range(6)]
+    zero = ctx.zero()
+    i = C.f.first_q_term()
+    words = [C.codeword(x, zero) for x in basis] + [C.codeword(zero, x) for x in basis]
+
+    def coordinates(y):
+        return [ctx.trace(y * x, 1) for x in basis]
+
+    def membership_rows(w):
+        return [x for j in range(1, 6) if j != i
+                for x in coordinates(w.coeffs[j] * f[i] - w.coeffs[i] * f[j])]
+
+    def element(v):
+        return sum((c * x for c, x in zip(v, basis)), start=zero)
+
+    def kernel(images):
+        cols = [[x for w in images(psi) for x in membership_rows(w)] for psi in words]
+        return [(element(v[:6]), element(v[6:]))
+                for v in nullspace(ctx, list(zip(*cols)), 12)]
+
+    return (kernel(lambda phi: [phi.compose(w) for w in words]),
+            kernel(lambda psi: [C.f.compose(psi)]))
+
+
+def reference_members(F):
+    """The pinned members (case1 and x^(q^3) included) at odd q, and the
+    families that exist at q = 4."""
+    x_q3 = monomial(F, 3)
+    if F.p != 2:
+        return [f for f, _ in known_members(F)] + [family_poly(F, "case1"), x_q3]
+    return [family_poly(F, "pseudoregulus"), family_poly(F, "lp", "g^1"),
+            family_poly(F, "csajbok_mp", "g^1"), family_poly(F, "case1"),
+            *(family_poly(F, "new_fh", h) for h in enumerate_h(F)[:2]), x_q3]
+
+
+@pytest.mark.parametrize("fixture", ["f3", "f4", "f5", "f7"])
+def test_idealisers_match_reference(fixture, request):
+    """The W_0 kernel and the scalar reference give the same idealisers:
+    the same F_q-spans (the reference's F_q-bases times an F_p-basis of
+    F_q, against the kernel's F_p-bases), so the F_q-dimension is the
+    kernel basis length over s; x^(q^3) is the case L = R = C."""
+    F = request.getfixturevalue(fixture)
+    fq_basis = [F.from_exp(F.N // (F.q - 1) * j) for j in range(F.s)]  # powers of a generator of F_q
+    for f in reference_members(F):
         C = code_from(f)
-        for _ in range(4):
-            w = C.codeword(elem(), elem())
-            for v in [w] + [w + monomial(f3, j, elem()) for j in range(1, 6)]:
-                assert all(x.is_zero() for x in C._membership_rows(v)) == in_code(C, v)
+        got, ref = idealisers(C), reference_idealisers(C)
+        for new, old in zip(got, ref):
+            assert len(new) == F.s * len(old), f.tag
+            assert fp_span(F, new) == fp_span(F, old, fq_basis), f.tag
+        assert mrd_report(C)["idealisers"] == {"left": len(ref[0]), "right": len(ref[1])}
+
+
+@pytest.mark.parametrize("fixture", ["f4", "f5", "f7"])
+def test_explicit_rank_matches_dickson(fixture, request):
+    """test_rank_route_agreement at q = 4, 5 and 7: the digit matrix route
+    gives the Dickson rank on 20 random codewords of f_h, and (q odd) on
+    case1's bucket sample, which covers every weight class."""
+    F = request.getfixturevalue(fixture)
+    rng = random.Random(60 + F.q)
+    f = family_poly(F, "new_fh", enumerate_h(F)[1])
+    C = code_from(f)
+    for _ in range(20):
+        a, b = (F.elem_at(rng.randrange(F.order)) for _ in range(2))
+        assert C.codeword_rank_explicit(a, b) == C.codeword_rank(a, b)
+    if F.p != 2:
+        C = code_from(family_poly(F, "case1"))
+        for m, w in scatter._bucket_sample(F, *scatter._buckets(C.f)[1:], 8):
+            assert C.codeword_rank_explicit(1, -m) == C.codeword_rank(1, -m) == 6 - w
 
 
 @pytest.mark.parametrize("fixture", ["f3", "f5", "f7"])
@@ -286,7 +364,8 @@ def test_idealiser_bases_checked_directly(f3):
     """Every right basis element psi has f o psi in C, every left one phi has
     phi o w in C for the 12 F_q-basis codewords w, both found through
     RankCode.codeword; F_q id lies in R; and pairs outside the span of R
-    fail (dimension is exact on that side too)."""
+    fail (dimension is exact on that side too).  Spans are taken over the
+    base-p digits of a and b (F_p = F_q at q = 3)."""
     rng = random.Random(58)
     basis = [f3.from_exp(j) for j in range(6)]
     for f, _ in known_members(f3):
@@ -298,15 +377,12 @@ def test_idealiser_bases_checked_directly(f3):
         for a, b in left:
             phi = C.codeword(a, b)
             assert all(in_code(C, phi.compose(w)) for w in words)
-
-        def coords(a, b):
-            return C._coordinates(f3.element(a)) + C._coordinates(f3.element(b))
-        span = [coords(a, b) for a, b in right]
-        assert mat_rank(f3, span + [coords(0, 1)]) == len(right)
+        span = [pair_digits(f3, a, b) for a, b in right]
+        assert fp_rank(span + [pair_digits(f3, 0, 1)], 3) == len(right)
         outside = 0
         while outside < 8:
             a, b = (f3.elem_at(rng.randrange(f3.order)) for _ in range(2))
-            if mat_rank(f3, span + [coords(a, b)]) > len(right):
+            if fp_rank(span + [pair_digits(f3, a, b)], 3) > len(right):
                 assert not in_code(C, f.compose(C.codeword(a, b)))
                 outside += 1
 
