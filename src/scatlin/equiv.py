@@ -272,23 +272,17 @@ def pgl_linear_sets_equivalent(f: QPoly, g: QPoly, g_family: str | None) -> dict
 
 def witness_space(f: QPoly, g: QPoly, rho: int) -> np.ndarray:
     """An F_p-basis of W_rho = {(a, b) : g o (a id + b f^rho) = c id + d f^rho},
-    rows of the base-p digits of a (digit j: the coefficient of X^j, as in
-    Field.packed), then of b."""
+    rows of the F_p digits of a, then of b (Field.from_digits reads them)."""
     return _test_kernel(f.ctx, _rho_plan(f.ctx, f, g, rho)[2])
 
 
 def _test_kernel(ctx: Field, tests) -> np.ndarray:
     """The F_p-basis of witness_space: where the test rows of a _rho_plan
-    vanish.  A row's value at a or b = X^j is a sum of six terms, so its
-    digits are the sums of theirs mod p: 6s equations per row."""
-    k, p, N = ctx.deg, ctx.p, ctx.N
-    place = p ** np.arange(k)  # the packed value of X^j
-    xq = np.stack([ctx.v_frob(ctx._log[place], t) for t in range(TOWER)])  # (X^j)^(q^t)
-    coef = np.array([[x.val for x in row] for row in tests])
-    coef = coef.reshape(len(tests), 2, TOWER, 1)  # the a and b halves of each row
-    terms = np.where(coef == N, 0, ctx._pow_packed[(coef + xq) % N])  # by (row, half, t, j)
-    digits = (terms[..., None] // place % p).sum(axis=2) % p  # by (row, half, j, digit)
-    return nullspace_mod_p(digits.transpose(0, 3, 1, 2).reshape(-1, 2 * k), p)
+    vanish.  A row is a q-polynomial in a (its first six entries) plus one
+    in b, so its two digit matrices side by side give 6s equations."""
+    coef = np.array([[x.val for x in row] for row in tests]).reshape(len(tests), 2, TOWER)
+    M = ctx.digit_matrix(coef)  # by (row, half, digit, j)
+    return nullspace_mod_p(M.transpose(0, 2, 1, 3).reshape(-1, 2 * ctx.deg), ctx.p)
 
 
 def l4_target(ctx: Field, delta: FieldElem, variant: str) -> QPoly:
@@ -325,7 +319,7 @@ def check_system_L4(h: FieldElem, delta: FieldElem, variant: str) -> dict:
             continue
         coef = np.indices((p,) * len(basis)).reshape(len(basis), -1).T[1:]
         vecs = coef @ basis % p  # every nonzero vector of W_rho
-        ea, eb = ctx._log[vecs.reshape(-1, 2, k) @ p ** np.arange(k)].T
+        ea, eb = ctx.from_digits(vecs.reshape(-1, 2, k)).T
         c, d, det = _solve_cd(ctx, _terms(d_row), _terms(c_row),
                               [ctx.v_frob(x, t) for x in (ea, eb) for t in range(TOWER)])
         good = np.flatnonzero(det != N)

@@ -526,6 +526,27 @@ class Field:
             return "0"
         return "g^%d" % x.val
 
+    # -- F_p digits ----------------------------------------------------------
+    # Digit j of an element is its coefficient of X^j (base-p digit j of its
+    # packed value); F_q-linear algebra on F_p goes through these two methods.
+
+    def digit_matrix(self, coeffs) -> np.ndarray:
+        """The k x k F_p-matrix, k = 6s, of each q-polynomial sum a_t x^(q^t)
+        whose coefficient exponents a_0 .. a_5 (N for zero) lie on the last
+        axis of coeffs; other axes batch.  Entry [..., i, j] is digit i of
+        the image of X^j."""
+        k, p, N = self.deg, self.p, self.N
+        place = p ** np.arange(k)  # the packed value of X^j
+        xq = np.outer(self._qpow, self._log[place]) % N  # (X^j)^(q^t) by (t, j)
+        c = np.asarray(coeffs, dtype=np.int64)[..., None]
+        terms = np.where(c == N, 0, self._pow_packed[(c + xq) % N])  # by (..., t, j)
+        return (terms[..., None, :] // place[:, None] % p).sum(axis=-3) % p
+
+    def from_digits(self, d) -> np.ndarray:
+        """Exponents (N for zero) of the elements whose digits 0 .. k - 1 lie
+        on the last axis of d."""
+        return self._log[np.asarray(d, dtype=np.int64) @ self.p ** np.arange(self.deg)]
+
     # -- enumeration -----------------------------------------------------------
 
     def elements(self):

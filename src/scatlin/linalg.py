@@ -1,7 +1,8 @@
 """Exact dense linear algebra over a Field (no tolerances, first-pivot rule).
 
 Matrices are lists of lists of FieldElem, or numpy integers over F_p in
-nullspace_mod_p.  All are tiny (6x6 to 24x12), so clarity beats asymptotics.
+nullspace_mod_p.  All are tiny (at most 6 columns of FieldElem, or 24s x 12s
+over F_p for q = p^s), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -44,13 +45,6 @@ def det(ctx: Field, mat) -> FieldElem:
     if sign < 0:
         out = -out
     return out
-
-
-def rank(ctx: Field, mat) -> int:
-    if not mat:
-        return 0
-    _, pivots = rref(ctx, mat)
-    return len(pivots)
 
 
 def rref(ctx: Field, mat) -> tuple[list[list[FieldElem]], list[int]]:

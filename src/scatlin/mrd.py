@@ -4,10 +4,8 @@ Codewords are F_q-linear maps on F_{q^6}; the code is the F_{q^6}-span of
 {f, id} and has q^12 codewords when f is not a multiple of x (otherwise
 RankCode raises DegenerateInput).
 
-Ranks are computed through 6x6 Dickson matrices over F_{q^6} (constant-size
-exact elimination) and cross-checkable against the explicit 6s x 6s matrix
-over F_p of the codeword: the base-p digits (Field.packed) of its images of
-X^j, whose F_p-rank is s times the F_q-rank.
+A codeword's rank is QPoly.rank: the F_p-rank of its 6s x 6s digit matrix
+(Field.digit_matrix) over s.
 
 The full rank distribution is read off the oracle's bucketing pass: ranks are
 constant on the F_{q^6}*-orbits (0, 0), (0, 1), (1, b), and f + b id has rank
@@ -32,7 +30,6 @@ import numpy as np
 from .equiv import witness_space
 from .errors import BudgetExceeded, InternalInvariant
 from .gf import TOWER, Field
-from .linalg import nullspace_mod_p
 from .qpoly import QPoly
 from . import scatter as _scatter
 
@@ -70,18 +67,8 @@ class RankCode:
         return self.f.scale(a) + QPoly.identity(ctx).scale(b)
 
     def codeword_rank(self, a, b) -> int:
-        """Rank of x -> a f(x) + b x via its Dickson matrix."""
+        """F_q-rank of x -> a f(x) + b x (QPoly.rank)."""
         return self.codeword(a, b).rank()
-
-    def codeword_rank_explicit(self, a, b) -> int:
-        """Rank of the codeword's explicit matrix over F_p, whose row j holds
-        the base-p digits of the image of X^j, divided by s: the cross-check
-        route for codeword_rank."""
-        ctx, word = self.ctx, self.codeword(a, b)
-        k, p = ctx.deg, ctx.p
-        images = [ctx.packed(word(ctx.from_packed(p ** j))) for j in range(k)]
-        rows = [[v // p ** i % p for i in range(k)] for v in images]
-        return (k - len(nullspace_mod_p(rows, p))) // ctx.s
 
 
 def code_from(f: QPoly) -> RankCode:
@@ -148,14 +135,9 @@ def idealisers(C: RankCode) -> tuple[list, list]:
     a = 0 or f o C lies in C, that is iff the right idealiser is all of C:
     the left one is F_{q^6} id, or C when W_0 has dimension 12s.
     """
-    ctx = C.ctx
-    k, p = ctx.deg, ctx.p
-    place = p ** np.arange(k)  # the packed value of X^j
-
-    def element(digits):
-        return ctx.from_packed(int(digits @ place))
-
-    right = [(element(v[k:]), element(v[:k])) for v in witness_space(C.f, C.f, 0)]
+    ctx, k = C.ctx, C.ctx.deg
+    ea, eb = ctx.from_digits(witness_space(C.f, C.f, 0).reshape(-1, 2, k)).T
+    right = [(ctx.elem_of_exp(b), ctx.elem_of_exp(a)) for a, b in zip(ea, eb)]
     if len(right) == 2 * k:
         return right, right
-    return [(ctx.zero(), ctx.from_packed(int(x))) for x in place], right
+    return [(ctx.zero(), ctx.elem_of_exp(e)) for e in ctx.from_digits(np.eye(k))], right

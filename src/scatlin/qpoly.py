@@ -12,6 +12,8 @@ Golden tests reproduce the two reference matrices of the family under study
 (constant pattern {1, -1, 0} and the h-power pattern) bit for bit, which
 pins the convention against its transpose.
 
+Ranks come from F_p instead: QPoly.rank eliminates Field.digit_matrix of f.
+
 multilinear_det_expansion writes det(A + diag(x_i)) as a sum over subsets of
 the variables, each coefficient a principal minor of A.
 """
@@ -182,11 +184,14 @@ class QPoly:
     # -- rank and kernel --------------------------------------------------------------
 
     def rank(self) -> int:
-        """Rank of f as an F_q-linear map = rank of its Dickson matrix."""
-        return linalg.rank(self.ctx, self.dickson())
+        """Rank of f as an F_q-linear map: the F_p-rank of its digit matrix
+        (Field.digit_matrix), which is s times the F_q-rank."""
+        ctx = self.ctx
+        M = ctx.digit_matrix([c.val for c in self.coeffs])
+        return (ctx.deg - len(linalg.nullspace_mod_p(M, ctx.p))) // ctx.s
 
     def kernel_dim(self) -> int:
-        """dim_{F_q} ker f = 6 - rank(dickson(f)); equals log_q #roots of f."""
+        """dim_{F_q} ker f = 6 - rank(f); equals log_q #roots of f."""
         return TOWER - self.rank()
 
 

@@ -131,7 +131,8 @@ class ScatterVerdict:
 
 
 def point_weight(f: QPoly, m) -> int:
-    """dim_{F_q} ker(f - m*x): the weight of the point <(1, m)>."""
+    """dim_{F_q} ker(f - m*x), from its digit matrix (QPoly.kernel_dim): the
+    weight of the point <(1, m)>."""
     return f.minus_m_x(m).kernel_dim()
 
 

@@ -55,6 +55,17 @@ def monomial(F, i, c=1):
     return QPoly(F, [F.element(c) if j == i % 6 else F.zero() for j in range(6)])
 
 
+def mat_rank(ctx, mat) -> int:
+    """Rank of a matrix over ctx: the pivots of its scalar rref."""
+    return len(rref(ctx, mat)[1])
+
+
+def dickson_rank(f) -> int:
+    """The reference route for QPoly.rank: the rank over F_{q^6} of f's
+    Dickson matrix, which is f's F_q-rank."""
+    return mat_rank(f.ctx, f.dickson())
+
+
 def compose_inverse(P):
     """The inverse of an invertible q-polynomial: solve Q o P = id, which is
     linear in Q's six coefficients.  The rref of [M | I] is [I | M^-1]."""

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scatlin import gf, make_field, parse_field_spec
+from scatlin import QPoly, gf, make_field, parse_field_spec
 from scatlin.errors import (BadSubfield, CtxMismatch, DivisionByZero,
                             InternalInvariant, NotPrime, TooLarge)
 from scatlin.gf import (EXP, Field, _det_mod_p, _digits, _is_irreducible,
@@ -145,6 +145,43 @@ def test_norm_is_determinant(f3, f5, f7, f9):
             M = _mult_matrix(F.modulus, c, p)
             norm = _matpow(M, (p**k - 1) // (p - 1), p)
             assert np.array_equal(norm, _det_mod_p(M, p) * np.eye(k, dtype=np.int64))
+
+
+def test_digit_matrix_of_multiplication(f3, f4, f5, f9):
+    """The digit matrix of x -> a x is _mult_matrix of a's digits, the
+    construction-time builder: 50 seeded a per field, zero included."""
+    rng = random.Random(18)
+    for F in (f3, f4, f5, f9):
+        for e in [F.N] + [rng.randrange(F.N) for _ in range(49)]:
+            a = _digits(F.packed(F.elem_of_exp(e)), F.p, F.deg)
+            M = F.digit_matrix([e] + [F.N] * 5)
+            assert np.array_equal(M, _mult_matrix(F.modulus, a, F.p))
+
+
+def test_digit_matrix_batches(f3, f9):
+    """A batch of coefficient rows, zeros included, gives the matrices of
+    the rows one by one, and column j of each holds the digits of the
+    scalar image of X^j."""
+    rng = np.random.default_rng(19)
+    for F in (f3, f9):
+        coeffs = rng.integers(0, F.N + 1, size=(3, 4, 6))
+        coeffs[0, 0] = F.N
+        coeffs[1, :, 2:] = F.N
+        M = F.digit_matrix(coeffs)
+        assert M.shape == (3, 4, F.deg, F.deg)
+        for i, j in np.ndindex(3, 4):
+            assert np.array_equal(M[i, j], F.digit_matrix(coeffs[i, j]))
+            f = QPoly(F, [F.elem_of_exp(e) for e in coeffs[i, j]])
+            images = [F.packed(f(F.from_packed(F.p ** c))) for c in range(F.deg)]
+            assert M[i, j].T.tolist() == [_digits(v, F.p, F.deg) for v in images]
+
+
+def test_from_digits_inverts_packed(f3):
+    """from_digits reads every element of F_(3^6) back from the base-p
+    digits of its packed value, zero included."""
+    elems = list(f3.elements())
+    digits = [_digits(f3.packed(x), f3.p, f3.deg) for x in elems]
+    assert f3.from_digits(digits).tolist() == [x.val for x in elems]
 
 
 def test_wide_layout():

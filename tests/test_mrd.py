@@ -14,12 +14,12 @@ from scatlin.mrd import (CROSS_CHECKS, RankCode, code_from, idealisers, mrd_repo
 from scatlin.qpoly import QPoly
 from scatlin.scatter import is_scattered_oracle, point_weight
 
-from conftest import monomial, semilinear_image
+from conftest import dickson_rank, monomial, semilinear_image
 
 
 def elimination_distribution(C):
-    """Reference: one Dickson elimination per orbit representative (0, 1) and
-    (1, b) for every b; each nonzero orbit has q^6 - 1 codewords."""
+    """Reference: one codeword_rank elimination per orbit representative
+    (0, 1) and (1, b) for every b; each nonzero orbit has q^6 - 1 codewords."""
     ctx = C.ctx
     counts = {0: 1}
     for a, b in [(ctx.zero(), ctx.one())] + [(ctx.one(), b) for b in ctx.elements()]:
@@ -50,16 +50,6 @@ def test_codeword_ranks(f3):
     assert C.codeword_rank(0, 0) == 0
     assert C.codeword_rank(0, 1) == 6
     assert C.codeword_rank(1, 0) == 6  # scattered f is bijective
-
-
-def test_rank_route_agreement(f3):
-    """Dickson-matrix ranks match the explicit F_q-matrix ranks (1000 words)."""
-    rng = random.Random(55)
-    C = code_from(family_poly(f3, "new_fh", enumerate_h(f3)[0]))
-    for _ in range(1000):
-        a = f3.elem_at(rng.randrange(f3.order))
-        b = f3.elem_at(rng.randrange(f3.order))
-        assert C.codeword_rank(a, b) == C.codeword_rank_explicit(a, b)
 
 
 def test_mrd_for_scattered_family(f3):
@@ -306,22 +296,22 @@ def test_idealisers_match_reference(fixture, request):
         assert mrd_report(C)["idealisers"] == {"left": len(ref[0]), "right": len(ref[1])}
 
 
-@pytest.mark.parametrize("fixture", ["f4", "f5", "f7"])
+@pytest.mark.parametrize("fixture", ["f3", "f4", "f5", "f7", "f9"])
 def test_explicit_rank_matches_dickson(fixture, request):
-    """test_rank_route_agreement at q = 4, 5 and 7: the digit matrix route
-    gives the Dickson rank on 20 random codewords of f_h, and (q odd) on
+    """codeword_rank, the F_p-rank of the explicit digit matrix over s,
+    equals the Dickson-matrix rank over F_{q^6} (dickson_rank): on 1000
+    random codewords of f_h at q = 3 and 20 elsewhere, and (q odd) on
     case1's bucket sample, which covers every weight class."""
     F = request.getfixturevalue(fixture)
-    rng = random.Random(60 + F.q)
-    f = family_poly(F, "new_fh", enumerate_h(F)[1])
-    C = code_from(f)
-    for _ in range(20):
+    rng = random.Random(55 if F.q == 3 else 60 + F.q)
+    C = code_from(family_poly(F, "new_fh", enumerate_h(F)[0 if F.q == 3 else 1]))
+    for _ in range(1000 if F.q == 3 else 20):
         a, b = (F.elem_at(rng.randrange(F.order)) for _ in range(2))
-        assert C.codeword_rank_explicit(a, b) == C.codeword_rank(a, b)
+        assert C.codeword_rank(a, b) == dickson_rank(C.codeword(a, b))
     if F.p != 2:
         C = code_from(family_poly(F, "case1"))
         for m, w in scatter._bucket_sample(F, *scatter._buckets(C.f)[1:], 8):
-            assert C.codeword_rank_explicit(1, -m) == C.codeword_rank(1, -m) == 6 - w
+            assert C.codeword_rank(1, -m) == dickson_rank(C.codeword(1, -m)) == 6 - w
 
 
 @pytest.mark.parametrize("fixture", ["f3", "f5", "f7"])

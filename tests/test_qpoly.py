@@ -7,11 +7,11 @@ import pytest
 
 from scatlin import QPoly
 from scatlin.errors import DegenerateInput
-from scatlin.linalg import det, rank
+from scatlin.linalg import det
 from scatlin.family import family_poly
 from scatlin.scatter import _criterion_matrices
 
-from conftest import monomial
+from conftest import dickson_rank, mat_rank, monomial
 
 
 def mat_mul(ctx, A, B):
@@ -161,7 +161,7 @@ def test_dickson_multiplicativity(f3):
 def test_det_rank_basics(f3):
     one, zero = f3.one(), f3.zero()
     I6 = [[one if i == j else zero for j in range(6)] for i in range(6)]
-    assert det(f3, I6) == one and rank(f3, I6) == 6
+    assert det(f3, I6) == one and mat_rank(f3, I6) == 6
     M = [list(r) for r in I6]
     M[3] = list(M[2])
     assert det(f3, M).is_zero()
@@ -186,7 +186,21 @@ def test_det_nonzero_iff_full_rank(f3):
     rng = random.Random(14)
     for _ in range(15):
         M = [[f3.elem_at(rng.randrange(f3.order)) for _ in range(4)] for _ in range(4)]
-        assert (not det(f3, M).is_zero()) == (rank(f3, M) == 4)
+        assert (not det(f3, M).is_zero()) == (mat_rank(f3, M) == 4)
+
+
+@pytest.mark.parametrize("fixture", ["f3", "f4", "f9"])
+def test_rank_special_maps(fixture, request):
+    """QPoly.rank against dickson_rank on the zero map (0), on x -> a x and
+    on each monomial a x^(q^i) (6 for every a != 0)."""
+    F = request.getfixturevalue(fixture)
+    rng = random.Random(15)
+    maps = [(QPoly.zero(F), 0)]
+    for _ in range(5):
+        a = F.from_exp(rng.randrange(F.N))
+        maps += [(monomial(F, i, a), 6) for i in range(6)]
+    for f, r in maps:
+        assert f.rank() == dickson_rank(f) == r
 
 
 def test_kernel_dim(f3):
