@@ -26,13 +26,16 @@ tables on first use, not with the field.  The power table comes from doubling
 the g-orbit on carry-free packed words: each F_p digit gets its own B-bit
 field (2^(B-1) >= p), so multiplying a block of powers by g^m is a sum of
 gathers from per-chunk tables of that F_p-linear map, reduced mod p digit by
-digit with two bit operations after every add.  Every whole-field scan (the
-scatteredness deciders, the trace table, the lemma roots) takes its
-exponent ranges from Field.conjugate_slices: the progressions
-e K mod N for the multipliers K a scan names (by default the conjugates
-e q^v), slice by slice, in 32-bit adds.  The table build and the scans
-share one slice size, _CHUNK, so no pass allocates N-element temporaries
-beyond the tables themselves.
+digit with two bit operations after every add.  Whole-field scans walk
+the exponents slice by slice in one of two ways.  Field.linear_slices
+evaluates an F_p-linear map L (the scatteredness oracle's f, the trace of
+the trace table) at g^e: the low and high halves of the packed value of g^e
+index two q^3-entry tables of L's images, and one Zech add sums them.
+Field.conjugate_slices yields the progressions c + e K mod N for the
+offsets c and multipliers K a scan names (by default the conjugates e q^v),
+in 32-bit adds, for the Dickson criterion and the lemma roots.  The table
+build and the scans share one slice size, _CHUNK, so no pass allocates
+N-element temporaries beyond the tables themselves.
 
 Determinism: the modulus is the first irreducible in ascending packed
 coefficient order (constant term is the least significant base-p digit), the
@@ -65,7 +68,7 @@ DEFAULT_ZECH_LIMIT = 1 << 24  # largest field order make_field builds
 EXP = np.uint32  # dtype of exponent arrays and of the Zech tables
 _ACC_ZERO = 1 << 31  # zero inside a v_lincomb accumulator; see v_lincomb
 _CHUNK = 1 << 16  # elements per slice of every whole-field pass; see _spans
-# terms of each progression e K mod N that conjugate_slices forms by int64
+# terms of each progression c + e K mod N that conjugate_slices forms by int64
 # division before it doubles in 32-bit; below about this length a doubling
 # step costs more in call overhead than the divisions it saves
 _SEED = 1 << 10
@@ -75,9 +78,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def _spans(n: int):
     """(lo, hi) for the _CHUNK slices of range(n).  Whole-field passes (the
-    table build and the scans through Field.conjugate_slices) work slice by
-    slice, so a slice's working set stays in L2 and no pass allocates
-    N-element temporaries."""
+    table build and the scans through Field.linear_slices and
+    Field.conjugate_slices) work slice by slice, so a slice's working set
+    stays in L2 and no pass allocates N-element temporaries."""
     return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
 
 
@@ -805,7 +808,8 @@ class Field:
         the zero element; add[a * q + b] is the index of the sum of the
         elements with indices a and b.  Write e = r + R i with r < R: g^e is
         g^r times lambda = g^(R i) in F_q^*, and Tr(lambda x) = lambda Tr(x),
-        so one v_lincomb over the R coset representatives gives every entry.
+        so one linear_slices walk of the trace, an F_p-linear map, over the
+        R coset representatives gives every entry.
         """
         if self._fq_tables is not None:
             return self._fq_tables
@@ -813,8 +817,9 @@ class Field:
         R = N // (q - 1)
         rep = np.empty(R, dtype=np.uint8)  # F_q index of Tr(g^r)
         terms = [(0, (v,)) for v in range(TOWER)]
-        for lo, bases in self.conjugate_slices(R):
-            tr = self.v_lincomb(terms, bases)
+        images = [self.v_lincomb(terms, [self.v_frob(x, v) for v in range(TOWER)])
+                  for x in self.half_basis()]
+        for lo, tr in self.linear_slices(R, *images):
             zero = tr == N
             if np.any(tr[~zero] % R):
                 raise InternalInvariant("a trace lies outside F_q (bug)")
@@ -833,13 +838,14 @@ class Field:
         self._fq_tables = (trace, add)
         return self._fq_tables
 
-    def conjugate_slices(self, stop: int, mults=None):
+    def conjugate_slices(self, stop: int, mults=None, starts=None):
         """Yield (lo, bases) for the _CHUNK slices [lo, hi) of the exponents
-        e < stop (stop <= N), where bases[j] holds e K mod N for the j-th
-        multiplier K of mults (integers >= 0), the exponent of m^K at
+        e < stop (stop <= N), where bases[j] holds c + e K mod N for the j-th
+        multiplier K of mults (integers >= 0) and the j-th offset c of
+        starts (exponents < N, all 0 by default), the exponent of g^c m^K at
         m = g^e.  The default multipliers are the six q^v, so bases[v] is
-        the exponent of the conjugate m^(q^v).  Every whole-field scan takes
-        its exponent ranges from here.
+        the exponent of the conjugate m^(q^v).  Every exponent-progression
+        scan takes its ranges from here.
 
         The first _SEED entries of each array are int64 products reduced
         mod N, and the rest is 32-bit adds, each reduced by one conditional
@@ -849,12 +855,13 @@ class Field:
         """
         N = self.N
         mults = self._qpow if mults is None else mults
+        starts = [0] * len(mults) if starts is None else starts
         n = min(_CHUNK, stop)
         m = min(_SEED, n)
         e = np.arange(m, dtype=np.int64)
         bases = [np.empty(n, dtype=EXP) for _ in mults]
-        for b, K in zip(bases, mults):
-            b[:m] = e * K % N
+        for b, K, c in zip(bases, mults, starts):
+            b[:m] = (c + e * K) % N
         tmp = np.empty(n, dtype=EXP)
         while m < n:
             w = min(m, n - m)
@@ -865,6 +872,59 @@ class Field:
             yield lo, [b[:hi - lo] for b in bases]
             for b, K in zip(bases, mults):
                 _add_reduce(b, n * K % N, N, b, tmp)
+
+    def half_basis(self):
+        """(low, high): the exponents (N for zero) of the elements with
+        packed values j and j q^3, j < q^3.  The low and high 3s base-p
+        digits of x's packed value split x = x_low + x_high, so an
+        F_p-linear map L is known on all of F_(q^6) from its images of
+        these 2 q^3 elements (linear_slices)."""
+        h = self.q**3
+        j = np.arange(h)
+        return self._log[j], self._log[j * h]
+
+    def linear_slices(self, stop: int, low, high):
+        """Yield (lo, y) for the _CHUNK slices [lo, hi) of the exponents
+        e < stop (stop <= N), where y holds the exponent (N for zero) of
+        L(g^e) for the F_p-linear map L whose images of the half_basis
+        elements have the exponents low[j] and high[j].  Every linear-map
+        scan over the field takes its values from here.
+
+        With j_high, j_low = divmod(packed g^e, q^3), L(g^e) is
+        L(x_low) + L(x_high): two gathers from the q^3-entry image tables
+        and one Zech add, however many terms L has.  The summands encode
+        zero as _ACC_ZERO, so with a = min and b = max of the two, b - a
+        lies above N exactly when b is zero, and the clipped gather then
+        reads Z[N] = 0, giving a; when both are zero, a + Z[0] stays above
+        N and the final clamp gives N.  A cancellation (Z entry N) is fixed
+        up as in v_lincomb.  y is overwritten by the next slice.
+        """
+        N, h, Z = self.N, self.q**3, self._Z
+        low, high = (np.where(np.asarray(t) == N, _ACC_ZERO, t).astype(EXP)
+                     for t in (low, high))
+        n = min(_CHUNK, stop)
+        j = np.empty(n, dtype=np.intp)
+        a, b, y = (np.empty(n, dtype=EXP) for _ in range(3))
+        cancel = np.empty(n, dtype=bool)
+        for lo, hi in _spans(stop):
+            k = hi - lo
+            packed, jk, ak, bk, yk, ck = (self._pow_packed[lo:hi], j[:k], a[:k],
+                                          b[:k], y[:k], cancel[:k])
+            np.floor_divide(packed, h, out=jk)
+            high.take(jk, None, bk, "clip")
+            np.multiply(jk, h, out=jk)
+            np.subtract(packed, jk, out=jk)
+            low.take(jk, None, ak, "clip")
+            # a <- min, b <- max - min; b > N exactly where max is zero
+            np.maximum(ak, bk, out=yk)
+            np.minimum(ak, bk, out=ak)
+            np.subtract(yk, ak, out=bk)
+            Z.take(bk, None, yk, "clip")  # clip: b > N reads Z[N] = 0
+            np.equal(yk, N, out=ck)
+            _add_reduce(ak, yk, N, yk, bk)
+            np.copyto(yk, N, where=ck)
+            np.minimum(yk, N, out=yk)
+            yield lo, yk
 
     def v_trace_lincomb(self, terms, bases):
         """F_q indices of the sum of Tr_{q^6/q}(g^c * prod(g^bases[i] for i in
@@ -881,7 +941,8 @@ class Field:
         N, q = self.N, self.q
         xs = _exp_arrays(bases)
         shape = xs[0].shape if xs else ()
-        has_zero = _sentinel_bases(xs, terms, N)
+        # a term (0, (i,)) gathers trace[x] straight from x, and trace[N] = 0
+        has_zero = _sentinel_bases(xs, [t for t in terms if t[0] or len(t[1]) != 1], N)
         const = 0
         for c, idx in terms:
             if not idx:

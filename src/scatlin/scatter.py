@@ -17,13 +17,12 @@ common roots m0.  is_scattered runs both and demands that the roots certify
 exactly the oracle's points.
 
 Both scans run on the field's Zech-table kernels (every field make_field
-builds has them) and walk the R = (q^6-1)/(q-1) coset representatives g^r,
-slice by slice, on uint32 exponent progressions r K mod N that
-Field.conjugate_slices yields, one per multiplier K the scan names.  The
-oracle writes f(x)/x = a_0 + sum(a_j x^(q^j - 1) for j >= 1), so it reads
-one progression per nonzero a_j (K = q^j - 1) with one call of the fused
-kernel Field.v_lincomb per slice, then sorts the values in place and counts
-their runs.
+builds has them) and walk the R = (q^6-1)/(q-1) coset representatives g^r
+slice by slice.  f is F_p-linear, so the oracle takes f(g^r) from
+Field.linear_slices, which sums f's images of the low and high halves of
+g^r's packed digits (two small gathers and one Zech add, however many terms
+f has), divides by g^r in exponents, then sorts the values in place and
+counts their runs.
 
 The criterion expands det M(m) in the six conjugates m^(q^v): the coefficient
 c_S of prod(m^(q^v) for v in S) is a principal minor of M(0), and
@@ -34,10 +33,12 @@ scales by lambda^k:
 
     det M(lambda m) = c_0 + sum(lambda^k T_k(m) for k in 1..6),  T_k(m) in F_q.
 
-Each orbit term reads one progression, K = e_S, and each T_k(g^r) is one
+Each orbit term Tr(w m^(e_S)) reads the exponent progression w + r e_S
+that Field.conjugate_slices yields, and each T_k(g^r) is one
 Field.v_trace_lincomb over the orbit terms of size k: one gather from the
 field's trace table per term, and one from a q x q addition table per term
-after the first, no Zech gather.
+after the first, no Zech gather.  The one size-6 term is the norm:
+T_6(g^r) = g^(r R), whose F_q index 1 + r mod (q - 1) needs no gather.
 
 A point of weight >= 2 has rank M(m) <= 4, so adj M(m) = 0.  By Jacobi's
 formula, P(lambda) = det M(lambda m) = det(M(0) + lambda D), with
@@ -48,10 +49,10 @@ q^3 x (q - 1) tables, one for k = 1..3 and one for c_0 and k = 4..6, give
 the multiple roots lambda = g^(R i): a key (T_1, T_2, T_3) or (T_4, T_5,
 T_6) gathers one contiguous row, with one equality test per i, about R/q
 candidates in all.  The truncated determinant has no such symmetry; it stays
-a v_lincomb and is evaluated only at the multiple roots g^e, e = r + R i,
-each term's exponent c + e e_S formed directly from e.  Every slice is
-scanned, and the witnesses are sorted by exponent.  m = 0 is decided by the
-constant terms alone.  Results do not depend on the slice size.
+a v_lincomb and is evaluated once, after the scan, at the multiple roots
+g^e, e = r + R i, of every slice, each term's exponent c + e e_S formed
+directly from e.  The witnesses are sorted by exponent.  m = 0 is decided
+by the constant terms alone.  Results do not depend on the slice size.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InternalInvariant
+from . import gf
 from .gf import EXP, TOWER, Field, FieldElem
 from .qpoly import QPoly, multilinear_det_expansion
 from . import linalg
@@ -140,26 +142,37 @@ def point_weight(f: QPoly, m) -> int:
 # oracle route
 # ---------------------------------------------------------------------------
 
+def _exp_quotient(y, e, N: int, out, tmp) -> None:
+    """out <- y - e mod N, the exponent of g^y / g^e, for exponents y <= N
+    and e < N, by one conditional subtraction; the sentinel y = N (zero)
+    stays N."""
+    np.subtract(y, e, out=out)
+    np.add(out, N, out=tmp)
+    np.minimum(out, tmp, out=out)
+    np.copyto(out, N, where=y == N)
+
+
 def _coset_counts(f: QPoly):
     """(keys, cosets): every value of f(x)/x as its exponent key (N for the
     zero element), ascending, with the number of F_q*-cosets x mapping to it
     (uint32).
 
-    At x = g^e, f(x)/x = a_0 + sum(a_j g^(e (q^j - 1)) for j >= 1), one
-    v_lincomb per slice of the coset representatives e < (q^6 - 1)/(q - 1)
-    over the progressions e (q^j - 1) mod N of the nonzero a_j
-    (Field.conjugate_slices); a zero value keeps the sentinel N.  The values
-    are sorted in place and counted between their run boundaries.
+    f is F_p-linear, so Field.linear_slices gives f(g^e) on each slice of
+    the coset representatives e < (q^6 - 1)/(q - 1) from f's images of the
+    half-basis elements (QPoly.v_evaluate), and f(x)/x is f(g^e) - e; a zero
+    value keeps the sentinel N.  The values are sorted in place and counted
+    between their run boundaries.
     """
     ctx = f.ctx
     N, q = ctx.N, ctx.q
-    live = [j for j in range(1, TOWER) if not f.coeffs[j].is_zero()]
-    terms = [(f.coeffs[0].val, ())] + [(f.coeffs[j].val, (i,)) for i, j in enumerate(live)]
     vals = np.empty(N // (q - 1), dtype=EXP)
-    # with f = a_0 x, the multiplier 0 still gives each slice its length
-    for lo, bases in ctx.conjugate_slices(vals.size, [q**j - 1 for j in live] or [0]):
-        ctx.v_lincomb(terms, bases, out=vals[lo:lo + bases[0].size])
-    del bases  # the walker's last slice, not needed for the counting
+    images = [f.v_evaluate(x) for x in ctx.half_basis()]
+    n = min(gf._CHUNK, vals.size)
+    e, tmp = np.arange(n, dtype=EXP), np.empty(n, dtype=EXP)
+    for lo, y in ctx.linear_slices(vals.size, *images):
+        _exp_quotient(y, e[:y.size], N, vals[lo:lo + y.size], tmp[:y.size])
+        e += n
+    del y, e, tmp  # the walk's buffers, not needed for the counting
     vals.sort()
     start = np.empty(vals.size, dtype=bool)  # where a run of equal values starts
     start[0] = True
@@ -384,40 +397,42 @@ def is_scattered_dickson(f: QPoly) -> ScatterVerdict:
     if not any(key == () for terms in (terms6, terms5) for _, key in terms):
         witnesses.append(ctx.zero())
     # det M(g^(r + R i)) = c0 + sum(lambda^k T_k(g^r)) with lambda = g^(R i);
-    # c0 is the trace of the one constant orbit term, and every other term
-    # reads one progression r e_S (the S = {0..5} term is always there)
-    live = [(c, key) for c, key in terms6 if key]
-    by_size = [[(c, (j,)) for j, (c, key) in enumerate(live) if len(key) == k]
-               for k in range(TOWER + 1)]
+    # c0 is the trace of the one constant orbit term, T_6 is the norm
+    # Tr(w g^(r R)) = g^(r R), and every other orbit term (c, S) reads the
+    # progression c + r e_S, so it is the term (0, (j,))
+    c6 = next((c for c, key in terms6 if len(key) == TOWER), N)
+    if ctx.trace(ctx.elem_of_exp(c6)) != ctx.one():
+        raise InternalInvariant("the size-6 orbit term is not the norm (bug)")
+    live = [(c, key) for c, key in terms6 if 0 < len(key) < TOWER]
+    by_size = [[(0, (j,)) for j, (_, key) in enumerate(live) if len(key) == k]
+               for k in range(TOWER)]
+    # F_q index 1 + r mod (q - 1) of the norm g^(r R), read as a window
+    norm = np.tile(np.arange(1, q, dtype=np.uint16), min(gf._CHUNK, R) // (q - 1) + 2)
     low, high = _multiple_root_tables(ctx, next((c for c, key in terms6 if not key), N))
-    # the truncated terms as (c, e_key), each read at exponents e as c + e e_key
-    trunc = [(c, _key_exp(ctx, key)) for c, key in terms5]
-    trunc_terms = [(0, (j,)) for j in range(len(trunc))]
-    found = []  # witness exponents of each slice
-    for lo, bases in ctx.conjugate_slices(R, [_key_exp(ctx, key) for _, key in live]):
+    cand = []  # the multiple roots g^e of det M, e = r + R i, of each slice
+    for lo, bases in ctx.conjugate_slices(R, [_key_exp(ctx, key) for _, key in live],
+                                          [c for c, _ in live]):
         # T_k(g^r) as F_q indices, three to a key; a degree without
         # terms adds nothing
-        key_low, key_high = np.zeros((2, bases[0].size), dtype=np.uint16)
-        for k in range(1, TOWER + 1):
+        key_low, key_high = np.zeros((2, min(gf._CHUNK, R - lo)), dtype=np.uint16)
+        for k in range(1, TOWER):
             key = key_low if k <= 3 else key_high
             key *= q
             if by_size[k]:
                 key += ctx.v_trace_lincomb(by_size[k], bases)
-        # candidates (r, i): the multiple roots lambda of det M, one
-        # contiguous table row per key
+        key_high *= q
+        key_high += norm[lo % (q - 1):lo % (q - 1) + key_high.size]
+        # candidates (r, i): one contiguous table row per key
         hit = np.flatnonzero(low.take(key_low, axis=0) == high.take(key_high, axis=0))
-        if not hit.size:
-            continue
         r, i = np.divmod(hit, q - 1)
-        e = lo + r + R * i
-        # the truncated determinant at the candidates g^e; out= keeps the
-        # shape when it has no terms (f = 0)
-        exps = [((c + e * k) % N).astype(EXP) for c, k in trunc]
-        roots = ctx.v_lincomb(trunc_terms, exps, out=np.empty(e.size, dtype=EXP)) == N
-        found.append(e[roots])
-    if found:
-        e = np.sort(np.concatenate(found))
-        witnesses.extend(ctx.from_exp(k) for k in e.tolist())
+        cand.append(lo + r + R * i)
+    # the truncated determinant at every candidate g^e, each term's exponent
+    # c + e e_S formed from e; out= keeps the shape when it has no terms (f = 0)
+    e = np.concatenate(cand)
+    exps = [((c + e * _key_exp(ctx, key)) % N).astype(EXP) for c, key in terms5]
+    roots = ctx.v_lincomb([(0, (j,)) for j in range(len(exps))], exps,
+                          out=np.empty(e.size, dtype=EXP)) == N
+    witnesses.extend(ctx.from_exp(k) for k in np.sort(e[roots]).tolist())
     return ScatterVerdict("dickson", witnesses)
 
 

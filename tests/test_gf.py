@@ -2,7 +2,9 @@
 enumeration order, and agreement with coefficient-vector arithmetic."""
 
 import hashlib
+import os
 import random
+import tokenize
 import tracemalloc
 
 import numpy as np
@@ -540,10 +542,11 @@ def test_conjugate_slices_match_v_frob(f3, f4, with_chunk):
 
 
 def test_conjugate_slices_any_multiplier(f2, f3, f4, with_chunk, monkeypatch):
-    """conjugate_slices(stop, mults) yields e K mod N, as int64 arithmetic
-    gives it, for K in {0, 1, q^j - 1, e_S, R} (e_S = sum(q^v for v in
-    S)): at q = 2, 3, 4 across several slices, with the doubling started
-    from one or a few direct terms, and at q = 13 over its default slices."""
+    """conjugate_slices(stop, mults, starts) yields c + e K mod N, as int64
+    arithmetic gives it, for K in {0, 1, q^j - 1, e_S, R} (e_S = sum(q^v for
+    v in S)) and c in {0, 1, N - 1}: at q = 2, 3, 4 across several slices,
+    with the doubling started from one or a few direct terms, and at q = 13
+    over its default slices."""
     runs = [(f2, 1 << 4, 1), (f3, 1 << 6, 1), (f3, None, 5), (f4, 1 << 6, 3),
             (f4, None, gf._SEED), (make_field(13, 1), None, gf._SEED)]
     for F, chunk, seed in runs:
@@ -552,15 +555,83 @@ def test_conjugate_slices_any_multiplier(f2, f3, f4, with_chunk, monkeypatch):
         mults = [0, 1, q - 1, q**3 - 1, q**5 - 1, 1 + q**2, 1 + q + q**3, R]
         monkeypatch.setattr(gf, "_SEED", seed)
         with_chunk(F, chunk)
+        # every K with every start c in {0, 1, N - 1} across the three shifts
+        starts = [None] + [[(0, 1, N - 1)[(i + t) % 3] for i in range(len(mults))]
+                           for t in range(3)]
         for stop in (R, N, 250) if F.order < 10**4 else (R,):
-            spans = []
-            for lo, bases in F.conjugate_slices(stop, mults):
-                e = np.arange(lo, min(lo + gf._CHUNK, stop), dtype=np.int64)
-                assert len(bases) == len(mults)
-                for b, K in zip(bases, mults):
-                    assert b.dtype == EXP and np.array_equal(b, e * K % N), (F, K)
-                spans.append(lo)
-            assert spans == list(range(0, stop, gf._CHUNK))
+            for cs in starts:
+                spans = []
+                for lo, bases in F.conjugate_slices(stop, mults, cs):
+                    e = np.arange(lo, min(lo + gf._CHUNK, stop), dtype=np.int64)
+                    assert len(bases) == len(mults)
+                    for b, K, c in zip(bases, mults, cs or [0] * len(mults)):
+                        assert b.dtype == EXP and np.array_equal(b, (c + e * K) % N), (F, K, c)
+                    spans.append(lo)
+                assert spans == list(range(0, stop, gf._CHUNK))
+
+
+def _walk(F, stop, images):
+    """linear_slices(stop, *images) joined into one array."""
+    return np.concatenate([y.copy() for _, y in F.linear_slices(stop, *images)])
+
+
+def test_linear_slices_match_v_evaluate(f3, f4, with_chunk):
+    """linear_slices gives f(g^e) for every e < N, as QPoly.v_evaluate gives
+    it, from f's images of the half basis: f = 0, f = x, maps with a kernel
+    (x^q - x, the trace x + x^q + ... + x^(q^5)) and seeded random ones,
+    under the default slice size and a split one, and over a shorter stop.
+    The half basis holds the elements with packed values j and j q^3."""
+    rng = random.Random(31)
+    for F in (f3, f4):
+        low, high = F.half_basis()
+        h = F.q ** 3
+        assert [F.packed(F.elem_of_exp(int(x))) for x in low] == list(range(h))
+        assert [F.packed(F.elem_of_exp(int(x))) for x in high] == [j * h for j in range(h)]
+        one = F.one()
+        polys = [QPoly.zero(F), QPoly(F, [one]), QPoly(F, [-one, one]), QPoly(F, [one] * 6)]
+        polys += [QPoly(F, [F.elem_at(rng.randrange(F.order)) for _ in range(6)])
+                  for _ in range(4)]
+        e = np.arange(F.N)
+        for chunk in (None, 100):
+            with_chunk(F, chunk)
+            for f in polys:
+                ref = f.v_evaluate(e)
+                images = [f.v_evaluate(x) for x in (low, high)]
+                assert np.array_equal(_walk(F, F.N, images), ref), f
+                assert np.array_equal(_walk(F, 250, images), ref[:250]), f
+
+
+def test_linear_slices_trace_q13():
+    """At q = 13 the walk of the trace over the whole field agrees with the
+    scalar trace at seeded sample points, the slice ends included."""
+    F = make_field(13, 1)
+    conj = [(0, (v,)) for v in range(6)]
+    images = [F.v_lincomb(conj, [F.v_frob(x, v) for v in range(6)]) for x in F.half_basis()]
+    rng = random.Random(13)
+    es = sorted({0, gf._CHUNK - 1, gf._CHUNK, F.N - 1}
+                | {rng.randrange(F.N) for _ in range(300)})
+    got = {}
+    for lo, y in F.linear_slices(F.N, *images):
+        got.update((e, int(y[e - lo])) for e in es if lo <= e < lo + y.size)
+    assert [got[e] for e in es] == [F.trace(F.from_exp(e)).val for e in es]
+    assert any(got[e] == F.N for e in es)  # the trace's kernel is hit
+
+
+def test_only_gf_reads_the_tables():
+    """No module of scatlin but gf names the power, log, Zech or F_q tables:
+    every other module reaches them through Field's methods."""
+    src = os.path.dirname(gf.__file__)
+    private = {"_log", "_pow_packed", "_Z", "_fq_tables"}
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "gf.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            names = {t.string for t in tokenize.generate_tokens(fh.readline)
+                     if t.type == tokenize.NAME}
+        if names & private:
+            found[name] = sorted(names & private)
+    assert not found, found
 
 
 def test_trace_tables_independent_of_chunk(with_chunk):

@@ -184,6 +184,46 @@ def test_is_scattered_compares_points(field, request, monkeypatch):
         is_scattered(f)
 
 
+def progression_coset_counts(f):
+    """The oracle's bucketing as it was computed before the linear-map walk,
+    kept here as an independent reference: f(x)/x = a_0 + sum(a_j x^(q^j - 1)
+    for j >= 1) at x = g^e, one v_lincomb per slice of the coset
+    representatives over the progressions e (q^j - 1) mod N of the nonzero
+    a_j, then the values sorted and counted by np.unique."""
+    F = f.ctx
+    q = F.q
+    live = [j for j in range(1, 6) if not f.coeffs[j].is_zero()]
+    terms = [(f.coeffs[0].val, ())] + [(f.coeffs[j].val, (i,)) for i, j in enumerate(live)]
+    vals = np.empty(F.N // (q - 1), dtype=gf.EXP)
+    # with f = a_0 x, the multiplier 0 still gives each slice its length
+    for lo, bases in F.conjugate_slices(vals.size, [q**j - 1 for j in live] or [0]):
+        F.v_lincomb(terms, bases, out=vals[lo:lo + bases[0].size])
+    return np.unique(vals, return_counts=True)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_coset_counts_match_progression_reference(q, with_chunk):
+    """The linear-map walk gives the same keys and coset counts as the
+    progression route: case1, the pseudoregulus, x^(q^2), x^q + x^(q^3),
+    f = 0, f = a_0 x and seeded sparse polynomials, under the default slice
+    size and under one that splits the coset representatives."""
+    p, s = {4: (2, 2), 8: (2, 3), 9: (3, 2)}.get(q, (q, 1))
+    F = make_field(p, s)
+    rng = random.Random(500 + q)
+    one = F.one()
+    polys = [family_poly(F, "case1"), family_poly(F, "pseudoregulus"),
+             QPoly(F, [0, 0, one]), QPoly(F, [0, one, 0, one]), QPoly.zero(F),
+             QPoly(F, [F.elem_at(rng.randrange(1, F.order))])]
+    polys += [sparse_poly(F, rng) for _ in range(8 if q < 7 else 3)]
+    refs = [progression_coset_counts(f) for f in polys]
+    for chunk in (None, {2: 1 << 5, 8: 1 << 12}.get(q, 1 << 7)):
+        with_chunk(F, chunk)
+        for f, (keys, cosets) in zip(polys, refs):
+            got = scatter._coset_counts(f)
+            assert got[0].dtype == gf.EXP and got[1].dtype == np.uint32
+            assert np.array_equal(got[0], keys) and np.array_equal(got[1], cosets), f
+
+
 def test_oracle_buckets_once(monkeypatch):
     calls = []
     real = scatter._coset_counts
@@ -332,6 +372,14 @@ def test_corrupted_minor_raises(f5, monkeypatch):
     monkeypatch.setattr(scatter, "_expansion_terms",
                         lambda g, drop: [t for t in real(g, drop) if t[1] != (0, 1)])
     with pytest.raises(InternalInvariant):
+        is_scattered_dickson(f)
+    # the empty minor, coefficient of the norm, moved from 1 to another
+    # element of F_q: the orbit stays symmetric, but T_6 is no longer the norm
+    R = f5.N // (f5.q - 1)
+    monkeypatch.setattr(scatter, "_expansion_terms",
+                        lambda g, drop: [(R, key) if len(key) == 6 else (c, key)
+                                         for c, key in real(g, drop)])
+    with pytest.raises(InternalInvariant, match="norm"):
         is_scattered_dickson(f)
 
 
